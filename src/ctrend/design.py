@@ -1,25 +1,30 @@
 """Assembly of the linear systems solved by the estimator.
 
-Observation rows express one measurement as a linear functional of the
-parameter vector: the level at the cohort's boundary entry point, plus unit
-coefficients on every trend cell the cohort has fully crossed, plus the
-within-cell year fraction on the current cell's trend.  Penalty rows are
-(+1, -2, +1) second-difference stencils: on the level surface they are
-rewritten onto the parameter vector through the same cohort-path expansion;
-on the trend surface they act on trend parameters directly.
+The estimator works on the level surface v, the row-major (I+2) x (J+2)
+lattice, which has exactly `layout.dim` entries.  The dynamic model
+v(i+1, j+1) = v(i, j) + u(i, j) makes a measurement at year fraction t in
+cell (i, j) read (1-t)*v(i,j) + t*v(i+1,j+1), so the data operator of a
+`LinearSystem` has two nonzeros per row.  Both penalties are (+1, -2, +1)
+second-difference stencils (`second_differences`): on v itself, and on the
+trend surface u = `build_v2u` @ v.  Penalty operators are stored unscaled;
+the regularization weights live in the solver, so the same system serves
+every lambda probe.
 
-Penalty rows are stored unscaled; the regularization weights live in the
-solver's weight structure so the same rows serve every lambda probe.
+The parameter vector z of `ParameterLayout` (boundary levels plus the trend
+field) is a linear bijection of v: `build_z2v` maps z to v, `build_v2z`
+maps back.  The z-coordinate builders (`observation_row`, `build_b0_*`,
+`build_penalty_*`, `build_z2v`, `build_z2u`, `rows_to_matrix`) are kept as
+reference code that the tests hold the level-surface system against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .errors import FrameTooSmall, InvalidClusterSize, OutOfFrame
+from .errors import InvalidClusterSize, OutOfFrame
 from .grid import CellIndex, Frame, ParameterLayout, cohort_path
 from .ingest import AggregatedCell, Measurement
 
@@ -125,14 +130,30 @@ def build_b0_aggregated(
     return rows, weights, css_total
 
 
-def _second_difference(
-    layout: ParameterLayout, expand, points: list[tuple[int, int]]
-) -> SparseRow:
-    coeffs: dict[int, float] = {}
-    for (pi, pj), stencil in zip(points, (1.0, -2.0, 1.0)):
-        for k, v in expand(layout, pi, pj).items():
-            coeffs[k] = coeffs.get(k, 0.0) + stencil * v
-    return _row_from_coeffs(coeffs, rhs=0.0)
+def second_differences(nrows: int, ncols: int) -> sparse.csr_matrix:
+    """Unscaled second differences of a row-major nrows x ncols surface.
+
+    Age direction first: rows i in [0, nrows-1], centers j in [1, ncols-2];
+    then year direction: columns j in [0, ncols-1], centers i in
+    [1, nrows-2].  Both sizes must be at least 2; a size of 2 leaves its
+    block empty.
+    """
+
+    def stencil(n: int) -> sparse.spmatrix:
+        return sparse.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n - 2, n))
+
+    age = sparse.kron(sparse.identity(nrows), stencil(ncols))
+    year = sparse.kron(stencil(nrows), sparse.identity(ncols)).tocsr()
+    column_major = (np.arange(nrows - 2) * ncols + np.arange(ncols)[:, None]).ravel()
+    return sparse.vstack([age, year[column_major]], format="csr")
+
+
+def _penalty_rows(operator: sparse.spmatrix, to_surface: np.ndarray) -> list[SparseRow]:
+    rows = []
+    for r in np.asarray(operator @ to_surface):
+        nz = np.flatnonzero(r)
+        rows.append(SparseRow(tuple(nz.tolist()), tuple(r[nz].tolist())))
+    return rows
 
 
 def build_penalty_v(layout: ParameterLayout) -> list[SparseRow]:
@@ -142,25 +163,7 @@ def build_penalty_v(layout: ParameterLayout) -> list[SparseRow]:
     direction over columns j in [0, J+1], centers i in [1, I].  Row count is
     (I+2)*J + (J+2)*I.
     """
-    I, J = layout.i_span, layout.j_span
-    if I < 1 or J < 1:
-        raise FrameTooSmall("level penalty needs spans >= 1")
-    rows = []
-    for i in range(I + 2):
-        for j in range(1, J + 1):
-            rows.append(
-                _second_difference(layout, _level_coeffs, [(i, j - 1), (i, j), (i, j + 1)])
-            )
-    for j in range(J + 2):
-        for i in range(1, I + 1):
-            rows.append(
-                _second_difference(layout, _level_coeffs, [(i - 1, j), (i, j), (i + 1, j)])
-            )
-    return rows
-
-
-def _trend_coeffs(layout: ParameterLayout, i: int, j: int) -> dict[int, float]:
-    return {layout.trend_index(i, j): 1.0}
+    return _penalty_rows(second_differences(*layout.level_shape), build_z2v(layout))
 
 
 def build_penalty_u(layout: ParameterLayout) -> list[SparseRow]:
@@ -169,19 +172,7 @@ def build_penalty_u(layout: ParameterLayout) -> list[SparseRow]:
     Age direction: i in [0, I], centers j in [1, J-1]; year direction:
     j in [0, J], centers i in [1, I-1].  Either sum may be empty.
     """
-    I, J = layout.i_span, layout.j_span
-    rows = []
-    for i in range(I + 1):
-        for j in range(1, J):
-            rows.append(
-                _second_difference(layout, _trend_coeffs, [(i, j - 1), (i, j), (i, j + 1)])
-            )
-    for j in range(J + 1):
-        for i in range(1, I):
-            rows.append(
-                _second_difference(layout, _trend_coeffs, [(i - 1, j), (i, j), (i + 1, j)])
-            )
-    return rows
+    return _penalty_rows(second_differences(*layout.trend_shape), build_z2u(layout))
 
 
 def build_z2v(layout: ParameterLayout) -> np.ndarray:
@@ -201,6 +192,36 @@ def build_z2u(layout: ParameterLayout) -> np.ndarray:
     for k in range(layout.n_trend):
         a[k, layout.n_boundary + k] = 1.0
     return a
+
+
+def diagonal_pairs(layout: ParameterLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Flat level indices of v(i+1, j+1) and v(i, j) for every trend cell (i, j),
+    in row-major trend order."""
+    ncols = layout.level_shape[1]
+    i, j = np.divmod(np.arange(layout.n_trend), layout.j_span + 1)
+    lo = i * ncols + j
+    return lo + ncols + 1, lo
+
+
+def build_v2u(layout: ParameterLayout) -> sparse.csr_matrix:
+    """Trend surface from the flattened level surface: u(i,j) = v(i+1,j+1) - v(i,j)."""
+    hi, lo = diagonal_pairs(layout)
+    rows = np.arange(layout.n_trend)
+    return sparse.csr_matrix(
+        (np.repeat([1.0, -1.0], layout.n_trend), (np.tile(rows, 2), np.concatenate([hi, lo]))),
+        shape=(layout.n_trend, layout.dim),
+    )
+
+
+def build_v2z(layout: ParameterLayout) -> sparse.csr_matrix:
+    """Parameters from the flattened level surface; the inverse of `build_z2v`."""
+    ncols = layout.level_shape[1]
+    boundary = [i * ncols + j for i, j in layout.boundary_points()]
+    select = sparse.csr_matrix(
+        (np.ones(layout.n_boundary), (np.arange(layout.n_boundary), boundary)),
+        shape=(layout.n_boundary, layout.dim),
+    )
+    return sparse.vstack([select, build_v2u(layout)], format="csr")
 
 
 def cluster_bands(extent: int, size: int) -> list[range]:
@@ -244,46 +265,76 @@ def rows_to_matrix(rows: list[SparseRow], dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Data rows with weights plus both penalty blocks, ready to solve."""
+    """Level-surface system: weighted data operator plus both penalty operators.
+
+    `data` has one row per measurement (raw) or per cell (aggregated), with
+    (1-t) on v(i,j) and t on v(i+1,j+1); `rhs` holds the observed values or
+    cell means and `weights` the counts behind them.
+    """
 
     layout: ParameterLayout
-    data_rows: list[SparseRow]
-    data_weights: np.ndarray
-    penalty_v_rows: list[SparseRow] = field(repr=False, default_factory=list)
-    penalty_u_rows: list[SparseRow] = field(repr=False, default_factory=list)
+    data: sparse.csr_matrix = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    penalty_v: sparse.csr_matrix = field(repr=False)
+    penalty_u: sparse.csr_matrix = field(repr=False)
     css_total: float = 0.0
 
     @property
     def n_obs(self) -> int:
         """Underlying measurement count: row count raw, summed counts aggregated."""
-        return int(round(float(np.sum(self.data_weights))))
+        return int(round(float(np.sum(self.weights))))
 
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.array([r.rhs for r in self.data_rows], dtype=float)
+
+def _level_system(
+    layout: ParameterLayout,
+    i: np.ndarray,
+    j: np.ndarray,
+    t: np.ndarray,
+    x: np.ndarray,
+    weights: np.ndarray,
+    css_total: float,
+) -> LinearSystem:
+    ncols = layout.level_shape[1]
+    lo = i * ncols + j
+    rows = np.arange(len(t))
+    data = sparse.csr_matrix(
+        (np.concatenate([1.0 - t, t]), (np.tile(rows, 2), np.concatenate([lo, lo + ncols + 1]))),
+        shape=(len(t), layout.dim),
+    )
+    return LinearSystem(
+        layout=layout,
+        data=data,
+        rhs=x,
+        weights=weights,
+        penalty_v=second_differences(*layout.level_shape),
+        penalty_u=(second_differences(*layout.trend_shape) @ build_v2u(layout)).tocsr(),
+        css_total=css_total,
+    )
 
 
 def build_system_raw(frame: Frame, measurements: list[Measurement]) -> LinearSystem:
     layout = ParameterLayout.from_frame(frame)
-    rows = build_b0_raw(layout, frame, measurements)
-    return LinearSystem(
-        layout=layout,
-        data_rows=rows,
-        data_weights=np.ones(len(rows)),
-        penalty_v_rows=build_penalty_v(layout),
-        penalty_u_rows=build_penalty_u(layout),
-        css_total=0.0,
+    cells = np.array([frame.locate(m.y, m.a) for m in measurements], dtype=int).reshape(-1, 2)
+    x, y, _ = np.array(measurements, dtype=float).reshape(-1, 3).T
+    return _level_system(
+        layout, cells[:, 0], cells[:, 1], y - np.floor(y), x, np.ones(len(x)), 0.0
     )
 
 
 def build_system_aggregated(frame: Frame, cells: list[AggregatedCell]) -> LinearSystem:
+    """Cell-level system at each cell's mean year, weighted by member counts.
+
+    Aggregated and raw modes coincide exactly whenever all member years
+    within a cell are equal.
+    """
     layout = ParameterLayout.from_frame(frame)
-    rows, weights, css_total = build_b0_aggregated(layout, frame, cells)
-    return LinearSystem(
-        layout=layout,
-        data_rows=rows,
-        data_weights=weights,
-        penalty_v_rows=build_penalty_v(layout),
-        penalty_u_rows=build_penalty_u(layout),
-        css_total=css_total,
-    )
+    i, j, n = np.array([(*c.cell, c.n) for c in cells], dtype=int).reshape(-1, 3).T
+    x_bar, y_bar = np.array([(c.x_bar, c.y_bar) for c in cells], dtype=float).reshape(-1, 2).T
+    i_abs = i + frame.i_min
+    outside = np.flatnonzero((y_bar < i_abs) | (y_bar >= i_abs + 1))
+    if outside.size:
+        c = cells[outside[0]]
+        raise OutOfFrame(f"cell {c.cell} mean year {c.y_bar} outside its year interval")
+    css_total = sum(c.css for c in cells)
+    return _level_system(layout, i, j, y_bar - i_abs, x_bar, n.astype(float), float(css_total))

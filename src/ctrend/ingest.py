@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidDates, MalformedFile, NonPositiveInput, UnknownSchema
+from .errors import InvalidDates, MalformedFile, NonPositiveInput, OutOfFrame, UnknownSchema
 from .grid import CellIndex, Frame
 
 SCHEMA_XYA = "xya"
@@ -100,17 +100,13 @@ def derive_age_year(birth_year: int, exam_date: float) -> tuple[int, float]:
     return math.floor(exam_date) - birth_year, exam_date
 
 
-def _parse_row(record: dict[str, str], schema: str) -> Measurement:
+def _measurement(fields: list[float], schema: str) -> Measurement:
+    """Measurement from the schema's fields, already parsed and finite."""
     if schema == SCHEMA_XYA:
-        return Measurement(
-            float(record["x"]), float(record["year"]), float(record["age"])
-        )
-    weight = float(record["weight"])
-    height = float(record["height"])
-    birth_year = int(float(record["birth_year"]))
-    exam_date = float(record["exam_date"])
+        return Measurement(*fields)
+    weight, height, birth_year, exam_date = fields
     x = derive_bmi(weight, height)
-    a, y = derive_age_year(birth_year, exam_date)
+    a, y = derive_age_year(int(birth_year), exam_date)
     return Measurement(x, y, float(a))
 
 
@@ -141,7 +137,7 @@ def load_measurements(
         raise MalformedFile(
             f"schema {schema!r} needs columns {_COLUMNS[schema]}, missing {missing}"
         )
-    positions = {c: names.index(c) for c in _COLUMNS[schema]}
+    positions = [names.index(c) for c in _COLUMNS[schema]]
 
     report = ValidationReport()
     accepted: list[Measurement] = []
@@ -150,27 +146,25 @@ def load_measurements(
             continue
         report.n_rows += 1
         try:
-            record = {c: row[p] for c, p in positions.items()}
-        except IndexError:
+            fields = [float(row[p]) for p in positions]
+        except (IndexError, ValueError):
             report.reject(row_number, REASON_UNPARSABLE)
+            continue
+        if not all(math.isfinite(v) for v in fields):
+            report.reject(row_number, REASON_NON_FINITE)
             continue
         try:
-            m = _parse_row(record, schema)
-        except (ValueError, TypeError):
-            report.reject(row_number, REASON_UNPARSABLE)
-            continue
-        except (NonPositiveInput, InvalidDates):
+            m = _measurement(fields, schema)
+        except (NonPositiveInput, InvalidDates, ArithmeticError):
+            # ArithmeticError: a height whose square overflows or underflows
             report.reject(row_number, REASON_INVALID_DERIVATION)
             continue
         if not all(math.isfinite(v) for v in m):
             report.reject(row_number, REASON_NON_FINITE)
             continue
-        if not frame.contains(m.y, m.a):
-            report.reject(row_number, REASON_OUT_OF_FRAME)
-            continue
         try:
             frame.locate(m.y, m.a)
-        except Exception:
+        except OutOfFrame:
             report.reject(row_number, REASON_OUT_OF_FRAME)
             continue
         accepted.append(m)

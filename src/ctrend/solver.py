@@ -1,123 +1,58 @@
-"""Penalized weighted least squares on the assembled linear system.
+"""Penalized weighted least squares on the level surface.
 
 For fixed regularization weights (lambda1, lambda2) the estimate minimizes
 
-    S(z) = S0(z) + lambda1*S1(z) + lambda2*S2(z)
+    S(v) = S0(v) + lambda1*S1(v) + lambda2*S2(v)
 
-where S0 is the (count-weighted) data misfit and S1, S2 the level and trend
-second-difference penalties.  The normal matrix is dense and small (a few
-hundred parameters at survey scale), so the solve is a Cholesky
-factorization with a reciprocal-condition estimate; covariances follow the
-classical weighted-least-squares formulas with
-sigma2 = (S0 + pooled within-cell CSS) / (n_obs - dim).
+over the level surface v, where S0 is the (count-weighted) data misfit and
+S1, S2 the second-difference penalties on v and on the trend surface
+u(i,j) = v(i+1,j+1) - v(i,j).  `normal_equations` forms the dense normal
+matrix (a few hundred to a few thousand unknowns) from the sparse operators
+of the `LinearSystem`; the solve is a Cholesky factorization of its
+Jacobi-equilibrated form with a reciprocal-condition estimate.  Covariances
+follow the classical weighted-least-squares formulas with
+sigma2 = (S0 + pooled within-cell CSS) / (n_obs - dim); the trend covariance
+is read off the level covariance over the diagonal pairs, and the parameter
+vector z and its covariance are mapped from v through `build_v2z`.
 
-Parameters whose normal-matrix column is exactly zero (possible only with
-both lambdas at zero, when the two extreme boundary corners are outside
-every cohort path) are excluded from the factorization and reported as zero
-with zero variance; `FitResult.n_silent` counts them.
+Cohort diagonals of levels whose normal-matrix columns are all exactly zero
+(possible only with lambda1 = 0: the two extreme corners v(I+1,0) and
+v(0,J+1), and with both lambdas zero any diagonal without data) are excluded
+from the factorization and reported as zero with zero variance, as their
+parameters are in z; `FitResult.n_silent` counts them.  An unreached level
+on any other diagonal makes the system singular.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse, special
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
-from scipy.stats import t as t_dist
 
-from .design import LinearSystem, build_z2u, build_z2v, rows_to_matrix
+from .design import LinearSystem, build_v2z, diagonal_pairs
 from .errors import SingularSystem
 from .grid import ParameterLayout, _absolute_cell
 
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class NormalCache:
-    """Dense pieces reused across lambda probes on one system."""
-
-    layout: ParameterLayout
-    b0: np.ndarray
-    x0: np.ndarray
-    w0: np.ndarray
-    g0: np.ndarray          # B0' W0 B0
-    rhs: np.ndarray         # B0' W0 x0
-    g1: np.ndarray          # B1' B1
-    g2: np.ndarray          # B2' B2
-    b1: np.ndarray = field(repr=False, default=None)
-    b2: np.ndarray = field(repr=False, default=None)
-    a_z2v: np.ndarray = field(repr=False, default=None)
-    a_z2u: np.ndarray = field(repr=False, default=None)
-    css_total: float = 0.0
-    n_obs: int = 0
-
-
-def prepare(system: LinearSystem) -> NormalCache:
-    dim = system.layout.dim
-    b0 = rows_to_matrix(system.data_rows, dim)
-    x0 = system.rhs
-    w0 = np.asarray(system.data_weights, dtype=float)
-    wb0 = b0 * w0[:, None]
-    b1 = rows_to_matrix(system.penalty_v_rows, dim)
-    b2 = rows_to_matrix(system.penalty_u_rows, dim)
-    return NormalCache(
-        layout=system.layout,
-        b0=b0,
-        x0=x0,
-        w0=w0,
-        g0=wb0.T @ b0,
-        rhs=wb0.T @ x0,
-        g1=b1.T @ b1,
-        g2=b2.T @ b2,
-        b1=b1,
-        b2=b2,
-        a_z2v=build_z2v(system.layout),
-        a_z2u=build_z2u(system.layout),
-        css_total=system.css_total,
-        n_obs=system.n_obs,
-    )
-
-
-def rebind_data(cache: NormalCache, system: LinearSystem) -> NormalCache:
-    """Cache for a new system sharing the first one's frame and penalties.
-
-    Recomputes only the data-dependent pieces; useful when many datasets
-    with identical measurement placement are fitted in sequence.
-    """
-    import dataclasses
-
-    dim = cache.layout.dim
-    b0 = rows_to_matrix(system.data_rows, dim)
-    x0 = system.rhs
-    w0 = np.asarray(system.data_weights, dtype=float)
-    wb0 = b0 * w0[:, None]
-    return dataclasses.replace(
-        cache,
-        b0=b0,
-        x0=x0,
-        w0=w0,
-        g0=wb0.T @ b0,
-        rhs=wb0.T @ x0,
-        css_total=system.css_total,
-        n_obs=system.n_obs,
-    )
-
-
 @dataclass
 class FitResult:
     """Point estimate, covariances, and reconstructed surfaces for one solve.
 
-    `unit_cov_z` is the inverse weighted normal matrix (covariance per unit
-    error variance); `cov_z` and the surface covariances are its sigma2
-    multiples and are None when the degrees of freedom are not positive.
+    `unit_cov_v` is the inverse weighted normal matrix on the level surface
+    (covariance per unit error variance); `unit_cov_u` and `unit_cov_z` are
+    its images on the trend surface and on the parameter vector.  The `cov_*`
+    properties are their sigma2 multiples and are None when the degrees of
+    freedom are not positive.
     """
 
     lambda1: float
     lambda2: float
     z_hat: np.ndarray
-    unit_cov_z: np.ndarray
     sigma2_hat: float | None
     dof: int
     n_obs: int
@@ -131,6 +66,11 @@ class FitResult:
     unit_cov_v: np.ndarray
     unit_cov_u: np.ndarray
     layout: ParameterLayout
+
+    @property
+    def unit_cov_z(self) -> np.ndarray:
+        v2z = build_v2z(self.layout)
+        return v2z @ (v2z @ self.unit_cov_v).T
 
     @property
     def cov_z(self) -> np.ndarray | None:
@@ -162,32 +102,40 @@ class FitResult:
 
     def ci_halfwidth(self, stderr: np.ndarray, level: float = 0.95) -> np.ndarray:
         """Two-sided confidence half-width using the t distribution."""
-        q = float(t_dist.ppf(0.5 + level / 2.0, self.dof))
+        q = float(special.stdtrit(self.dof, 0.5 + level / 2.0))
         return q * stderr
 
 
-def solve(
-    system: LinearSystem,
-    lambda1: float,
-    lambda2: float,
-    cache: NormalCache | None = None,
-) -> FitResult:
+def normal_equations(
+    system: LinearSystem, lambda1: float, lambda2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense normal matrix and right-hand side of the fit on the level surface."""
+    weighted = system.data.T @ sparse.diags(system.weights)
+    gram = (
+        weighted @ system.data
+        + lambda1 * (system.penalty_v.T @ system.penalty_v)
+        + lambda2 * (system.penalty_u.T @ system.penalty_u)
+    )
+    return gram.toarray(), weighted @ system.rhs
+
+
+def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
     """Fit the penalized system at fixed regularization weights."""
     if lambda1 < 0 or lambda2 < 0:
         raise ValueError("regularization weights must be non-negative")
-    if not system.data_rows:
+    if system.data.shape[0] == 0:
         raise SingularSystem("no data rows")
-    if cache is None:
-        cache = prepare(system)
 
-    m = cache.g0.copy()
-    if lambda1 != 0.0:
-        m += lambda1 * cache.g1
-    if lambda2 != 0.0:
-        m += lambda2 * cache.g2
-    rhs = cache.rhs
-
-    active = np.diag(m) > 0.0
+    layout = system.layout
+    m, rhs = normal_equations(system, lambda1, lambda2)
+    reached = np.diag(m) > 0.0
+    # An unreached level drops out only together with its whole cohort
+    # diagonal, as its parameters do in z; elsewhere it is undetermined.
+    cohort = np.subtract(*np.indices(layout.level_shape)).ravel()
+    cohort -= cohort.min()
+    active = np.bincount(cohort, weights=reached)[cohort] > 0
+    if not reached[active].all():
+        raise SingularSystem("a level on an observed cohort diagonal is reached by no data")
     n_silent = int(np.sum(~active))
     mr = m[np.ix_(active, active)]
     # Symmetric Jacobi equilibration: with lambdas spanning many decades the
@@ -210,45 +158,46 @@ def solve(
             f"normal matrix condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
 
-    dim = cache.layout.dim
-    n_active = int(np.sum(active))
-    z_hat = np.zeros(dim)
-    z_hat[active] = scale * cho_solve(factor, scale * rhs[active])
-    unit_cov = np.zeros((dim, dim))
-    inv_scaled = cho_solve(factor, np.eye(n_active))
-    unit_cov[np.ix_(active, active)] = inv_scaled * scale[:, None] * scale[None, :]
+    dim = layout.dim
+    v = np.zeros(dim)
+    v[active] = scale * cho_solve(factor, scale * rhs[active])
+    unit_cov_v = np.zeros((dim, dim))
+    inv_scaled = cho_solve(factor, np.eye(int(np.sum(active))))
+    unit_cov_v[np.ix_(active, active)] = inv_scaled * scale[:, None] * scale[None, :]
+    hi, lo = diagonal_pairs(layout)
+    unit_cov_u = (
+        unit_cov_v[np.ix_(hi, hi)]
+        - unit_cov_v[np.ix_(hi, lo)]
+        - unit_cov_v[np.ix_(lo, hi)]
+        + unit_cov_v[np.ix_(lo, lo)]
+    )
 
-    resid = cache.b0 @ z_hat - cache.x0
-    s0 = float(np.sum(cache.w0 * resid**2))
-    s1 = float(np.sum((cache.b1 @ z_hat) ** 2))
-    s2 = float(np.sum((cache.b2 @ z_hat) ** 2))
+    resid = system.data @ v - system.rhs
+    s0 = float(np.sum(system.weights * resid**2))
+    s1 = float(np.sum((system.penalty_v @ v) ** 2))
+    s2 = float(np.sum((system.penalty_u @ v) ** 2))
 
-    dof = cache.n_obs - dim
-    sigma2 = (s0 + cache.css_total) / dof if dof >= 1 else None
-
-    v_hat = (cache.a_z2v @ z_hat).reshape(cache.layout.level_shape)
-    u_hat = (cache.a_z2u @ z_hat).reshape(cache.layout.trend_shape)
-    unit_cov_v = cache.a_z2v @ unit_cov @ cache.a_z2v.T
-    unit_cov_u = cache.a_z2u @ unit_cov @ cache.a_z2u.T
+    n_obs = system.n_obs
+    dof = n_obs - dim
+    sigma2 = (s0 + system.css_total) / dof if dof >= 1 else None
 
     return FitResult(
         lambda1=lambda1,
         lambda2=lambda2,
-        z_hat=z_hat,
-        unit_cov_z=unit_cov,
+        z_hat=build_v2z(layout) @ v,
         sigma2_hat=sigma2,
         dof=dof,
-        n_obs=cache.n_obs,
+        n_obs=n_obs,
         s0=s0,
         s1=s1,
         s2=s2,
         condition=condition,
         n_silent=n_silent,
-        v_hat=v_hat,
-        u_hat=u_hat,
+        v_hat=v.reshape(layout.level_shape),
+        u_hat=(v[hi] - v[lo]).reshape(layout.trend_shape),
         unit_cov_v=unit_cov_v,
         unit_cov_u=unit_cov_u,
-        layout=cache.layout,
+        layout=layout,
     )
 
 
@@ -362,13 +311,7 @@ def check_uniqueness(points: list[tuple[float, float]]) -> tuple[bool, str]:
     return True, why
 
 
-def normal_residual(system: LinearSystem, fit: FitResult, cache: NormalCache | None = None) -> float:
+def normal_residual(system: LinearSystem, fit: FitResult) -> float:
     """Norm of the weighted normal-equation residual; ~0 at the optimum."""
-    if cache is None:
-        cache = prepare(system)
-    m = cache.g0.copy()
-    if fit.lambda1 != 0.0:
-        m += fit.lambda1 * cache.g1
-    if fit.lambda2 != 0.0:
-        m += fit.lambda2 * cache.g2
-    return float(np.linalg.norm(m @ fit.z_hat - cache.rhs))
+    m, rhs = normal_equations(system, fit.lambda1, fit.lambda2)
+    return float(np.linalg.norm(m @ fit.v_hat.ravel() - rhs))

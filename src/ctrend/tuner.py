@@ -18,7 +18,7 @@ import numpy as np
 
 from .design import LinearSystem
 from .errors import IndexOutOfRange, NoConvergence, SingularSystem, TargetUnreachable
-from .solver import FitResult, NormalCache, prepare, solve
+from .solver import FitResult, solve
 
 LOG10_LO = -8.0
 LOG10_HI = 10.0
@@ -177,10 +177,9 @@ class _Probe:
 class _Evaluator:
     """Solves at given lambdas and summarizes both smoothness statistics."""
 
-    def __init__(self, system: LinearSystem, targets: SmoothnessTargets, cache: NormalCache):
+    def __init__(self, system: LinearSystem, targets: SmoothnessTargets):
         self.system = system
         self.targets = targets
-        self.cache = cache
         self.point_v = targets.selected_point_v or default_selected_point_v(system.layout)
         self.point_u = targets.selected_point_u or default_selected_point_u(system.layout)
         self.solves = 0
@@ -189,7 +188,7 @@ class _Evaluator:
         """A probe, or None when the system is singular at these lambdas."""
         self.solves += 1
         try:
-            fit = solve(self.system, lambda1, lambda2, cache=self.cache)
+            fit = solve(self.system, lambda1, lambda2)
         except SingularSystem:
             return None
         # Correlations are scale-free, so the unit covariance works even
@@ -295,7 +294,6 @@ def tune(
     targets: SmoothnessTargets,
     max_solves: int = 200,
     max_sweeps: int = 10,
-    cache: NormalCache | None = None,
 ) -> tuple[FitResult, SmoothnessReport]:
     """Find lambdas meeting both smoothness targets within `targets.delta`.
 
@@ -303,9 +301,7 @@ def tune(
     statistic) until the joint log-scale condition holds.  Raises
     NoConvergence with the best attempt attached if the budget runs out.
     """
-    if cache is None:
-        cache = prepare(system)
-    evaluate = _Evaluator(system, targets, cache)
+    evaluate = _Evaluator(system, targets)
 
     lg1 = 0.5 * (LOG10_LO + LOG10_HI)
     lg2 = 0.5 * (LOG10_LO + LOG10_HI)

@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ctrend.design import build_system_raw
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
+
+# `python -m ctrend` subprocesses in the CLI tests import the package from
+# this checkout, as the tests themselves do through pytest's `pythonpath`.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

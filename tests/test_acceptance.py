@@ -27,7 +27,7 @@ from ctrend.design import (
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.inference import YEAR_ADJACENT, cluster_means, compare_adjacent, f_cdf
-from ctrend.solver import check_uniqueness, prepare, rebind_data, solve
+from ctrend.solver import check_uniqueness, solve
 from ctrend.synth import (
     SamplingPlan,
     TrueModel,
@@ -96,15 +96,8 @@ def test_criterion_2_aggregated_equals_raw():
 def test_criterion_3_four_point_uniqueness():
     frame = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
     layout = ParameterLayout.from_frame(frame)
-    from ctrend.design import LinearSystem
     from ctrend.ingest import Measurement
 
-    penalty_v = build_penalty_v(layout)
-    penalty_u = build_penalty_u(layout)
-    template = build_system_raw(
-        frame, [Measurement(20.0, 2000.25, 31.0), Measurement(21.0, 2001.25, 32.0)]
-    )
-    cache = prepare(template)
     rng = np.random.default_rng(2024)
     worst = 0.0
     produced = 0
@@ -117,14 +110,7 @@ def test_criterion_3_four_point_uniqueness():
             continue
         produced += 1
         ms = [Measurement(20.0 + k, y, a) for k, (y, a) in enumerate(points)]
-        system = LinearSystem(
-            layout=layout,
-            data_rows=build_system_raw(frame, ms).data_rows,
-            data_weights=np.ones(4),
-            penalty_v_rows=penalty_v,
-            penalty_u_rows=penalty_u,
-        )
-        fit = solve(system, 1.0, 1.0, cache=rebind_data(cache, system))
+        fit = solve(build_system_raw(frame, ms), 1.0, 1.0)
         worst = max(worst, fit.condition)
         assert fit.condition < 1e12
     # three collinear points among only four: never sufficient
@@ -229,22 +215,21 @@ def test_criterion_7_step_decrease_detected():
     plan = full_coverage_plan(frame, (0.2, 0.7), per_fraction=2)
     lam = 0.1
 
-    def fit_once(u_field, seed, cache=None):
+    def fit_once(u_field, seed):
         model = TrueModel(frame, v0, u_field, noise_sd=1.0)
         system = build_system_aggregated(frame, aggregate(generate(model, plan, seed), frame))
-        cache = rebind_data(cache, system) if cache is not None else prepare(system)
-        fit = solve(system, lam, lam, cache=cache)
+        fit = solve(system, lam, lam)
         grid = cluster_means(fit, 5, 5)
         comp = next(
             c
             for c in compare_adjacent(grid)
             if c.direction == YEAR_ADJACENT and c.cluster_a == (0, 1) and c.cluster_b == (1, 1)
         )
-        return grid, comp, cache
+        return grid, comp
 
     # pilot run without the step fixes the effect scale: three times the
     # summed standard errors of the compared cluster means
-    grid, _, cache = fit_once(u_base, seed=123)
+    grid, _ = fit_once(u_base, seed=123)
     ka, kb = grid.flat(0, 1), grid.flat(1, 1)
     effect = 3.0 * (math.sqrt(grid.cov[ka, ka]) + math.sqrt(grid.cov[kb, kb]))
     u_step = u_base.copy()
@@ -252,7 +237,7 @@ def test_criterion_7_step_decrease_detected():
 
     hits = 0
     for seed in range(100):
-        _, comp, _ = fit_once(u_step, seed=1000 + seed, cache=cache)
+        _, comp = fit_once(u_step, seed=1000 + seed)
         if comp.testable and comp.p_value < 0.05:
             hits += 1
     assert hits >= 95, f"step detected in only {hits}/100 runs"

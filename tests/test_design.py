@@ -320,7 +320,7 @@ class TestLinearSystem:
         ms = generate(model, survey_plan(frame, (0, 5, 10), (0.1, 0.2), 2), seed=3)
         system = build_system_aggregated(frame, aggregate(ms, frame))
         assert system.n_obs == len(ms)
-        assert len(system.data_rows) == 120
-        assert len(system.penalty_v_rows) == 878
-        assert len(system.penalty_u_rows) == 778
+        assert system.data.shape[0] == 120
+        assert system.penalty_v.shape[0] == 878
+        assert system.penalty_u.shape[0] == 778
         assert system.css_total > 0.0

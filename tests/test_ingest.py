@@ -87,6 +87,24 @@ class TestLoadMeasurements:
         assert ms == []
         assert report.reasons == {"invalid-derivation": 2}
 
+    @pytest.mark.parametrize(
+        "row", ["80,1.8,inf,1982.3", "80,1.8,1950,inf", "80,inf,1950,1982.3", "-inf,1.8,1950,inf"]
+    )
+    def test_derived_non_finite_field_rejected(self, frame, row):
+        # checked before derivation: inf years overflowed int()/floor(), and
+        # an inf height derived a BMI of 0
+        text = f"weight,height,birth_year,exam_date\n{row}\n80,2.0,1950,1982.25\n"
+        ms, report = load_measurements(io.StringIO(text), "derived", frame)
+        assert ms == [Measurement(20.0, 1982.25, 32.0)]
+        assert report.details == [(2, "non-finite")]
+
+    @pytest.mark.parametrize("height", ["1e200", "1e-200"])
+    def test_derived_height_square_out_of_range(self, frame, height):
+        text = f"weight,height,birth_year,exam_date\n80,{height},1950,1982.25\n"
+        ms, report = load_measurements(io.StringIO(text), "derived", frame)
+        assert ms == []
+        assert report.reasons == {"invalid-derivation": 1}
+
     def test_unknown_schema(self, frame):
         with pytest.raises(UnknownSchema):
             load_measurements(io.StringIO("x,year,age\n"), "bogus", frame)

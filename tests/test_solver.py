@@ -1,3 +1,7 @@
+import dataclasses
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from ctrend.errors import SingularSystem
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import Measurement, aggregate
 from ctrend.design import build_system_aggregated
-from ctrend.solver import check_uniqueness, normal_residual, prepare, solve
+from ctrend.solver import check_uniqueness, normal_equations, normal_residual, solve
 from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
 
 
@@ -50,6 +54,27 @@ class TestSolve:
         with pytest.raises(SingularSystem):
             solve(system, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "dropped,n_silent",
+        [(((1, 1), (2, 2)), None), (((0, 3), (1, 4), (2, 5), (3, 6)), 7)],
+    )
+    def test_unreached_levels_without_penalties(self, small_frame, dropped, n_silent):
+        # v(2,2) unreached on an observed diagonal is undetermined; a cohort
+        # diagonal without any data drops out whole, as its parameters do
+        ms = []
+        for i in range(small_frame.i_span + 1):
+            for j in range(small_frame.j_span + 1):
+                if (i, j) not in dropped:
+                    for t in (0.25, 0.75):
+                        y, a = small_frame.i_min + i + t, small_frame.j_min + j
+                        ms.append(Measurement(7.5 + i - j, y, a))
+        system = build_system_raw(small_frame, ms)
+        if n_silent is None:
+            with pytest.raises(SingularSystem):
+                solve(system, 0.0, 0.0)
+        else:
+            assert solve(system, 0.0, 0.0).n_silent == n_silent
+
     def test_objective_identity(self, small_noisy_fit):
         fit = small_noisy_fit
         assert fit.objective == pytest.approx(
@@ -58,9 +83,9 @@ class TestSolve:
 
     def test_normal_equation_residual(self, small_noisefree_system):
         fit = solve(small_noisefree_system, 2.0, 3.0)
-        cache = prepare(small_noisefree_system)
-        residual = normal_residual(small_noisefree_system, fit, cache)
-        assert residual <= 1e-8 * np.linalg.norm(cache.rhs)
+        residual = normal_residual(small_noisefree_system, fit)
+        _, rhs = normal_equations(small_noisefree_system, 2.0, 3.0)
+        assert residual <= 1e-8 * np.linalg.norm(rhs)
 
     def test_penalty_monotonicity(self, small_noisefree_system):
         s1_values = [
@@ -151,6 +176,20 @@ class TestCovariances:
         fit = solve(build_system_raw(small_frame, ms), 1.0, 1.0)
         v = fit.v_hat
         assert np.allclose(v[1:, 1:], v[:-1, :-1], atol=1e-8)
+
+
+class TestConfidenceQuantile:
+    @pytest.mark.parametrize("dof", [1, 2, 7, 60, 1000, 5000, 108000])
+    def test_equals_scipy_stats_t_quantile(self, small_noisy_fit, dof):
+        from scipy import stats
+
+        fit = dataclasses.replace(small_noisy_fit, dof=dof)
+        assert fit.ci_halfwidth(np.ones(1))[0] == stats.t.ppf(0.975, dof)
+
+    def test_cli_import_skips_scipy_stats(self):
+        probe = "import sys, ctrend.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert out.stdout.strip() == "False", out.stderr
 
 
 class TestAggregationEquivalence:

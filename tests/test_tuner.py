@@ -5,7 +5,7 @@ import pytest
 
 from ctrend.errors import IndexOutOfRange, TargetUnreachable
 from ctrend.grid import ParameterLayout
-from ctrend.solver import prepare, solve
+from ctrend.solver import solve
 from ctrend.tuner import (
     SmoothnessTargets,
     default_selected_point_u,
@@ -151,10 +151,9 @@ class TestTune:
         )
 
     def test_monotone_response(self, small_noisefree_system):
-        cache = prepare(small_noisefree_system)
         stats = []
         for lam in (1e-2, 1.0, 1e2, 1e4, 1e6):
-            fit = solve(small_noisefree_system, lam, 10.0, cache=cache)
+            fit = solve(small_noisefree_system, lam, 10.0)
             field = smoothness_field(fit.unit_cov_v, fit.layout.level_shape)
             stats.append(fstat(field, "selected-point", default_selected_point_v(fit.layout)))
         assert all(a >= b - 1e-9 for a, b in zip(stats, stats[1:]))
