@@ -20,6 +20,7 @@ reference code that the tests hold the level-surface system against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -314,12 +315,15 @@ def _level_system(
 
 
 def build_system_raw(frame: Frame, measurements: list[Measurement]) -> LinearSystem:
+    """One data row per measurement, at its own year fraction and unit weight.
+
+    Raises OutOfFrame for the first measurement outside the frame.
+    """
     layout = ParameterLayout.from_frame(frame)
-    cells = np.array([frame.locate(m.y, m.a) for m in measurements], dtype=int).reshape(-1, 2)
-    x, y, _ = np.array(measurements, dtype=float).reshape(-1, 3).T
-    return _level_system(
-        layout, cells[:, 0], cells[:, 1], y - np.floor(y), x, np.ones(len(x)), 0.0
-    )
+    flat = np.fromiter(chain.from_iterable(measurements), float, count=3 * len(measurements))
+    x, y, a = flat.reshape(-1, 3).T
+    i, j = frame.locate_many(y, a)
+    return _level_system(layout, i, j, y - np.floor(y), x, np.ones(len(x)), 0.0)
 
 
 def build_system_aggregated(frame: Frame, cells: list[AggregatedCell]) -> LinearSystem:

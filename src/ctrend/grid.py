@@ -108,6 +108,27 @@ class Frame:
             )
         return CellIndex(i, j)
 
+    def locate_many(self, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Relative cell indices (i, j) of the points (y[k], a[k]), as `locate`.
+
+        The arithmetic of `_absolute_cell`, vectorized: the same IEEE
+        operations, so the cells equal `locate`'s exactly.  Raises OutOfFrame
+        with `locate`'s message for the first point it rejects.
+        """
+        with np.errstate(invalid="ignore"):
+            i = np.floor(y)
+            j = np.ceil(a - (y - i))
+        i -= self.i_min
+        j -= self.j_min
+        inside = (
+            (self.y_min <= y) & (y <= self.y_max) & (self.a_min <= a) & (a <= self.a_max)
+            & (0 <= i) & (i <= self.i_span) & (0 <= j) & (j <= self.j_span)
+        )
+        if not inside.all():
+            k = int(np.argmin(inside))
+            self.locate(float(y[k]), float(a[k]))
+        return i.astype(int), j.astype(int)
+
     def year_fraction(self, y: float) -> float:
         """Within-cell year fraction, measured from the absolute cell floor."""
         return y - math.floor(y)

@@ -71,10 +71,16 @@ class ComparisonResult:
 
 
 def cluster_means(fit: FitResult, delta_a: int, delta_y: int) -> ClusterGrid:
-    """Average the fitted trend field over delta_y x delta_a clusters."""
+    """Average the fitted trend field over delta_y x delta_a clusters.
+
+    The covariance of the cluster means is sigma2 * A U A^T, with A the
+    averaging map (`build_u2uc`) and U the unit trend covariance; it comes
+    from one banded solve with a right-hand side per cluster
+    (`FitResult.trend_unit_cov`), without the dense trend covariance.
+    """
     if delta_a < 1 or delta_y < 1:
         raise InvalidClusterSize(f"cluster sizes must be >= 1, got ({delta_a}, {delta_y})")
-    if fit.cov_u is None:
+    if fit.sigma2_hat is None:
         raise InsufficientDof(
             "cluster inference needs an error-variance estimate "
             f"(n_obs={fit.n_obs}, dim={fit.layout.dim})"
@@ -84,7 +90,7 @@ def cluster_means(fit: FitResult, delta_a: int, delta_y: int) -> ClusterGrid:
     year_bands = tuple((b.start, b.stop - 1) for b in cluster_bands(nrows, delta_y))
     age_bands = tuple((b.start, b.stop - 1) for b in cluster_bands(ncols, delta_a))
     means = (a @ fit.u_hat.ravel()).reshape(len(year_bands), len(age_bands))
-    cov = a @ fit.cov_u @ a.T
+    cov = fit.sigma2_hat * fit.trend_unit_cov(a)
     return ClusterGrid(
         delta_a=delta_a,
         delta_y=delta_y,

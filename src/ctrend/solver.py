@@ -6,14 +6,21 @@ For fixed regularization weights (lambda1, lambda2) the estimate minimizes
 
 over the level surface v, where S0 is the (count-weighted) data misfit and
 S1, S2 the second-difference penalties on v and on the trend surface
-u(i,j) = v(i+1,j+1) - v(i,j).  `normal_equations` forms the dense normal
-matrix (a few hundred to a few thousand unknowns) from the sparse operators
-of the `LinearSystem`; the solve is a Cholesky factorization of its
-Jacobi-equilibrated form with a reciprocal-condition estimate.  Covariances
-follow the classical weighted-least-squares formulas with
-sigma2 = (S0 + pooled within-cell CSS) / (n_obs - dim); the trend covariance
-is read off the level covariance over the diagonal pairs, and the parameter
-vector z and its covariance are mapped from v through `build_v2z`.
+u(i,j) = v(i+1,j+1) - v(i,j).  Each term couples only lattice points at most
+three steps apart on one axis and one on the other, so `normal_equations`
+assembles a sparse normal matrix that is banded once the lattice is ordered
+along its shorter axis (`band_order`): lower bandwidth 3*min(I+2, J+2) + 1
+(Rue & Held 2005, ch. 2).  The solve is a banded Cholesky factorization of
+its Jacobi-equilibrated form; the condition number is the matrix 1-norm
+times LAPACK's Hager-Higham estimate of the inverse's 1-norm.
+
+Covariances follow the classical weighted-least-squares formulas with
+sigma2 = (S0 + pooled within-cell CSS) / (n_obs - dim).  The fit never forms
+the dense inverse: the Takahashi recurrence (Takahashi, Fagan & Chin 1973)
+gives the inverse inside the band (`BandedInverse`), which holds every
+variance and every covariance of lattice-adjacent levels and trends, and
+covariances of linear maps of the trend surface come from banded solves.
+The dense `unit_cov_*` matrices are computed on first access only.
 
 Cohort diagonals of levels whose normal-matrix columns are all exactly zero
 (possible only with lambda1 = 0: the two extreme corners v(I+1,0) and
@@ -26,28 +33,181 @@ on any other diagonal makes the system singular.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
-from scipy import sparse, special
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
+from scipy import linalg, sparse, special
 
-from .design import LinearSystem, build_v2z, diagonal_pairs
+from .design import LinearSystem, build_v2u, build_v2z, diagonal_pairs
 from .errors import SingularSystem
 from .grid import ParameterLayout, _absolute_cell
 
 CONDITION_LIMIT = 1e12
 
 
+def band_order(layout: ParameterLayout) -> np.ndarray:
+    """Flat row-major level indices in factorization order.
+
+    The lattice is traversed along its shorter axis (column-major when it
+    has fewer rows than columns), which keeps the lower bandwidth of the
+    normal matrix at `bandwidth(layout)`.
+    """
+    nrows, ncols = layout.level_shape
+    flat = np.arange(layout.dim).reshape(nrows, ncols)
+    return (flat.T if nrows < ncols else flat).ravel()
+
+
+def bandwidth(layout: ParameterLayout) -> int:
+    """Lower bandwidth of the normal matrix in `band_order`, 3 * min(I+2, J+2) + 1.
+
+    The trend penalty couples v(i, j) with v(i+3, j+1) and v(i+1, j+3); the
+    band also holds every pair of adjacent levels and the four level pairs
+    of any two adjacent trends, whatever terms the fit has.
+    """
+    return 3 * min(layout.level_shape) + 1
+
+
+def _selected_inverse(factor: np.ndarray) -> np.ndarray:
+    """Band of (L L^T)^-1 from the banded Cholesky factor L.
+
+    Both in LAPACK lower band storage, entry [d, k] holding row k+d of
+    column k.  Takahashi recurrence from the last column back, with m over
+    k < m <= k+b:
+
+        S[i, k] = -(sum_m L[m, k] S[m, i]) / L[k, k],   k < i <= k+b
+        S[k, k] = (1 / L[k, k] - sum_m L[m, k] S[m, k]) / L[k, k]
+
+    Every S[m, i] it reads lies in the band, so the cost is O(n b^2).
+    """
+    b1, n = factor.shape
+    b = b1 - 1
+    band = np.empty_like(factor)
+    # The window S[k..k+b, k..k+b] sits at buf[p:p+b1, p:p+b1] and moves up
+    # the diagonal of a small buffer; at the top-left corner it is copied
+    # back to the bottom-right one.  Entries past the end of the matrix stay
+    # zero.
+    size = 5 * b1
+    buf = np.zeros((size, size))
+    p = size - b1
+    for k in range(n - 1, -1, -1):
+        if p == 0:
+            buf[-b1:, -b1:] = buf[:b1, :b1]
+            p = size - b1
+        pivot = factor[0, k]
+        below = factor[1:, k]
+        col = (buf[p:p + b, p:p + b] @ below) / -pivot
+        p -= 1
+        buf[p + 1:p + b1, p] = col
+        buf[p, p + 1:p + b1] = col
+        buf[p, p] = (1.0 / pivot - below @ col) / pivot
+        band[:, k] = buf[p:p + b1, p]
+    return band
+
+
+def _inverse_norm_1(solve: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    """Estimate of ||A^-1||_1 for a symmetric A, from solves with A.
+
+    A port of LAPACK's dlacn2 (Hager 1984, Higham 1988), the estimator that
+    `dpocon` runs: at most five sign-vector iterations, then the
+    alternating-sign test vector.  Deterministic: no random starting
+    vectors.
+    """
+    x = solve(np.full(n, 1.0 / n))
+    if n == 1:
+        return float(abs(x[0]))
+    est = float(np.sum(np.abs(x)))
+    sign = np.where(x >= 0.0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(solve(sign))))
+    for _ in range(4):  # iterations 2 to 5
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        x = solve(unit)
+        est_old, est = est, float(np.sum(np.abs(x)))
+        new_sign = np.where(x >= 0.0, 1.0, -1.0)
+        if np.array_equal(new_sign, sign) or est <= est_old:
+            break
+        sign = new_sign
+        x = solve(sign)
+        j_last, j = j, int(np.argmax(np.abs(x)))
+        if x[j_last] == abs(x[j]):
+            break
+    ramp = 1.0 + np.arange(n) / (n - 1)
+    ramp[1::2] *= -1.0
+    return max(est, 2.0 * float(np.sum(np.abs(solve(ramp)))) / (3 * n))
+
+
+class BandedInverse:
+    """The inverse weighted normal matrix on the level surface, inside its band.
+
+    Indexed like the dense dim x dim matrix over flat row-major level
+    indices, `cov[k1, k2]` with integer arrays, for any pair of levels no
+    more than the bandwidth apart in `band_order`; silent levels read zero.
+    It keeps the banded Cholesky factor of the equilibrated normal matrix,
+    so `solve` applies the whole inverse without forming it.
+    """
+
+    def __init__(self, factor: np.ndarray, order: np.ndarray, scale: np.ndarray, dim: int):
+        self.factor = factor
+        self.order = order
+        self.scale = scale
+        self.band = _selected_inverse(factor)
+        self.shape = (dim, dim)
+        self._position = np.full(dim, -1)
+        self._position[order] = np.arange(len(order))
+
+    def __getitem__(self, key: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        p1, p2 = (self._position[np.asarray(k)] for k in key)
+        silent = (p1 < 0) | (p2 < 0)
+        offset = np.where(silent, 0, np.abs(p1 - p2))
+        if np.any(offset >= len(self.band)):
+            raise IndexError("covariance entry outside the band of the normal matrix")
+        first = np.where(silent, 0, np.minimum(p1, p2))
+        value = self.band[offset, first] * self.scale[p1] * self.scale[p2]
+        return np.where(silent, 0.0, value)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The inverse applied to `rhs` (a vector or one column per right-hand side)."""
+        scale = self.scale if rhs.ndim == 1 else self.scale[:, None]
+        out = np.zeros(rhs.shape)
+        out[self.order] = scale * linalg.cho_solve_banded(
+            (self.factor, True), scale * rhs[self.order], check_finite=False
+        )
+        return out
+
+
+class TrendBand:
+    """Trend-surface covariance over `diagonal_pairs`, read off a `BandedInverse`.
+
+    With u = v(hi) - v(lo), cov[k1, k2] combines four level entries; every
+    pair of adjacent trend cells keeps them inside the band.
+    """
+
+    def __init__(self, level: BandedInverse, hi: np.ndarray, lo: np.ndarray):
+        self.level = level
+        self.hi = hi
+        self.lo = lo
+        self.shape = (len(hi), len(hi))
+
+    def __getitem__(self, key: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        k1, k2 = key
+        h1, l1, h2, l2 = self.hi[k1], self.lo[k1], self.hi[k2], self.lo[k2]
+        v = self.level
+        return v[h1, h2] - v[h1, l2] - v[l1, h2] + v[l1, l2]
+
+
 @dataclass
 class FitResult:
     """Point estimate, covariances, and reconstructed surfaces for one solve.
 
-    `unit_cov_v` is the inverse weighted normal matrix on the level surface
-    (covariance per unit error variance); `unit_cov_u` and `unit_cov_z` are
-    its images on the trend surface and on the parameter vector.  The `cov_*`
-    properties are their sigma2 multiples and are None when the degrees of
-    freedom are not positive.
+    `unit_cov_v_band` is the inverse weighted normal matrix on the level
+    surface (covariance per unit error variance) inside its band, and
+    `unit_cov_u_band` its image on the trend surface; the standard errors
+    and the tuner read only these.  `unit_cov_v`, `unit_cov_u` and
+    `unit_cov_z` are the dense matrices on the level surface, the trend
+    surface and the parameter vector, computed on first access.  The
+    `cov_*` properties are their sigma2 multiples and are None when the
+    degrees of freedom are not positive.
     """
 
     lambda1: float
@@ -63,11 +223,28 @@ class FitResult:
     n_silent: int
     v_hat: np.ndarray
     u_hat: np.ndarray
-    unit_cov_v: np.ndarray
-    unit_cov_u: np.ndarray
+    unit_cov_v_band: BandedInverse
     layout: ParameterLayout
 
     @property
+    def unit_cov_u_band(self) -> TrendBand:
+        return TrendBand(self.unit_cov_v_band, *diagonal_pairs(self.layout))
+
+    def trend_unit_cov(self, a: np.ndarray) -> np.ndarray:
+        """a @ unit_cov_u @ a.T for a linear map `a` of the flattened trend
+        surface, from one banded solve with a right-hand side per row of `a`."""
+        g = build_v2u(self.layout).T @ a.T
+        return g.T @ self.unit_cov_v_band.solve(g)
+
+    @cached_property
+    def unit_cov_v(self) -> np.ndarray:
+        return self.unit_cov_v_band.solve(np.eye(self.layout.dim))
+
+    @cached_property
+    def unit_cov_u(self) -> np.ndarray:
+        return self.trend_unit_cov(np.eye(self.layout.n_trend))
+
+    @cached_property
     def unit_cov_z(self) -> np.ndarray:
         v2z = build_v2z(self.layout)
         return v2z @ (v2z @ self.unit_cov_v).T
@@ -88,17 +265,20 @@ class FitResult:
     def objective(self) -> float:
         return self.s0 + self.lambda1 * self.s1 + self.lambda2 * self.s2
 
-    def _stderr(self, unit_cov: np.ndarray, shape: tuple[int, int]) -> np.ndarray | None:
+    def _stderr(
+        self, unit_cov: BandedInverse | TrendBand, shape: tuple[int, int]
+    ) -> np.ndarray | None:
         if self.sigma2_hat is None:
             return None
-        var = np.maximum(self.sigma2_hat * np.diag(unit_cov), 0.0)
+        k = np.arange(unit_cov.shape[0])
+        var = np.maximum(self.sigma2_hat * unit_cov[k, k], 0.0)
         return np.sqrt(var).reshape(shape)
 
     def level_stderr(self) -> np.ndarray | None:
-        return self._stderr(self.unit_cov_v, self.layout.level_shape)
+        return self._stderr(self.unit_cov_v_band, self.layout.level_shape)
 
     def trend_stderr(self) -> np.ndarray | None:
-        return self._stderr(self.unit_cov_u, self.layout.trend_shape)
+        return self._stderr(self.unit_cov_u_band, self.layout.trend_shape)
 
     def ci_halfwidth(self, stderr: np.ndarray, level: float = 0.95) -> np.ndarray:
         """Two-sided confidence half-width using the t distribution."""
@@ -108,15 +288,31 @@ class FitResult:
 
 def normal_equations(
     system: LinearSystem, lambda1: float, lambda2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense normal matrix and right-hand side of the fit on the level surface."""
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Sparse normal matrix and right-hand side of the fit on the level surface."""
     weighted = system.data.T @ sparse.diags(system.weights)
     gram = (
         weighted @ system.data
         + lambda1 * (system.penalty_v.T @ system.penalty_v)
         + lambda2 * (system.penalty_u.T @ system.penalty_u)
     )
-    return gram.toarray(), weighted @ system.rhs
+    return gram.tocsr(), weighted @ system.rhs
+
+
+def _equilibrated_band(
+    m: sparse.spmatrix, width: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lower band storage, `width` subdiagonals, of D m D with D = diag(m)^-1/2;
+    D's diagonal; and the 1-norm of D m D."""
+    scale = 1.0 / np.sqrt(m.diagonal())
+    coo = m.tocoo()
+    values = coo.data * scale[coo.row] * scale[coo.col]
+    anorm = float(np.max(np.bincount(coo.col, np.abs(values), minlength=len(scale))))
+    lower = coo.row >= coo.col
+    offset = coo.row[lower] - coo.col[lower]
+    band = np.zeros((min(width, len(scale) - 1) + 1, len(scale)))
+    band[offset, coo.col[lower]] = values[lower]
+    return band, scale, anorm
 
 
 def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
@@ -128,7 +324,7 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
 
     layout = system.layout
     m, rhs = normal_equations(system, lambda1, lambda2)
-    reached = np.diag(m) > 0.0
+    reached = m.diagonal() > 0.0
     # An unreached level drops out only together with its whole cohort
     # diagonal, as its parameters do in z; elsewhere it is undetermined.
     cohort = np.subtract(*np.indices(layout.level_shape)).ravel()
@@ -137,40 +333,30 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
     if not reached[active].all():
         raise SingularSystem("a level on an observed cohort diagonal is reached by no data")
     n_silent = int(np.sum(~active))
-    mr = m[np.ix_(active, active)]
+    order = band_order(layout)
+    order = order[active[order]]
     # Symmetric Jacobi equilibration: with lambdas spanning many decades the
     # normal matrix is strongly graded, and the raw condition number reflects
     # block scale disparity rather than actual ill-posedness.  The condition
     # check applies to the equilibrated matrix.
-    scale = 1.0 / np.sqrt(np.diag(mr))
-    ms = mr * scale[:, None] * scale[None, :]
+    band, scale, anorm = _equilibrated_band(m[order][:, order], bandwidth(layout))
     try:
-        factor = cho_factor(ms, lower=True)
-    except LinAlgError as exc:
+        factor = linalg.cholesky_banded(band, lower=True)
+    except linalg.LinAlgError as exc:
         raise SingularSystem(f"normal matrix not positive definite: {exc}") from exc
-    anorm = np.linalg.norm(ms, 1)
-    rcond, info = dpocon(factor[0], anorm, uplo=b"L")
-    if info != 0 or rcond <= 0.0:
+    condition = anorm * _inverse_norm_1(
+        lambda x: linalg.cho_solve_banded((factor, True), x, check_finite=False), len(order)
+    )
+    if not np.isfinite(condition):
         raise SingularSystem("condition estimate failed")
-    condition = 1.0 / rcond
     if condition > CONDITION_LIMIT:
         raise SingularSystem(
             f"normal matrix condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
 
-    dim = layout.dim
-    v = np.zeros(dim)
-    v[active] = scale * cho_solve(factor, scale * rhs[active])
-    unit_cov_v = np.zeros((dim, dim))
-    inv_scaled = cho_solve(factor, np.eye(int(np.sum(active))))
-    unit_cov_v[np.ix_(active, active)] = inv_scaled * scale[:, None] * scale[None, :]
+    inverse = BandedInverse(factor, order, scale, layout.dim)
+    v = inverse.solve(rhs)
     hi, lo = diagonal_pairs(layout)
-    unit_cov_u = (
-        unit_cov_v[np.ix_(hi, hi)]
-        - unit_cov_v[np.ix_(hi, lo)]
-        - unit_cov_v[np.ix_(lo, hi)]
-        + unit_cov_v[np.ix_(lo, lo)]
-    )
 
     resid = system.data @ v - system.rhs
     s0 = float(np.sum(system.weights * resid**2))
@@ -178,7 +364,7 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
     s2 = float(np.sum((system.penalty_u @ v) ** 2))
 
     n_obs = system.n_obs
-    dof = n_obs - dim
+    dof = n_obs - layout.dim
     sigma2 = (s0 + system.css_total) / dof if dof >= 1 else None
 
     return FitResult(
@@ -195,8 +381,7 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
         n_silent=n_silent,
         v_hat=v.reshape(layout.level_shape),
         u_hat=(v[hi] - v[lo]).reshape(layout.trend_shape),
-        unit_cov_v=unit_cov_v,
-        unit_cov_u=unit_cov_u,
+        unit_cov_v_band=inverse,
         layout=layout,
     )
 

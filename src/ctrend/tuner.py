@@ -60,7 +60,12 @@ def _pair_indicator(cov: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> tuple[np
 
 
 def smoothness_field(cov: np.ndarray, shape: tuple[int, int]) -> SmoothnessField:
-    """Indicators for all age- and year-adjacent pairs of a flattened surface."""
+    """Indicators for all age- and year-adjacent pairs of a flattened surface.
+
+    `cov` is a dense covariance or a band accessor of a fit
+    (`FitResult.unit_cov_v_band`, `unit_cov_u_band`); only `cov.shape` and
+    `cov[k1, k2]` with index arrays are read.
+    """
     nrows, ncols = shape
     if cov.shape != (nrows * ncols, nrows * ncols):
         raise ValueError(f"covariance shape {cov.shape} does not match surface {shape}")
@@ -175,7 +180,11 @@ class _Probe:
 
 
 class _Evaluator:
-    """Solves at given lambdas and summarizes both smoothness statistics."""
+    """Solves at given lambdas and summarizes both smoothness statistics.
+
+    The indicators need covariances of lattice-adjacent pairs only, which
+    the fit's banded inverses hold; no probe forms a dense covariance.
+    """
 
     def __init__(self, system: LinearSystem, targets: SmoothnessTargets):
         self.system = system
@@ -193,8 +202,8 @@ class _Evaluator:
             return None
         # Correlations are scale-free, so the unit covariance works even
         # when sigma2 is unavailable or zero.
-        field_v = smoothness_field(fit.unit_cov_v, fit.layout.level_shape)
-        field_u = smoothness_field(fit.unit_cov_u, fit.layout.trend_shape)
+        field_v = smoothness_field(fit.unit_cov_v_band, fit.layout.level_shape)
+        field_u = smoothness_field(fit.unit_cov_u_band, fit.layout.trend_shape)
         return _Probe(
             fit=fit,
             field_v=field_v,

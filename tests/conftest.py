@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ctrend.design import build_system_raw
 from ctrend.grid import Frame, ParameterLayout
@@ -12,6 +13,11 @@ from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundar
 # this checkout, as the tests themselves do through pytest's `pythonpath`.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+# Property tests draw the same examples on every run and every machine, and
+# keep no example database between runs.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -9,13 +9,14 @@ from ctrend.design import (
     build_penalty_u,
     build_penalty_v,
     build_system_aggregated,
+    build_system_raw,
     build_u2uc,
     build_z2u,
     build_z2v,
     observation_row,
     rows_to_matrix,
 )
-from ctrend.errors import InvalidClusterSize
+from ctrend.errors import InvalidClusterSize, OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
 from ctrend.ingest import AggregatedCell, Measurement, aggregate
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
@@ -315,6 +316,11 @@ class TestClusterMap:
 
 
 class TestLinearSystem:
+    def test_raw_out_of_frame_rejected(self, frame):
+        ms = [Measurement(24.0, 1983.5, 40.0), Measurement(25.0, 1981.5, 40.0)]
+        with pytest.raises(OutOfFrame, match="outside frame"):
+            build_system_raw(frame, ms)
+
     def test_counts_and_weights(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
         ms = generate(model, survey_plan(frame, (0, 5, 10), (0.1, 0.2), 2), seed=3)

@@ -78,6 +78,40 @@ class TestLocate:
             cell = frame.locate(ys[k], aa[k])
             assert (cell.i, cell.j) == (i_abs[k] - frame.i_min, j_abs[k] - frame.j_min)
 
+    def test_locate_many_matches_locate(self):
+        # integer years, ages exactly on a right cell boundary j + t, the
+        # frame edges, and sliver corners outside the lattice (age bound 25.5)
+        frame = Frame.from_bounds(1982.0, 1992.9, 25.5, 64.0)
+        points = []
+        for y in (1982.0, 1983.0, 1987.25, 1988.3, 1991.999, 1992.0, 1992.9):
+            t = y - math.floor(y)
+            for a in (25.5, 25.5 + t, 26.0 + t, 40.0 + t, 63.0 + t, 64.0, 64.0 - 1e-9, 40.0):
+                points.append((y, a))
+        points += [(1981.9, 40.0), (1993.0, 40.0), (1985.0, 25.4), (1985.0, 64.1)]
+        accepted, rejected = [], []
+        for y, a in points:
+            try:
+                accepted.append((y, a, frame.locate(y, a)))
+            except OutOfFrame as exc:
+                rejected.append((y, a, str(exc)))
+        assert len(accepted) > 30 and len(rejected) == 6
+        y, a, cells = zip(*accepted)
+        i, j = frame.locate_many(np.array(y), np.array(a))
+        assert i.tolist() == [c.i for c in cells]
+        assert j.tolist() == [c.j for c in cells]
+        # the first rejected point raises, with locate's message
+        for y_bad, a_bad, message in rejected:
+            ys = np.array([accepted[0][0], y_bad, rejected[0][0]])
+            aa = np.array([accepted[0][1], a_bad, rejected[0][1]])
+            with pytest.raises(OutOfFrame) as info:
+                frame.locate_many(ys, aa)
+            assert str(info.value) == message
+
+    def test_locate_many_rejects_non_finite(self, frame):
+        for y, a in ((np.nan, 40.0), (np.inf, 40.0), (1983.5, np.inf)):
+            with pytest.raises(OutOfFrame):
+                frame.locate_many(np.array([1983.5, y]), np.array([40.0, a]))
+
     def test_cohort_motion(self, frame):
         # moving along the diagonal stays in the cell or advances one step
         rng = np.random.default_rng(55)

@@ -21,6 +21,7 @@ from ctrend.design import (
     build_z2v,
     rows_to_matrix,
 )
+from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
@@ -64,16 +65,36 @@ def survey(paper_frame, paper_layout):
     return generate(model, survey_plan(paper_frame, (0, 5, 10), (0.1, 0.2), 4), seed=3)
 
 
-@pytest.mark.parametrize("mode", ["raw", "aggregated"])
-@pytest.mark.parametrize("lambdas", [(1e-3, 1e-3), (1.0, 1.0), (1e4, 10.0)])
-def test_level_surface_solve_matches_dense_z_oracle(paper_frame, paper_layout, survey, mode, lambdas):
+MODES = ["raw", "aggregated"]
+LAMBDAS = [(1e-3, 1e-3), (1.0, 1.0), (1e4, 10.0)]
+
+
+def check_against_oracle(frame, layout, measurements, mode, lambdas):
     if mode == "raw":
-        system = build_system_raw(paper_frame, survey)
+        system = build_system_raw(frame, measurements)
     else:
-        system = build_system_aggregated(paper_frame, aggregate(survey, paper_frame))
+        system = build_system_aggregated(frame, aggregate(measurements, frame))
     fit = solve(system, *lambdas)
-    want = dense_z_fit(paper_frame, paper_layout, survey, mode, *lambdas)
+    want = dense_z_fit(frame, layout, measurements, mode, *lambdas)
     for name, expected in want.items():
         got = getattr(fit, name)
         err = np.max(np.abs(got - expected))
         assert err <= RTOL * np.max(np.abs(expected)), (name, err)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("lambdas", LAMBDAS)
+def test_level_surface_solve_matches_dense_z_oracle(paper_frame, paper_layout, survey, mode, lambdas):
+    check_against_oracle(paper_frame, paper_layout, survey, mode, lambdas)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("lambdas", LAMBDAS)
+def test_row_major_lattice_matches_dense_z_oracle(mode, lambdas):
+    # more year rows than age columns: the solver orders the lattice row-major
+    frame = Frame.from_bounds(1980.0, 1992.9, 40.0, 45.0)
+    layout = ParameterLayout.from_frame(frame)
+    assert layout.level_shape == (14, 7)
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
+    measurements = generate(model, survey_plan(frame, (0, 4, 8, 12), (0.1, 0.2), 4), seed=3)
+    check_against_oracle(frame, layout, measurements, mode, lambdas)

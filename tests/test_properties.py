@@ -1,12 +1,15 @@
 """Property-based checks of the level-surface algebra and the solver."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpocon
 
 from ctrend.design import build_system_raw, build_v2z, build_z2v, second_differences
-from ctrend.grid import ParameterLayout
-from ctrend.solver import solve
+from ctrend.grid import Frame, ParameterLayout
+from ctrend.solver import band_order, bandwidth, normal_equations, solve
+from ctrend.tuner import smoothness_field
 from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
 
 spans = st.integers(min_value=1, max_value=12)
@@ -42,3 +45,76 @@ def test_solve_invariant_to_measurement_order(small_frame, small_layout, rnd):
     fit = solve(build_system_raw(small_frame, measurements), 1.0, 1.0)
     assert np.max(np.abs(fit.v_hat - base.v_hat)) <= 1e-10
     assert np.max(np.abs(fit.unit_cov_v - base.unit_cov_v)) <= 1e-10
+
+
+lattice_spans = st.integers(min_value=1, max_value=8)
+weights = st.floats(min_value=-2.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
+def full_coverage_fit(i_span, j_span, lambda1, lambda2):
+    """A fit on a frame of the given spans with every cell sampled twice."""
+    frame = Frame.from_bounds(2000.0, 2000.9 + i_span, 30.0, 30.0 + j_span)
+    layout = ParameterLayout.from_frame(frame)
+    assert (layout.i_span, layout.j_span) == (i_span, j_span)
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
+    system = build_system_raw(frame, generate(model, full_coverage_plan(frame, (0.25, 0.7)), seed=4))
+    return system, solve(system, lambda1, lambda2)
+
+
+def equilibrated_dense(system, fit):
+    """The dense normal matrix the fit factored: active levels in factorization
+    order, Jacobi-equilibrated."""
+    band = fit.unit_cov_v_band
+    m = normal_equations(system, fit.lambda1, fit.lambda2)[0].toarray()
+    return m[np.ix_(band.order, band.order)] * np.outer(band.scale, band.scale)
+
+
+@settings(max_examples=30)
+@given(lattice_spans, lattice_spans, st.one_of(st.just(0.0), weights), weights)
+@example(1, 1, 0.0, 1.0)
+@example(1, 1, 1.0, 1.0)
+@example(2, 7, 1.0, 10.0)
+@example(7, 2, 0.0, 10.0)
+def test_selected_inverse_matches_dense_inverse(i_span, j_span, lambda1, lambda2):
+    system, fit = full_coverage_fit(i_span, j_span, lambda1, lambda2)
+    band = fit.unit_cov_v_band
+    assert fit.n_silent == (2 if lambda1 == 0.0 else 0)
+    # the lattice is ordered along its shorter axis
+    order = band_order(fit.layout)
+    nrows, ncols = fit.layout.level_shape
+    assert order[1] - order[0] == (ncols if nrows < ncols else 1)
+    want = np.linalg.inv(equilibrated_dense(system, fit))
+    n = len(band.order)
+    assert bandwidth(fit.layout) == 3 * min(nrows, ncols) + 1
+    assert len(band.band) == min(bandwidth(fit.layout), n - 1) + 1
+    for d in range(min(len(band.band), n)):
+        err = np.max(np.abs(band.band[d, : n - d] - np.diag(want, -d)))
+        assert err <= 1e-10 * np.max(np.abs(want)), (d, err)
+
+
+@settings(max_examples=30)
+@given(lattice_spans, lattice_spans, st.one_of(st.just(0.0), weights), weights)
+@example(1, 1, 0.0, 1.0)
+@example(8, 8, 1e3, 1e-2)
+def test_condition_matches_lapack_estimate(i_span, j_span, lambda1, lambda2):
+    system, fit = full_coverage_fit(i_span, j_span, lambda1, lambda2)
+    dense = equilibrated_dense(system, fit)
+    rcond, info = dpocon(cho_factor(dense, lower=True)[0], np.linalg.norm(dense, 1), uplo=b"L")
+    assert info == 0
+    assert abs(fit.condition * rcond - 1.0) <= 1e-6
+
+
+@settings(max_examples=20)
+@given(lattice_spans, lattice_spans, st.one_of(st.just(0.0), weights), weights)
+@example(1, 1, 0.0, 1.0)
+def test_band_accessors_match_dense_smoothness(i_span, j_span, lambda1, lambda2):
+    _, fit = full_coverage_fit(i_span, j_span, lambda1, lambda2)
+    layout = fit.layout
+    for band, dense, shape in (
+        (fit.unit_cov_v_band, fit.unit_cov_v, layout.level_shape),
+        (fit.unit_cov_u_band, fit.unit_cov_u, layout.trend_shape),
+    ):
+        got, want = smoothness_field(band, shape), smoothness_field(dense, shape)
+        np.testing.assert_allclose(got.vector, want.vector, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(got.zero_variance_age, want.zero_variance_age)
+        assert np.array_equal(got.zero_variance_year, want.zero_variance_year)
