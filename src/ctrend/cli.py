@@ -237,13 +237,15 @@ def _run_analyze(args: argparse.Namespace) -> int:
     grid = cluster_means(fit, config.cluster_age, config.cluster_year)
     comparisons = compare_adjacent(grid)
 
+    level_se = fit.level_stderr()
+    trend_se = fit.trend_stderr()
     _write_surface_csv(
-        out_dir / "levels.csv", frame, fit.v_hat, fit.level_stderr(),
-        None if fit.sigma2_hat is None else fit.ci_halfwidth(fit.level_stderr()),
+        out_dir / "levels.csv", frame, fit.v_hat, level_se,
+        None if level_se is None else fit.ci_halfwidth(level_se),
     )
     _write_surface_csv(
-        out_dir / "ctrends.csv", frame, fit.u_hat, fit.trend_stderr(),
-        None if fit.sigma2_hat is None else fit.ci_halfwidth(fit.trend_stderr()),
+        out_dir / "ctrends.csv", frame, fit.u_hat, trend_se,
+        None if trend_se is None else fit.ci_halfwidth(trend_se),
     )
 
     cluster_rows = []

@@ -3,16 +3,17 @@
 The control quantity per adjacent pair of surface estimates is 1 - r^2,
 with r their correlation: the fraction of variance not explained by the
 neighbor ("new information").  A summary statistic of those indicators is
-driven to a target on the log scale, separately for the level surface
-(via lambda1) and the trend surface (via lambda2), by alternating
-bisection in log10-lambda over [-8, 10].  Each statistic decreases in its
-own lambda; cross-coupling is absorbed by the outer alternation sweeps.
+driven to a target on the log scale, separately for the trend surface
+(via lambda2) and the level surface (via lambda1), by one warm-started
+search per weight in log10-lambda over [-8, 10].  Each statistic decreases
+in its own lambda.  The trend statistic barely moves with lambda1, so each
+sweep tunes lambda2 first; further sweeps absorb the remaining coupling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from .solver import FitResult, solve
 
 LOG10_LO = -8.0
 LOG10_HI = 10.0
+LOG10_STEP = 2.0
+MAX_SOLVES = 200
+MAX_SWEEPS = 10
+WEIGHT_NAMES = ("level", "trend")  # lambda1, lambda2
 FSTAT_KINDS = ("selected-point", "mean", "median", "min")
 
 
@@ -132,8 +137,8 @@ class SmoothnessTargets:
     """Targets and stopping rule for the tuner.
 
     `delta` bounds the absolute log-distance of both statistics from their
-    targets; `math.inf` disables tuning and accepts the first solve at the
-    bracket midpoints.
+    targets; `math.inf` disables tuning and accepts the first solve, at
+    lambda1 = lambda2 = 10 (the center of the search range).
     """
 
     f_smv: float = 0.2
@@ -154,16 +159,12 @@ class SmoothnessTargets:
 
 @dataclass
 class SmoothnessReport:
-    f_v: np.ndarray
-    f_u: np.ndarray
     stat_v: float
     stat_u: float
     lambda1: float
     lambda2: float
     iterations: int
     converged: bool
-    zero_variance_v: bool = False
-    zero_variance_u: bool = False
 
 
 def _safe_log(x: float) -> float:
@@ -173,8 +174,6 @@ def _safe_log(x: float) -> float:
 @dataclass
 class _Probe:
     fit: FitResult
-    field_v: SmoothnessField
-    field_u: SmoothnessField
     stat_v: float
     stat_u: float
 
@@ -206,8 +205,6 @@ class _Evaluator:
         field_u = smoothness_field(fit.unit_cov_u_band, fit.layout.trend_shape)
         return _Probe(
             fit=fit,
-            field_v=field_v,
-            field_u=field_u,
             stat_v=fstat(field_v, self.targets.fstat_kind, self.point_v),
             stat_u=fstat(field_u, self.targets.fstat_kind, self.point_u),
         )
@@ -219,124 +216,123 @@ class _Evaluator:
 
     def report(self, probe: _Probe, converged: bool) -> SmoothnessReport:
         return SmoothnessReport(
-            f_v=probe.field_v.vector,
-            f_u=probe.field_u.vector,
             stat_v=probe.stat_v,
             stat_u=probe.stat_u,
             lambda1=probe.fit.lambda1,
             lambda2=probe.fit.lambda2,
             iterations=self.solves,
             converged=converged,
-            zero_variance_v=probe.field_v.any_zero_variance,
-            zero_variance_u=probe.field_u.any_zero_variance,
         )
 
 
-def _bisect_coordinate(
+def _search(
     evaluate: _Evaluator,
     which: int,
     fixed: float,
+    lg: float,
+    probe: _Probe | None,
     target: float,
     tol: float,
-    budget: int,
-) -> tuple[float, _Probe]:
-    """Bisection in log10-lambda for one coordinate, the other held fixed.
+) -> tuple[float, _Probe, float | None]:
+    """One weight's search in log10-lambda, the other weight held at `fixed`.
 
-    Relies on the statistic decreasing in its own lambda.  A singular probe
-    at the top of the bracket means the penalty has overwhelmed the data
-    (maximally smooth); at the bottom it means the data are too sparse for
-    the remaining regularization (maximally rough).  Raises
-    TargetUnreachable when valid bracket ends do not straddle the target.
+    Starts at `lg`, where `probe` was solved (None if singular), and steps
+    LOG10_STEP decades toward the target until the log error changes sign;
+    a bracket end is probed only when a step reaches it.  The last step is
+    narrowed by false position (Dowell & Jarratt 1971), each new point kept
+    inside the inner 80 % of the bracket, or at its midpoint when an end is
+    singular.  Relies on the statistic decreasing in its own lambda.  A
+    singular probe counts as below the target, as if the penalty had
+    overwhelmed the data (maximally smooth): past the target when stepping
+    up or narrowing, short of it when stepping down.
+
+    Returns the log10-lambda and probe closest to the target, and the
+    bracket end if the search stopped at a solvable end short of its target.
     """
+    solvable: list[tuple[float, float, _Probe]] = []  # (|log error|, log10-lambda, probe)
 
-    def probe_at(lg: float, singular_sign: float) -> tuple[float, _Probe | None]:
-        lam = 10.0**lg
-        args = (lam, fixed) if which == 0 else (fixed, lam)
-        p = evaluate(*args)
+    def log_error(x: float, p: _Probe | None) -> float:
         if p is None:
-            return singular_sign * math.inf, None
-        stat = p.stat_v if which == 0 else p.stat_u
-        return _safe_log(stat) - math.log(target), p
+            return -math.inf
+        g = _safe_log(p.stat_v if which == 0 else p.stat_u) - math.log(target)
+        solvable.append((abs(g), x, p))
+        return g
 
-    name = "level" if which == 0 else "trend"
-    lo, hi = LOG10_LO, LOG10_HI
-    g_hi, p_hi = probe_at(hi, singular_sign=-1.0)
-    if p_hi is not None and g_hi > tol:
-        raise TargetUnreachable(
-            f"{name} smoothness stays above target {target} even at lambda=1e10",
-            fit=p_hi.fit,
-        )
-    if p_hi is not None and abs(g_hi) <= tol:
-        return hi, p_hi
-    g_lo, p_lo = probe_at(lo, singular_sign=+1.0)
-    if p_lo is not None and g_lo < -tol:
-        raise TargetUnreachable(
-            f"{name} smoothness is below target {target} already at lambda=1e-8",
-            fit=p_lo.fit,
-        )
-    if p_lo is not None and abs(g_lo) <= tol:
-        return lo, p_lo
-    if p_lo is None and p_hi is None:
-        best = None
-    else:
-        best = (abs(g_lo), lo, p_lo) if p_lo is not None else (abs(g_hi), hi, p_hi)
-    while evaluate.solves < budget:
-        mid = 0.5 * (lo + hi)
-        g_mid, p_mid = probe_at(mid, singular_sign=-1.0)
-        if p_mid is not None and abs(g_mid) <= tol:
-            return mid, p_mid
-        if p_mid is not None and (best is None or abs(g_mid) < best[0]):
-            best = (abs(g_mid), mid, p_mid)
-        if g_mid > 0:
-            lo = mid
+    def closest() -> tuple[float, _Probe, None]:
+        if not solvable:
+            raise SingularSystem(f"no solvable lambda found for the {WEIGHT_NAMES[which]} weight")
+        _, x, p = min(solvable, key=lambda item: item[0])
+        return x, p, None
+
+    # lo and hi: log10-lambda of the latest points above and below the target.
+    lo = hi = None
+    x, p = lg, probe
+    g = log_error(x, p)
+    while abs(g) > tol:
+        if g > 0:
+            lo, g_lo = x, g
         else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    if best is None:
-        raise SingularSystem(f"no solvable lambda found for the {name} coordinate")
-    return best[1], best[2]
+            hi, g_hi = x, g
+        if lo is None or hi is None:
+            end = LOG10_HI if hi is None else LOG10_LO
+            if x == end:
+                return (x, p, end) if p is not None else closest()
+            x = min(x + LOG10_STEP, end) if hi is None else max(x - LOG10_STEP, end)
+        elif evaluate.solves >= MAX_SOLVES or hi - lo <= 1e-12:
+            return closest()
+        elif math.isinf(g_hi):  # singular (or zero statistic) at the upper end
+            x = 0.5 * (lo + hi)
+        else:
+            width = hi - lo
+            x = lo + width * g_lo / (g_lo - g_hi)
+            x = min(max(x, lo + 0.1 * width), hi - 0.1 * width)
+        lam = 10.0**x
+        p = evaluate(lam, fixed) if which == 0 else evaluate(fixed, lam)
+        g = log_error(x, p)
+    return x, p, None
 
 
-def tune(
-    system: LinearSystem,
-    targets: SmoothnessTargets,
-    max_solves: int = 200,
-    max_sweeps: int = 10,
-) -> tuple[FitResult, SmoothnessReport]:
+def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, SmoothnessReport]:
     """Find lambdas meeting both smoothness targets within `targets.delta`.
 
-    Alternates bisection on lambda1 (level statistic) and lambda2 (trend
-    statistic) until the joint log-scale condition holds.  Raises
-    NoConvergence with the best attempt attached if the budget runs out.
+    Each sweep searches lambda2 on the trend statistic, then lambda1 on the
+    level statistic, each from its previous value, until the joint log-scale
+    condition holds.  A search that stops at a bracket end short of its
+    target keeps that end for the rest of the sweep; TargetUnreachable, with
+    that fit, is raised when a weight stops at the same end in two sweeps
+    running.  NoConvergence, with the best attempt, is raised after
+    MAX_SWEEPS sweeps or MAX_SOLVES solves.
     """
     evaluate = _Evaluator(system, targets)
-
-    lg1 = 0.5 * (LOG10_LO + LOG10_HI)
-    lg2 = 0.5 * (LOG10_LO + LOG10_HI)
+    lgs = [0.5 * (LOG10_LO + LOG10_HI)] * 2
+    probe = evaluate(10.0 ** lgs[0], 10.0 ** lgs[1])
     if math.isinf(targets.delta):
-        probe = evaluate(10.0**lg1, 10.0**lg2)
         if probe is None:
-            raise SingularSystem("system is singular at the bracket midpoint lambdas")
+            raise SingularSystem("system is singular at the starting lambdas")
         return probe.fit, evaluate.report(probe, converged=True)
 
     inner_tol = 0.4 * targets.delta
-    probe = None
+    stopped_at: list[float | None] = [None, None]
     best: tuple[float, _Probe] | None = None
-    for _ in range(max_sweeps):
-        lg1, probe = _bisect_coordinate(
-            evaluate, 0, 10.0**lg2, targets.f_smv, inner_tol, max_solves
-        )
-        lg2, probe = _bisect_coordinate(
-            evaluate, 1, 10.0**lg1, targets.f_smu, inner_tol, max_solves
-        )
-        ev, eu = evaluate.log_errors(probe)
-        err = max(ev, eu)
+    for _ in range(MAX_SWEEPS):
+        for which, target in ((1, targets.f_smu), (0, targets.f_smv)):
+            lgs[which], probe, end = _search(
+                evaluate, which, 10.0 ** lgs[1 - which], lgs[which], probe, target, inner_tol
+            )
+            if end is not None and end == stopped_at[which]:
+                side = "above" if end == LOG10_HI else "below"
+                raise TargetUnreachable(
+                    f"{WEIGHT_NAMES[which]} smoothness stays {side} target {target} "
+                    f"at lambda=1e{end:g}",
+                    fit=probe.fit,
+                )
+            stopped_at[which] = end
+        err = max(evaluate.log_errors(probe))
         if best is None or err < best[0]:
             best = (err, probe)
         if err <= targets.delta:
             return probe.fit, evaluate.report(probe, converged=True)
-        if evaluate.solves >= max_solves:
+        if evaluate.solves >= MAX_SOLVES:
             break
     err, probe = best
     raise NoConvergence(

@@ -1,4 +1,4 @@
-"""Property-based checks of the level-surface algebra and the solver."""
+"""Property-based checks of the level-surface algebra, the solver and the tuner."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -9,7 +9,7 @@ from scipy.linalg.lapack import dpocon
 from ctrend.design import build_system_raw, build_v2z, build_z2v, second_differences
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.solver import band_order, bandwidth, normal_equations, solve
-from ctrend.tuner import smoothness_field
+from ctrend.tuner import SmoothnessTargets, smoothness_field, tune
 from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
 
 spans = st.integers(min_value=1, max_value=12)
@@ -118,3 +118,24 @@ def test_band_accessors_match_dense_smoothness(i_span, j_span, lambda1, lambda2)
         np.testing.assert_allclose(got.vector, want.vector, rtol=1e-9, atol=1e-12)
         assert np.array_equal(got.zero_variance_age, want.zero_variance_age)
         assert np.array_equal(got.zero_variance_year, want.zero_variance_year)
+
+
+@settings(max_examples=8)
+@given(st.integers(0, 2**32 - 1), st.floats(min_value=0.1, max_value=5.0))
+def test_tuned_lambdas_depend_on_design_only(small_frame, small_layout, seed, noise_sd):
+    # The indicators read only the unit covariance, which the measured values
+    # do not enter; redrawing them on the same design must not move the tuner.
+    plan = full_coverage_plan(small_frame, (0.2, 0.5, 0.8), per_fraction=2)
+    targets = SmoothnessTargets(f_smv=0.5, f_smu=0.5, delta=0.05)
+
+    def tuned(boundary_base, sd, draw_seed):
+        boundary = smooth_boundary(small_layout, base=boundary_base)
+        model = TrueModel(small_frame, boundary, smooth_trend(small_layout), sd)
+        system = build_system_raw(small_frame, generate(model, plan, seed=draw_seed))
+        return tune(system, targets)[1]
+
+    base = tuned(24.0, 0.6, 31)
+    report = tuned(20.0, noise_sd, seed)
+    assert (report.lambda1, report.lambda2, report.iterations) == (
+        base.lambda1, base.lambda2, base.iterations
+    )

@@ -186,8 +186,9 @@ class TestConfidenceQuantile:
         fit = dataclasses.replace(small_noisy_fit, dof=dof)
         assert fit.ci_halfwidth(np.ones(1))[0] == stats.t.ppf(0.975, dof)
 
-    def test_cli_import_skips_scipy_stats(self):
-        probe = "import sys, ctrend.cli; print('scipy.stats' in sys.modules)"
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+    def test_cli_import_skips_scipy_stats(self, module):
+        probe = f"import sys, ctrend.cli; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert out.stdout.strip() == "False", out.stderr
 

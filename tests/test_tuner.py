@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ctrend.design import build_system_aggregated, build_system_raw
 from ctrend.errors import IndexOutOfRange, TargetUnreachable
-from ctrend.grid import ParameterLayout
+from ctrend.grid import Frame, ParameterLayout
+from ctrend.ingest import aggregate
 from ctrend.solver import solve
+from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
 from ctrend.tuner import (
     SmoothnessTargets,
     default_selected_point_u,
@@ -170,3 +173,55 @@ class TestTune:
         targets = SmoothnessTargets(f_smv=0.999, f_smu=0.2, delta=0.0001)
         with pytest.raises(TargetUnreachable):
             tune(small_noisefree_system, targets)
+
+    def test_target_unreachable_from_above(self, small_noisefree_system):
+        # the level statistic stays above 0.05 even under the strongest penalty
+        with pytest.raises(TargetUnreachable) as caught:
+            tune(small_noisefree_system, SmoothnessTargets(f_smv=0.05))
+        assert caught.value.fit.lambda1 == 1e10
+
+
+def joint_log_error(report, targets):
+    return max(
+        abs(math.log(report.stat_v) - math.log(targets.f_smv)),
+        abs(math.log(report.stat_u) - math.log(targets.f_smu)),
+    )
+
+
+@pytest.fixture(scope="module")
+def two_wave_system():
+    """Two survey waves six years apart, one year fraction, one draw per age."""
+    frame = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
+    layout = ParameterLayout.from_frame(frame)
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
+    return build_system_raw(frame, generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1))
+
+
+class TestWarmStartedSearch:
+    def test_sparse_design_converges_in_few_solves(self, two_wave_system):
+        # strongly coupled weights: alternating bisection ran out of budget here
+        targets = SmoothnessTargets(f_smv=0.2, f_smu=0.2, delta=0.05)
+        _, report = tune(two_wave_system, targets)
+        assert report.converged
+        assert report.iterations <= 12
+        assert joint_log_error(report, targets) <= 0.05
+
+    def test_trend_end_reached_once_is_not_unreachable(self, two_wave_system):
+        # the lambda2 search stops at 1e-8 in one sweep; once lambda1 moves,
+        # the trend statistic at that end is within delta of its target
+        targets = SmoothnessTargets(f_smv=0.05, f_smu=0.3, delta=0.05)
+        _, report = tune(two_wave_system, targets)
+        assert report.converged
+        assert joint_log_error(report, targets) <= 0.05
+
+    def test_study_survey_design_converges_in_few_solves(self):
+        frame = Frame.from_bounds(1982.0, 1992.99, 25.0, 64.0)
+        layout = ParameterLayout.from_frame(frame)
+        model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd=3.5)
+        plan = survey_plan(frame, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
+        system = build_system_aggregated(frame, aggregate(generate(model, plan, seed=42), frame))
+        targets = SmoothnessTargets(f_smv=0.2, f_smu=0.2, delta=0.05)
+        _, report = tune(system, targets)
+        assert report.converged
+        assert report.iterations <= 12
+        assert joint_log_error(report, targets) <= 0.05
