@@ -29,6 +29,7 @@ from .inference import ClusterGrid, ComparisonResult, cluster_means, compare_adj
 from .ingest import (
     AggregatedCell,
     Measurement,
+    MeasurementColumns,
     ValidationReport,
     aggregate,
     derive_age_year,
@@ -56,6 +57,7 @@ __all__ = [
     "Frame",
     "LinearSystem",
     "Measurement",
+    "MeasurementColumns",
     "ParameterLayout",
     "SamplingPlan",
     "SmoothnessReport",

@@ -20,14 +20,14 @@ reference code that the tests hold the level-surface system against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import InvalidClusterSize, OutOfFrame
 from .grid import CellIndex, Frame, ParameterLayout, cohort_path
-from .ingest import AggregatedCell, Measurement
+from .ingest import AggregatedCell, Measurement, MeasurementColumns, as_columns
 
 
 @dataclass(frozen=True)
@@ -314,16 +314,17 @@ def _level_system(
     )
 
 
-def build_system_raw(frame: Frame, measurements: list[Measurement]) -> LinearSystem:
+def build_system_raw(
+    frame: Frame, measurements: MeasurementColumns | Sequence[Measurement]
+) -> LinearSystem:
     """One data row per measurement, at its own year fraction and unit weight.
 
-    Raises OutOfFrame for the first measurement outside the frame.
+    Takes the cells of columns located in `frame` as they are.  Raises
+    OutOfFrame for the first measurement outside the frame.
     """
     layout = ParameterLayout.from_frame(frame)
-    flat = np.fromiter(chain.from_iterable(measurements), float, count=3 * len(measurements))
-    x, y, a = flat.reshape(-1, 3).T
-    i, j = frame.locate_many(y, a)
-    return _level_system(layout, i, j, y - np.floor(y), x, np.ones(len(x)), 0.0)
+    m = as_columns(measurements, frame)
+    return _level_system(layout, m.i, m.j, m.y - np.floor(m.y), m.x, np.ones(len(m)), 0.0)
 
 
 def build_system_aggregated(frame: Frame, cells: list[AggregatedCell]) -> LinearSystem:

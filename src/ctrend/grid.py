@@ -108,12 +108,14 @@ class Frame:
             )
         return CellIndex(i, j)
 
-    def locate_many(self, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Relative cell indices (i, j) of the points (y[k], a[k]), as `locate`.
+    def cells(self, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Relative cells (i, j) of the points (y[k], a[k]), and the mask of
+        the points `locate` accepts.
 
         The arithmetic of `_absolute_cell`, vectorized: the same IEEE
-        operations, so the cells equal `locate`'s exactly.  Raises OutOfFrame
-        with `locate`'s message for the first point it rejects.
+        operations, so accepted cells equal `locate`'s exactly.  Rejected
+        points (outside the frame or its lattice, or not finite) get cell
+        (0, 0).
         """
         with np.errstate(invalid="ignore"):
             i = np.floor(y)
@@ -124,10 +126,19 @@ class Frame:
             (self.y_min <= y) & (y <= self.y_max) & (self.a_min <= a) & (a <= self.a_max)
             & (0 <= i) & (i <= self.i_span) & (0 <= j) & (j <= self.j_span)
         )
+        return np.where(inside, i, 0).astype(int), np.where(inside, j, 0).astype(int), inside
+
+    def locate_many(self, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Relative cell indices (i, j) of the points (y[k], a[k]), as `locate`.
+
+        Raises OutOfFrame with `locate`'s message for the first point it
+        rejects.
+        """
+        i, j, inside = self.cells(y, a)
         if not inside.all():
             k = int(np.argmin(inside))
             self.locate(float(y[k]), float(a[k]))
-        return i.astype(int), j.astype(int)
+        return i, j
 
     def year_fraction(self, y: float) -> float:
         """Within-cell year fraction, measured from the absolute cell floor."""

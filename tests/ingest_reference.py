@@ -1,0 +1,126 @@
+"""Per-row reference implementations of ingest, for the tests to hold the
+columnar `ctrend.ingest` against.
+
+`load_rows` parses, derives and locates one record at a time with the
+scalar `derive_bmi`, `derive_age_year` and `Frame.locate`; `aggregate_buckets`
+groups measurements in a dict keyed by `Frame.locate`'s cell.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+
+import numpy as np
+
+from ctrend.errors import InvalidDates, MalformedFile, NonPositiveInput, OutOfFrame
+from ctrend.ingest import (
+    REASON_INVALID_DERIVATION,
+    REASON_NON_FINITE,
+    REASON_OUT_OF_FRAME,
+    REASON_UNPARSABLE,
+    SCHEMA_XYA,
+    AggregatedCell,
+    Measurement,
+    ValidationReport,
+    _COLUMNS,
+    derive_age_year,
+    derive_bmi,
+)
+
+MAX_REJECT_DETAILS = 20
+
+
+def _reject(report: ValidationReport, row: int, reason: str) -> None:
+    report.reasons[reason] = report.reasons.get(reason, 0) + 1
+    if len(report.details) < MAX_REJECT_DETAILS:
+        report.details.append((row, reason))
+
+
+def _measurement(fields: list[float], schema: str) -> Measurement:
+    if schema == SCHEMA_XYA:
+        return Measurement(*fields)
+    weight, height, birth_year, exam_date = fields
+    x = derive_bmi(weight, height)
+    a, y = derive_age_year(int(birth_year), exam_date)
+    return Measurement(x, y, float(a))
+
+
+def load_rows(source, schema: str, frame) -> tuple[list[Measurement], ValidationReport]:
+    """Accepted measurements in file order and the validation report."""
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        return [], ValidationReport()
+    except csv.Error as exc:
+        raise MalformedFile(f"cannot read CSV header: {exc}") from exc
+    names = [h.strip().lower() for h in header]
+    missing = [c for c in _COLUMNS[schema] if c not in names]
+    if missing:
+        raise MalformedFile(f"missing {missing}")
+    positions = [names.index(c) for c in _COLUMNS[schema]]
+
+    report = ValidationReport()
+    accepted: list[Measurement] = []
+    row_number = 1
+    while True:
+        row_number += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error:
+            report.n_rows += 1
+            _reject(report, row_number, REASON_UNPARSABLE)
+            continue
+        if not row or all(not f.strip() for f in row):
+            continue
+        report.n_rows += 1
+        try:
+            fields = [float(row[p]) for p in positions]
+        except (IndexError, ValueError):
+            _reject(report, row_number, REASON_UNPARSABLE)
+            continue
+        if not all(math.isfinite(v) for v in fields):
+            _reject(report, row_number, REASON_NON_FINITE)
+            continue
+        try:
+            m = _measurement(fields, schema)
+        except (NonPositiveInput, InvalidDates, ArithmeticError):
+            _reject(report, row_number, REASON_INVALID_DERIVATION)
+            continue
+        if not all(math.isfinite(v) for v in m):
+            _reject(report, row_number, REASON_NON_FINITE)
+            continue
+        try:
+            frame.locate(m.y, m.a)
+        except OutOfFrame:
+            _reject(report, row_number, REASON_OUT_OF_FRAME)
+            continue
+        accepted.append(m)
+        report.n_accepted += 1
+    return accepted, report
+
+
+def aggregate_buckets(measurements, frame) -> list[AggregatedCell]:
+    """Per-cell summaries from dict buckets of members in input order."""
+    buckets: dict = {}
+    for m in measurements:
+        buckets.setdefault(frame.locate(m.y, m.a), []).append(m)
+    cells = []
+    for cell in sorted(buckets):
+        members = buckets[cell]
+        xs = np.array([m.x for m in members], dtype=float)
+        ys = np.array([m.y for m in members], dtype=float)
+        x_bar = float(np.mean(xs))
+        cells.append(
+            AggregatedCell(
+                cell=cell,
+                x_bar=x_bar,
+                y_bar=float(np.mean(ys)),
+                n=len(members),
+                css=float(np.sum((xs - x_bar) ** 2)),
+            )
+        )
+    return cells

@@ -167,6 +167,26 @@ class TestAnalyze:
         )
         assert json.loads(proc.stderr)["error"] == "no-observations"
 
+    @pytest.mark.parametrize("name", ["absent.csv", "."])
+    def test_unreadable_input_exit_2(self, tmp_path, name):
+        # a missing file, and a directory in place of one
+        proc = run_cli(
+            "analyze", *FRAME_FLAGS, "--input", str(tmp_path / name),
+            "--lambda1", "1.0", "--lambda2", "1.0", "--out", str(tmp_path / "out"),
+            expect=2,
+        )
+        assert json.loads(proc.stderr)["error"] == "config"
+
+    def test_undecodable_input_exit_3(self, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"x,year,age\n7.5,2001.5,12\n\xe9,2002.5,13\n")
+        proc = run_cli(
+            "analyze", *FRAME_FLAGS, "--input", str(data),
+            "--lambda1", "1.0", "--lambda2", "1.0", "--out", str(tmp_path / "out"),
+            expect=3,
+        )
+        assert json.loads(proc.stderr)["error"] == "malformed-file"
+
     def test_observed_means_filter(self, dataset, tmp_path):
         base, _ = dataset
         out = tmp_path / "means"

@@ -1,19 +1,27 @@
+import csv
 import io
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctrend.errors import InvalidDates, MalformedFile, NonPositiveInput, UnknownSchema
+from ctrend import ingest
+from ctrend.errors import InvalidDates, MalformedFile, NonPositiveInput, OutOfFrame, UnknownSchema
 from ctrend.grid import Frame
 from ctrend.ingest import (
     Measurement,
     aggregate,
+    as_columns,
     derive_age_year,
     derive_bmi,
     load_measurements,
     measurements_to_csv,
 )
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
+from ingest_reference import aggregate_buckets, load_rows
 
 
 class TestDeriveBmi:
@@ -60,18 +68,18 @@ class TestLoadMeasurements:
         ms, report = load_measurements(io.StringIO(text), "xya", frame)
         assert len(ms) == 3
         assert report.n_rejected == 0
-        assert ms[0] == Measurement(24.5, 1982.25, 40.0)
+        assert ms.rows()[0] == Measurement(24.5, 1982.25, 40.0)
 
     def test_out_of_frame_age_rejected(self, frame):
         text = "x,year,age\n24.5,1982.25,70\n"
         ms, report = load_measurements(io.StringIO(text), "xya", frame)
-        assert ms == []
+        assert ms.rows() == []
         assert report.reasons == {"out-of-frame": 1}
 
     def test_derived_mode(self, frame):
         text = "weight,height,birth_year,exam_date\n80,2.0,1950,1982.25\n"
         ms, report = load_measurements(io.StringIO(text), "derived", frame)
-        assert ms == [Measurement(20.0, 1982.25, 32.0)]
+        assert ms.rows() == [Measurement(20.0, 1982.25, 32.0)]
         assert report.n_accepted == 1
 
     def test_unparsable_and_nonfinite(self, frame):
@@ -84,7 +92,7 @@ class TestLoadMeasurements:
     def test_invalid_derivation_reported(self, frame):
         text = "weight,height,birth_year,exam_date\n-80,2.0,1950,1982.25\n80,2.0,1990,1982.25\n"
         ms, report = load_measurements(io.StringIO(text), "derived", frame)
-        assert ms == []
+        assert ms.rows() == []
         assert report.reasons == {"invalid-derivation": 2}
 
     @pytest.mark.parametrize(
@@ -95,15 +103,36 @@ class TestLoadMeasurements:
         # an inf height derived a BMI of 0
         text = f"weight,height,birth_year,exam_date\n{row}\n80,2.0,1950,1982.25\n"
         ms, report = load_measurements(io.StringIO(text), "derived", frame)
-        assert ms == [Measurement(20.0, 1982.25, 32.0)]
+        assert ms.rows() == [Measurement(20.0, 1982.25, 32.0)]
         assert report.details == [(2, "non-finite")]
 
     @pytest.mark.parametrize("height", ["1e200", "1e-200"])
     def test_derived_height_square_out_of_range(self, frame, height):
         text = f"weight,height,birth_year,exam_date\n80,{height},1950,1982.25\n"
         ms, report = load_measurements(io.StringIO(text), "derived", frame)
-        assert ms == []
+        assert ms.rows() == []
         assert report.reasons == {"invalid-derivation": 1}
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "80,1e-160,1950,1982.3",  # the square is subnormal: BMI overflows to inf
+            "1e-300,1e-160,1950,1982.3",  # ... and with a tiny weight stays finite
+            "80,1e-150,1950,1982.3",
+            "80,1e200,1950,1982.3",
+            "80,1e-200,1950,1982.3",
+            "80,1.8,-1e308,1e308",  # the age overflows a float
+            "80,1.8,1949.9,1982.3",  # a fractional birth year truncates
+            "80,1.8,-0.5,0.5",
+        ],
+    )
+    def test_derivation_edges_match_row_reference(self, row):
+        frame = Frame.from_bounds(-5.0, 1992.0, 0.0, 1e30)
+        text = f"weight,height,birth_year,exam_date\n{row}\n"
+        ms, report = load_measurements(io.StringIO(text), "derived", frame)
+        rows, ref = load_rows(io.StringIO(text), "derived", frame)
+        assert report.as_dict() == ref.as_dict()
+        assert ms.rows() == rows
 
     def test_unknown_schema(self, frame):
         with pytest.raises(UnknownSchema):
@@ -115,19 +144,19 @@ class TestLoadMeasurements:
 
     def test_empty_file(self, frame):
         ms, report = load_measurements(io.StringIO(""), "xya", frame)
-        assert ms == [] and report.n_rows == 0
+        assert ms.rows() == [] and report.n_rows == 0
 
     def test_header_case_and_extra_columns(self, frame):
         text = "ID,X,Year,AGE\n7,24.5,1982.25,40\n"
         ms, _ = load_measurements(io.StringIO(text), "xya", frame)
-        assert ms == [Measurement(24.5, 1982.25, 40.0)]
+        assert ms.rows() == [Measurement(24.5, 1982.25, 40.0)]
 
     def test_path_roundtrip(self, frame, tmp_path):
         src = tmp_path / "data.csv"
         ms_in = [Measurement(24.5, 1982.25, 40.0), Measurement(26.0, 1991.5, 55.0)]
         src.write_text(measurements_to_csv(ms_in), encoding="utf-8")
         ms, report = load_measurements(src, "xya", frame)
-        assert ms == ms_in and report.n_accepted == 2
+        assert ms.rows() == ms_in and report.n_accepted == 2
 
 
 class TestAggregate:
@@ -203,3 +232,199 @@ class TestAggregate:
         ]
         cells = aggregate(ms, frame)
         assert [tuple(c.cell) for c in cells] == sorted(tuple(c.cell) for c in cells)
+
+
+class TestCsvRecordErrors:
+    """A record the csv module cannot read counts as unparsable; reading goes on."""
+
+    LONG = "9" * (csv.field_size_limit() + 1)
+
+    def text(self, long_at, n_rows=6):
+        rows = ["80,2.0,1950,1982.25"] * n_rows
+        rows[long_at] = f"80,{self.LONG},1950,1982.25"
+        return "weight,height,birth_year,exam_date\n" + "\n".join(rows) + "\n"
+
+    def test_oversized_field_mid_block(self, frame):
+        ms, report = load_measurements(io.StringIO(self.text(2)), "derived", frame)
+        assert len(ms) == 5
+        assert report.as_dict()["reasons"] == {"unparsable": 1}
+        assert report.details == [(4, "unparsable")]
+
+    @pytest.mark.parametrize("long_at", [2, 3])
+    def test_oversized_field_at_block_boundary(self, frame, monkeypatch, long_at):
+        # blocks of 3 records: the long one ends the first block or starts the second
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 3)
+        text = self.text(long_at)
+        ms, report = load_measurements(io.StringIO(text), "derived", frame)
+        rows, ref = load_rows(io.StringIO(text), "derived", frame)
+        assert len(ms) == 5 and ms.rows() == rows
+        assert report.details == [(long_at + 2, "unparsable")]
+        assert report.as_dict() == ref.as_dict()
+
+
+# Field spellings that exercise every parse and reject path.
+SPECIAL_FIELDS = [
+    "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e200", "1e-200", "1e-160", "1e-150",
+    "1e308", "-1e308", "0", "-0", "-1", "1_0", "1__0", " 12.5 ", "\t40\t", "", "  ", "abc",
+    "0x10", "1,5", "1982", "1992.5", "25.5", "64",  # the property's frame bounds
+]
+
+
+def field_strategy(lo, hi):
+    number = st.floats(lo, hi, allow_nan=False)
+    return st.one_of(
+        number.map(repr),
+        number.map(lambda v: f"{v:.2f}"),
+        st.integers(int(lo), int(hi)).map(str),
+        st.sampled_from(SPECIAL_FIELDS),
+    )
+
+
+FIELD_RANGES = {
+    "xya": [(-50.0, 80.0), (1979.0, 1995.0), (20.0, 70.0)],
+    "derived": [(-10.0, 200.0), (-0.5, 2.5), (1900.0, 1995.0), (1979.0, 1995.0)],
+}
+
+
+@st.composite
+def dirty_csv(draw, schema):
+    """CSV text in `schema` with dirty rows, odd headers and quoting."""
+    names = list(ingest._COLUMNS[schema])
+    extra = draw(st.booleans())
+    header = [draw(st.sampled_from([n, n.upper(), n.title(), f" {n} "])) for n in names]
+    if extra:
+        header.insert(draw(st.integers(0, len(header))), "note")
+    position = {name: k for k, name in enumerate(h.strip().lower() for h in header)}
+    fields = [field_strategy(lo, hi) for lo, hi in FIELD_RANGES[schema]]
+
+    @st.composite
+    def row(draw):
+        kind = draw(st.sampled_from(["good"] * 6 + ["blank", "spaces", "short", "long"]))
+        if kind == "blank":
+            return []
+        if kind == "spaces":
+            return [" " * draw(st.integers(0, 3)) for _ in header]
+        values = [draw(f) for f in fields]
+        out = [""] * len(header)
+        for name, value in zip(names, values):
+            out[position[name]] = value
+        if extra:
+            out[position["note"]] = draw(st.sampled_from(["", "a,b", 'say "hi"', "x"]))
+        if kind == "short":
+            return out[: draw(st.integers(1, len(out) - 1))]
+        if kind == "long":
+            return out + ["surplus"]
+        return out
+
+    n_rows = draw(st.integers(0, 60))
+    rows = draw(st.lists(row(), min_size=n_rows, max_size=n_rows))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=quoting, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("schema", ["xya", "derived"])
+@settings(max_examples=80)
+@given(data=st.data(), block=st.integers(1, 9))
+def test_columnar_parser_matches_row_reference(schema, data, block):
+    # non-integer age bounds leave sliver corners in the frame
+    frame = Frame.from_bounds(1982.0, 1992.5, 25.5, 64.0)
+    text = data.draw(dirty_csv(schema))
+    with patch.object(ingest, "BLOCK_ROWS", block):
+        ms, report = load_measurements(io.StringIO(text), schema, frame)
+    rows, ref = load_rows(io.StringIO(text), schema, frame)
+    assert report.as_dict() == ref.as_dict()
+    assert report.reasons == ref.reasons
+    assert bits(ms.x) == bits([m.x for m in rows])
+    assert bits(ms.y) == bits([m.y for m in rows])
+    assert bits(ms.a) == bits([m.a for m in rows])
+    cells = [tuple(frame.locate(m.y, m.a)) for m in rows]
+    assert list(zip(ms.i.tolist(), ms.j.tolist())) == cells
+
+
+def test_dirty_strategy_reaches_every_reject_path():
+    """The property's inputs cover each reason, and more than 20 rejects."""
+    frame = Frame.from_bounds(1982.0, 1992.5, 25.5, 64.0)
+    seen, most = set(), 0
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def collect(data):
+        nonlocal most
+        for schema in ("xya", "derived"):
+            _, report = load_measurements(io.StringIO(data.draw(dirty_csv(schema))), schema, frame)
+            seen.update(report.reasons)
+            most = max(most, report.n_rejected)
+
+    collect()
+    assert seen == {"unparsable", "non-finite", "invalid-derivation", "out-of-frame"}
+    assert most > 20
+
+
+def in_frame(frame, m):
+    try:
+        frame.locate(m[1], m[2])
+    except OutOfFrame:
+        return False
+    return True
+
+
+def cell_summary(cells):
+    return [(tuple(c.cell), c.x_bar.hex(), c.y_bar.hex(), c.n, c.css.hex()) for c in cells]
+
+
+@settings(max_examples=100)
+@given(
+    y0=st.integers(1970, 2000), y_frac=st.sampled_from([0.0, 0.3, 0.9]),
+    a0=st.integers(20, 50), a_frac=st.sampled_from([0.0, 0.25, 0.5]),
+    spans=st.tuples(st.integers(1, 6), st.integers(2, 7)),
+    seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+)
+def test_aggregate_matches_dict_buckets(y0, y_frac, a0, a_frac, spans, seed, n):
+    frame = Frame.from_bounds(y0 + y_frac, y0 + spans[0] + 0.99, a0 + a_frac, a0 + spans[1] + 0.75)
+    rng = np.random.default_rng(seed)
+    # coarse years and ages repeat points and hit cell edges exactly
+    y = np.round(rng.uniform(frame.y_min, frame.y_max, n), rng.integers(0, 3))
+    a = np.round(rng.uniform(frame.a_min, frame.a_max, n), rng.integers(0, 2))
+    x = rng.normal(24.0, 3.0, n)
+    ms = [Measurement(*v) for v in zip(x.tolist(), y.tolist(), a.tolist()) if in_frame(frame, v)]
+    want = cell_summary(aggregate_buckets(ms, frame))
+    assert cell_summary(aggregate(ms, frame)) == want
+    assert cell_summary(aggregate(as_columns(ms, frame), frame)) == want
+
+
+@pytest.mark.parametrize("n_small,n_large", [(50_000, 200_000)])
+def test_ingest_memory_bounded(tmp_path, n_small, n_large):
+    """Transient traced memory of a load does not grow with the row count."""
+    frame = Frame.from_bounds(1982.0, 1992.99, 25.0, 64.0)
+
+    def transient(n):
+        rng = np.random.default_rng(n)
+        exam = rng.uniform(1982.0, 1992.9, n)
+        height = rng.uniform(1.5, 2.0, n)
+        weight = rng.uniform(20.0, 30.0, n) * height * height
+        birth = np.floor(exam) - rng.integers(26, 63, n)
+        path = tmp_path / f"rows{n}.csv"
+        np.savetxt(
+            path, np.column_stack([weight, height, birth, exam]),
+            fmt=["%.2f", "%.3f", "%d", "%.6f"], delimiter=",",
+            header="weight,height,birth_year,exam_date", comments="",
+        )
+        tracemalloc.start()
+        try:
+            ms, report = load_measurements(path, "derived", frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_accepted == n
+        return peak - sum(getattr(ms, c).nbytes for c in "xyaij")
+
+    small, large = transient(n_small), transient(n_large)
+    assert large <= 1.25 * small, (small, large)
