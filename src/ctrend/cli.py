@@ -302,6 +302,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         "lambda2": fit.lambda2,
         "sigma2": fit.sigma2_hat,
         "dof": fit.dof,
+        "edf": fit.edf,
         "condition": fit.condition,
         "s0": fit.s0,
         "s1": fit.s1,

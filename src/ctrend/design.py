@@ -8,7 +8,7 @@ cell (i, j) read (1-t)*v(i,j) + t*v(i+1,j+1), so the data operator of a
 second-difference stencils (`second_differences`): on v itself, and on the
 trend surface u = `build_v2u` @ v.  Penalty operators are stored unscaled;
 the regularization weights live in the solver, so the same system serves
-every lambda probe.
+every lambda probe, which sums the three terms' Grams, built once (`lower_band`).
 
 The parameter vector z of `ParameterLayout` (boundary levels plus the trend
 field) is a linear bijection of v: `build_z2v` maps z to v, `build_v2z`
@@ -20,6 +20,7 @@ reference code that the tests hold the level-surface system against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -204,6 +205,41 @@ def diagonal_pairs(layout: ParameterLayout) -> tuple[np.ndarray, np.ndarray]:
     return lo + ncols + 1, lo
 
 
+def band_order(layout: ParameterLayout) -> np.ndarray:
+    """Flat row-major level indices in factorization order.
+
+    The lattice is traversed along its shorter axis (column-major when it
+    has fewer rows than columns), which keeps the lower bandwidth of the
+    normal matrix at `bandwidth(layout)`.
+    """
+    nrows, ncols = layout.level_shape
+    flat = np.arange(layout.dim).reshape(nrows, ncols)
+    return (flat.T if nrows < ncols else flat).ravel()
+
+
+def bandwidth(layout: ParameterLayout) -> int:
+    """Lower bandwidth of the normal matrix in `band_order`, 3 * min(I+2, J+2) + 1.
+
+    The trend penalty couples v(i, j) with v(i+3, j+1) and v(i+1, j+3); the
+    band also holds every pair of adjacent levels and the four level pairs
+    of any two adjacent trends, whatever terms the fit has.
+    """
+    return 3 * min(layout.level_shape) + 1
+
+
+def lower_band(m: sparse.spmatrix, layout: ParameterLayout) -> np.ndarray:
+    """LAPACK lower band storage of a symmetric dim x dim matrix in `band_order`:
+    [d, k] holds row k+d of column k, for min(bandwidth, dim - 1) subdiagonals."""
+    position = np.argsort(band_order(layout))
+    coo = sparse.coo_matrix(m)
+    coo.sum_duplicates()
+    row, col = position[coo.row], position[coo.col]
+    lower = row >= col
+    band = np.zeros((min(bandwidth(layout), layout.dim - 1) + 1, layout.dim))
+    band[row[lower] - col[lower], col[lower]] = coo.data[lower]
+    return band
+
+
 def build_v2u(layout: ParameterLayout) -> sparse.csr_matrix:
     """Trend surface from the flattened level surface: u(i,j) = v(i+1,j+1) - v(i,j)."""
     hi, lo = diagonal_pairs(layout)
@@ -270,7 +306,8 @@ class LinearSystem:
 
     `data` has one row per measurement (raw) or per cell (aggregated), with
     (1-t) on v(i,j) and t on v(i+1,j+1); `rhs` holds the observed values or
-    cell means and `weights` the counts behind them.
+    cell means and `weights` the counts behind them.  Construction derives the
+    `lower_band` Grams D^T W D, P_v^T P_v, P_u^T P_u and `normal_rhs` D^T W rhs.
     """
 
     layout: ParameterLayout
@@ -280,6 +317,18 @@ class LinearSystem:
     penalty_v: sparse.csr_matrix = field(repr=False)
     penalty_u: sparse.csr_matrix = field(repr=False)
     css_total: float = 0.0
+    gram_data: np.ndarray = field(init=False, repr=False)
+    gram_v: np.ndarray = field(init=False, repr=False)
+    gram_u: np.ndarray = field(init=False, repr=False)
+    normal_rhs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        weighted = self.data.T @ sparse.diags(self.weights)
+        set_derived = partial(object.__setattr__, self)
+        set_derived("gram_data", lower_band(weighted @ self.data, self.layout))
+        set_derived("gram_v", lower_band(self.penalty_v.T @ self.penalty_v, self.layout))
+        set_derived("gram_u", lower_band(self.penalty_u.T @ self.penalty_u, self.layout))
+        set_derived("normal_rhs", weighted @ self.rhs)
 
     @property
     def n_obs(self) -> int:

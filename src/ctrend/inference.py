@@ -74,8 +74,8 @@ def cluster_means(fit: FitResult, delta_a: int, delta_y: int) -> ClusterGrid:
     """Average the fitted trend field over delta_y x delta_a clusters.
 
     The covariance of the cluster means is sigma2 * A U A^T, with A the
-    averaging map (`build_u2uc`) and U the unit trend covariance; it comes
-    from one banded solve with a right-hand side per cluster
+    averaging map (`build_u2uc`) and U the unit trend covariance; it is W^T W
+    from one whitening solve with a column per cluster
     (`FitResult.trend_unit_cov`), without the dense trend covariance.
     """
     if delta_a < 1 or delta_y < 1:

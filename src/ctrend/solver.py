@@ -7,20 +7,22 @@ For fixed regularization weights (lambda1, lambda2) the estimate minimizes
 over the level surface v, where S0 is the (count-weighted) data misfit and
 S1, S2 the second-difference penalties on v and on the trend surface
 u(i,j) = v(i+1,j+1) - v(i,j).  Each term couples only lattice points at most
-three steps apart on one axis and one on the other, so `normal_equations`
-assembles a sparse normal matrix that is banded once the lattice is ordered
-along its shorter axis (`band_order`): lower bandwidth 3*min(I+2, J+2) + 1
-(Rue & Held 2005, ch. 2).  The solve is a banded Cholesky factorization of
-its Jacobi-equilibrated form; the condition number is the matrix 1-norm
-times LAPACK's Hager-Higham estimate of the inverse's 1-norm.
+three steps apart on one axis and one on the other, so the normal matrix is
+banded once the lattice is ordered along its shorter axis (`band_order`):
+lower bandwidth 3*min(I+2, J+2) + 1 (Rue & Held 2005, ch. 2).  A solve sums
+the system's Gram bands elementwise and factors the Jacobi-equilibrated sum
+by banded Cholesky, L L^T; the condition number is the matrix 1-norm times
+LAPACK's Hager-Higham estimate of the inverse's 1-norm.
 
 Covariances follow the classical weighted-least-squares formulas with
-sigma2 = (S0 + pooled within-cell CSS) / (n_obs - dim).  The fit never forms
-the dense inverse: the Takahashi recurrence (Takahashi, Fagan & Chin 1973)
-gives the inverse inside the band (`BandedInverse`), which holds every
-variance and every covariance of lattice-adjacent levels and trends, and
-covariances of linear maps of the trend surface come from banded solves.
-The dense `unit_cov_*` matrices are computed on first access only.
+sigma2 = (S0 + pooled within-cell CSS) / (n_obs - dim).  No fit forms the
+dense inverse.  The covariance of a few linear maps of v (the tuner's
+selected pairs, cluster means) is W^T W from one forward solve with L
+(`BandedInverse.whiten`).  The inverse inside the band, which holds every
+variance and every covariance of lattice-adjacent levels and trends, comes
+from the Takahashi recurrence (Takahashi, Fagan & Chin 1973) on first
+access only, for standard errors and whole-field statistics (Rue & Martino
+2007); so do the dense `unit_cov_*` matrices.
 
 Cohort diagonals of levels whose normal-matrix columns are all exactly zero
 (possible only with lambda1 = 0: the two extreme corners v(I+1,0) and
@@ -32,40 +34,20 @@ on any other diagonal makes the system singular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg, sparse, special
 
-from .design import LinearSystem, build_v2u, build_v2z, diagonal_pairs
+from .design import LinearSystem, band_order, build_v2u, build_v2z, diagonal_pairs
+from .design import bandwidth  # noqa: F401  (re-exported)
 from .errors import SingularSystem
 from .grid import ParameterLayout, _absolute_cell
 
 CONDITION_LIMIT = 1e12
-
-
-def band_order(layout: ParameterLayout) -> np.ndarray:
-    """Flat row-major level indices in factorization order.
-
-    The lattice is traversed along its shorter axis (column-major when it
-    has fewer rows than columns), which keeps the lower bandwidth of the
-    normal matrix at `bandwidth(layout)`.
-    """
-    nrows, ncols = layout.level_shape
-    flat = np.arange(layout.dim).reshape(nrows, ncols)
-    return (flat.T if nrows < ncols else flat).ravel()
-
-
-def bandwidth(layout: ParameterLayout) -> int:
-    """Lower bandwidth of the normal matrix in `band_order`, 3 * min(I+2, J+2) + 1.
-
-    The trend penalty couples v(i, j) with v(i+3, j+1) and v(i+1, j+3); the
-    band also holds every pair of adjacent levels and the four level pairs
-    of any two adjacent trends, whatever terms the fit has.
-    """
-    return 3 * min(layout.level_shape) + 1
 
 
 def _selected_inverse(factor: np.ndarray) -> np.ndarray:
@@ -143,18 +125,22 @@ class BandedInverse:
     Indexed like the dense dim x dim matrix over flat row-major level
     indices, `cov[k1, k2]` with integer arrays, for any pair of levels no
     more than the bandwidth apart in `band_order`; silent levels read zero.
-    It keeps the banded Cholesky factor of the equilibrated normal matrix,
-    so `solve` applies the whole inverse without forming it.
+    It keeps the banded Cholesky factor L L^T of the equilibrated normal
+    matrix D M D, so `solve` applies the whole inverse and `whiten` half of
+    it without forming either; the band is computed on first access.
     """
 
     def __init__(self, factor: np.ndarray, order: np.ndarray, scale: np.ndarray, dim: int):
         self.factor = factor
         self.order = order
         self.scale = scale
-        self.band = _selected_inverse(factor)
         self.shape = (dim, dim)
         self._position = np.full(dim, -1)
         self._position[order] = np.arange(len(order))
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        return _selected_inverse(self.factor)
 
     def __getitem__(self, key: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         p1, p2 = (self._position[np.asarray(k)] for k in key)
@@ -174,6 +160,12 @@ class BandedInverse:
             (self.factor, True), scale * rhs[self.order], check_finite=False
         )
         return out
+
+    def whiten(self, rhs: np.ndarray) -> np.ndarray:
+        """W = L^-1 D rhs[order] for a dim x m `rhs`, so that rhs^T M^-1 rhs = W^T W."""
+        w, info = linalg.lapack.dtbtrs(self.factor, self.scale[:, None] * rhs[self.order], uplo="L")
+        assert info == 0, f"dtbtrs info {info}"
+        return w
 
 
 class TrendBand:
@@ -202,8 +194,9 @@ class FitResult:
 
     `unit_cov_v_band` is the inverse weighted normal matrix on the level
     surface (covariance per unit error variance) inside its band, and
-    `unit_cov_u_band` its image on the trend surface; the standard errors
-    and the tuner read only these.  `unit_cov_v`, `unit_cov_u` and
+    `unit_cov_u_band` its image on the trend surface; the standard errors,
+    `edf` and the tuner's whole-field statistics read only these.
+    `gram_data` is the system's data Gram band.  `unit_cov_v`, `unit_cov_u` and
     `unit_cov_z` are the dense matrices on the level surface, the trend
     surface and the parameter vector, computed on first access.  The
     `cov_*` properties are their sigma2 multiples and are None when the
@@ -225,6 +218,7 @@ class FitResult:
     u_hat: np.ndarray
     unit_cov_v_band: BandedInverse
     layout: ParameterLayout
+    gram_data: np.ndarray = field(repr=False)
 
     @property
     def unit_cov_u_band(self) -> TrendBand:
@@ -232,9 +226,18 @@ class FitResult:
 
     def trend_unit_cov(self, a: np.ndarray) -> np.ndarray:
         """a @ unit_cov_u @ a.T for a linear map `a` of the flattened trend
-        surface, from one banded solve with a right-hand side per row of `a`."""
-        g = build_v2u(self.layout).T @ a.T
-        return g.T @ self.unit_cov_v_band.solve(g)
+        surface, as W^T W from one whitening solve with a column per row of `a`."""
+        w = self.unit_cov_v_band.whiten(build_v2u(self.layout).T @ a.T)
+        return w.T @ w
+
+    @cached_property
+    def edf(self) -> float:
+        """Effective degrees of freedom trace(M^-1 G0), G0 the data Gram: the sum
+        of G0 * M^-1 over G0's nonzeros, which all lie in the band."""
+        d, k = np.nonzero(self.gram_data)
+        order = band_order(self.layout)
+        cov = self.unit_cov_v_band[order[k + d], order[k]]
+        return float(np.sum(np.where(d > 0, 2.0, 1.0) * self.gram_data[d, k] * cov))
 
     @cached_property
     def unit_cov_v(self) -> np.ndarray:
@@ -299,20 +302,27 @@ def normal_equations(
     return gram.tocsr(), weighted @ system.rhs
 
 
-def _equilibrated_band(
-    m: sparse.spmatrix, width: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lower band storage, `width` subdiagonals, of D m D with D = diag(m)^-1/2;
-    D's diagonal; and the 1-norm of D m D."""
-    scale = 1.0 / np.sqrt(m.diagonal())
-    coo = m.tocoo()
-    values = coo.data * scale[coo.row] * scale[coo.col]
-    anorm = float(np.max(np.bincount(coo.col, np.abs(values), minlength=len(scale))))
-    lower = coo.row >= coo.col
-    offset = coo.row[lower] - coo.col[lower]
-    band = np.zeros((min(width, len(scale) - 1) + 1, len(scale)))
-    band[offset, coo.col[lower]] = values[lower]
-    return band, scale, anorm
+def _reduced_band(band: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Lower band storage of the submatrix on the ascending positions `keep`
+    of a matrix held in lower band storage."""
+    n = len(keep)
+    offsets = np.arange(min(len(band), n))[:, None]
+    within = np.arange(n) + offsets
+    gap = keep[np.minimum(within, n - 1)] - keep
+    inside = (within < n) & (gap < len(band))
+    return np.where(inside, band[np.minimum(gap, len(band) - 1), keep], 0.0)
+
+
+def _equilibrated(band: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, float]:
+    """D M D with D = diag(scale), in lower band storage like M's, and its 1-norm,
+    each column summed from top to bottom of the symmetric matrix."""
+    b, n = len(band) - 1, len(scale)
+    band = band * sliding_window_view(np.concatenate([scale, np.zeros(b)]), n) * scale
+    size = np.abs(band)
+    col = np.zeros(n)
+    for d in range(b, 0, -1):
+        col[d:] += size[d, : n - d]
+    return band, float(np.max(sum(size, col)))
 
 
 def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
@@ -323,8 +333,10 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
         raise SingularSystem("no data rows")
 
     layout = system.layout
-    m, rhs = normal_equations(system, lambda1, lambda2)
-    reached = m.diagonal() > 0.0
+    band = system.gram_data + lambda1 * system.gram_v + lambda2 * system.gram_u
+    order = band_order(layout)
+    reached = np.empty(layout.dim, dtype=bool)
+    reached[order] = band[0] > 0.0
     # An unreached level drops out only together with its whole cohort
     # diagonal, as its parameters do in z; elsewhere it is undetermined.
     cohort = np.subtract(*np.indices(layout.level_shape)).ravel()
@@ -333,13 +345,16 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
     if not reached[active].all():
         raise SingularSystem("a level on an observed cohort diagonal is reached by no data")
     n_silent = int(np.sum(~active))
-    order = band_order(layout)
-    order = order[active[order]]
+    if n_silent:
+        keep = active[order]
+        band = _reduced_band(band, np.flatnonzero(keep))
+        order = order[keep]
     # Symmetric Jacobi equilibration: with lambdas spanning many decades the
     # normal matrix is strongly graded, and the raw condition number reflects
     # block scale disparity rather than actual ill-posedness.  The condition
     # check applies to the equilibrated matrix.
-    band, scale, anorm = _equilibrated_band(m[order][:, order], bandwidth(layout))
+    scale = 1.0 / np.sqrt(band[0])
+    band, anorm = _equilibrated(band, scale)
     try:
         factor = linalg.cholesky_banded(band, lower=True)
     except linalg.LinAlgError as exc:
@@ -355,7 +370,7 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
         )
 
     inverse = BandedInverse(factor, order, scale, layout.dim)
-    v = inverse.solve(rhs)
+    v = inverse.solve(system.normal_rhs)
     hi, lo = diagonal_pairs(layout)
 
     resid = system.data @ v - system.rhs
@@ -383,6 +398,7 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
         u_hat=(v[hi] - v[lo]).reshape(layout.trend_shape),
         unit_cov_v_band=inverse,
         layout=layout,
+        gram_data=system.gram_data,
     )
 
 

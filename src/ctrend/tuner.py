@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import LinearSystem
+from .design import LinearSystem, build_v2u
 from .errors import IndexOutOfRange, NoConvergence, SingularSystem, TargetUnreachable
 from .solver import FitResult, solve
 
@@ -178,11 +178,28 @@ class _Probe:
     stat_u: float
 
 
+def _selected_pairs(layout, point_v: tuple[int, int], point_u: tuple[int, int]) -> np.ndarray:
+    """dim x 4 map from the level surface onto v(k), v(k+1), u(t), u(t+1), the
+    two selected age pairs; IndexOutOfRange for a point outside its pair grid."""
+    flat = []
+    for (i, j), (nrows, ncols) in ((point_v, layout.level_shape), (point_u, layout.trend_shape)):
+        if not (0 <= i < nrows and 0 <= j < ncols - 1):
+            raise IndexOutOfRange(
+                f"selected point ({i}, {j}) outside age-block grid {(nrows, ncols - 1)}"
+            )
+        flat.append(i * ncols + j)
+    k, t = flat
+    levels = np.zeros((layout.dim, 2))
+    levels[[k, k + 1], [0, 1]] = 1.0
+    return np.hstack([levels, build_v2u(layout)[[t, t + 1]].T.toarray()])
+
+
 class _Evaluator:
     """Solves at given lambdas and summarizes both smoothness statistics.
 
-    The indicators need covariances of lattice-adjacent pairs only, which
-    the fit's banded inverses hold; no probe forms a dense covariance.
+    No probe forms a dense covariance: `selected-point` reads its two pairs
+    from one four-column whitening solve, the other statistics read the
+    whole field off the fit's banded inverses.
     """
 
     def __init__(self, system: LinearSystem, targets: SmoothnessTargets):
@@ -190,6 +207,9 @@ class _Evaluator:
         self.targets = targets
         self.point_v = targets.selected_point_v or default_selected_point_v(system.layout)
         self.point_u = targets.selected_point_u or default_selected_point_u(system.layout)
+        self.pairs = None
+        if targets.fstat_kind == "selected-point":
+            self.pairs = _selected_pairs(system.layout, self.point_v, self.point_u)
         self.solves = 0
 
     def __call__(self, lambda1: float, lambda2: float) -> _Probe | None:
@@ -201,13 +221,15 @@ class _Evaluator:
             return None
         # Correlations are scale-free, so the unit covariance works even
         # when sigma2 is unavailable or zero.
+        if self.pairs is not None:
+            w = fit.unit_cov_v_band.whiten(self.pairs)
+            cov = w.T @ w
+            stats = (float(_pair_indicator(cov, k, k + 1)[0]) for k in (0, 2))
+            return _Probe(fit, *stats)
         field_v = smoothness_field(fit.unit_cov_v_band, fit.layout.level_shape)
         field_u = smoothness_field(fit.unit_cov_u_band, fit.layout.trend_shape)
-        return _Probe(
-            fit=fit,
-            stat_v=fstat(field_v, self.targets.fstat_kind, self.point_v),
-            stat_u=fstat(field_u, self.targets.fstat_kind, self.point_u),
-        )
+        kind = self.targets.fstat_kind
+        return _Probe(fit=fit, stat_v=fstat(field_v, kind), stat_u=fstat(field_u, kind))
 
     def log_errors(self, probe: _Probe) -> tuple[float, float]:
         ev = abs(_safe_log(probe.stat_v) - math.log(self.targets.f_smv))

@@ -20,6 +20,22 @@ settings.register_profile("deterministic", derandomize=True, deadline=None, data
 settings.load_profile("deterministic")
 
 
+@pytest.fixture
+def band_calls(monkeypatch):
+    """Records every Takahashi selected inversion (`solver._selected_inverse`)."""
+    from ctrend import solver
+
+    calls = []
+    original = solver._selected_inverse
+
+    def counted(factor):
+        calls.append(factor.shape)
+        return original(factor)
+
+    monkeypatch.setattr(solver, "_selected_inverse", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small_frame():
     """Spans (4, 6): 35 trend cells, 48 level points, 61 parameters."""

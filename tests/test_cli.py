@@ -122,6 +122,39 @@ class TestAnalyze:
         for name in ("levels.csv", "ctrends.csv", "clusters.csv", "comparisons.csv", "run.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_byte_identical_tuned_reruns(self, dataset, tmp_path):
+        base, _ = dataset
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            run_cli(
+                "analyze", *FRAME_FLAGS,
+                "--input", str(base / "dataset.csv"),
+                "--f-smv", "0.5", "--f-smu", "0.5", "--delta", "0.1",
+                "--cluster-age", "2", "--cluster-year", "2",
+                "--out", str(out),
+            )
+        run = json.loads((outs[0] / "run.json").read_text())
+        assert run["tuner"] == "converged" and run["iterations"] > 1
+        for name in ("levels.csv", "ctrends.csv", "clusters.csv", "comparisons.csv", "run.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_tuned_run_computes_inverse_band_once(self, dataset, tmp_path, band_calls):
+        from ctrend import cli
+
+        base, layout = dataset
+        out = tmp_path / "tuned"
+        code = cli.main([
+            "analyze", *FRAME_FLAGS,
+            "--input", str(base / "dataset.csv"),
+            "--f-smv", "0.5", "--f-smu", "0.5", "--delta", "0.1",
+            "--out", str(out),
+        ])
+        assert code == 0
+        run = json.loads((out / "run.json").read_text())
+        assert run["iterations"] > 1
+        assert len(band_calls) == 1
+        assert 0.0 < run["edf"] < layout.dim
+
     def test_tuned_run_records_convergence(self, dataset, tmp_path):
         base, _ = dataset
         out = tmp_path / "tuned"

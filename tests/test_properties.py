@@ -6,11 +6,26 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpocon
 
-from ctrend.design import build_system_raw, build_v2z, build_z2v, second_differences
+from ctrend.design import (
+    build_system_aggregated,
+    build_system_raw,
+    build_v2u,
+    build_v2z,
+    build_z2v,
+    second_differences,
+)
 from ctrend.grid import Frame, ParameterLayout
+from ctrend.ingest import aggregate
 from ctrend.solver import band_order, bandwidth, normal_equations, solve
-from ctrend.tuner import SmoothnessTargets, smoothness_field, tune
-from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
+from ctrend.tuner import SmoothnessTargets, _Evaluator, fstat, smoothness_field, tune
+from ctrend.synth import (
+    SamplingPlan,
+    TrueModel,
+    full_coverage_plan,
+    generate,
+    smooth_boundary,
+    smooth_trend,
+)
 
 spans = st.integers(min_value=1, max_value=12)
 
@@ -139,3 +154,170 @@ def test_tuned_lambdas_depend_on_design_only(small_frame, small_layout, seed, no
     assert (report.lambda1, report.lambda2, report.iterations) == (
         base.lambda1, base.lambda2, base.iterations
     )
+
+
+def dense_level_cov(system, fit):
+    """The fit's unit level covariance from a dense inverse of its equilibrated
+    normal matrix; silent levels zero."""
+    band = fit.unit_cov_v_band
+    cov = np.zeros((fit.layout.dim, fit.layout.dim))
+    inverse = np.linalg.inv(equilibrated_dense(system, fit))
+    cov[np.ix_(band.order, band.order)] = inverse * np.outer(band.scale, band.scale)
+    return cov
+
+
+def frame_of(i_span, j_span):
+    return Frame.from_bounds(2000.0, 2000.9 + i_span, 30.0, 30.0 + j_span)
+
+
+@settings(max_examples=30)
+@given(
+    lattice_spans,
+    lattice_spans,
+    st.one_of(st.just(0.0), weights),
+    st.one_of(st.just(0.0), weights),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 0.0, 0.0, 0)
+@example(8, 3, 1e3, 1e-2, 1)
+def test_gram_band_sum_matches_normal_matrix(i_span, j_span, lambda1, lambda2, seed):
+    # A random count-weighted design: a few cells, each sampled 1-4 times.
+    frame = frame_of(i_span, j_span)
+    layout = ParameterLayout.from_frame(frame)
+    rng = np.random.default_rng(seed)
+    cells = [(i, j) for i in range(i_span + 1) for j in range(j_span + 1) if rng.random() < 0.6]
+    entries = [(i, j, 0.1 + 0.8 * rng.random()) for i, j in cells for _ in range(rng.integers(1, 5))]
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
+    measurements = generate(model, SamplingPlan(tuple(entries) or ((0, 0, 0.5),)), seed=3)
+    system = build_system_aggregated(frame, aggregate(measurements, frame))
+
+    got = system.gram_data + lambda1 * system.gram_v + lambda2 * system.gram_u
+    m, rhs = normal_equations(system, lambda1, lambda2)
+    order = band_order(layout)
+    m = m.toarray()[np.ix_(order, order)]
+    n = layout.dim
+    assert got.shape == (min(bandwidth(layout), n - 1) + 1, n)
+    assert not np.any(np.tril(m, -len(got)))
+    tol = 1e-14 * np.max(np.abs(m))
+    for d in range(len(got)):
+        assert np.max(np.abs(got[d, : n - d] - np.diag(m, -d))) <= tol, d
+        assert not np.any(got[d, n - d:])
+    assert np.array_equal(system.normal_rhs, rhs)
+
+
+fractions = st.floats(min_value=0.0, max_value=1.0)
+
+
+def grid_point(fi, fj, nrows, ncols):
+    """A start (i, j) of an age pair on an nrows x ncols surface."""
+    return min(int(fi * nrows), nrows - 1), min(int(fj * (ncols - 1)), ncols - 2)
+
+
+@settings(max_examples=30)
+@given(
+    lattice_spans,
+    lattice_spans,
+    st.one_of(st.just(0.0), weights),
+    weights,
+    fractions,
+    fractions,
+    fractions,
+    fractions,
+)
+@example(3, 4, 0.0, 1.0, 0.0, 1.0, 0.5, 0.5)  # level pair holds the silent corner v(0, J+1)
+@example(4, 3, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0)  # level pair next to the silent corner v(I+1, 0)
+@example(1, 1, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+def test_whitened_selected_point_matches_band_route(
+    i_span, j_span, lambda1, lambda2, fvi, fvj, fui, fuj
+):
+    system, _ = full_coverage_fit(i_span, j_span, lambda1, lambda2)
+    layout = system.layout
+    point_v = grid_point(fvi, fvj, *layout.level_shape)
+    point_u = grid_point(fui, fuj, *layout.trend_shape)
+    targets = SmoothnessTargets(selected_point_v=point_v, selected_point_u=point_u)
+    probe = _Evaluator(system, targets)(lambda1, lambda2)
+    fit = probe.fit
+    want_v = fstat(
+        smoothness_field(fit.unit_cov_v_band, layout.level_shape), "selected-point", point_v
+    )
+    want_u = fstat(
+        smoothness_field(fit.unit_cov_u_band, layout.trend_shape), "selected-point", point_u
+    )
+    assert abs(probe.stat_v - want_v) <= 1e-12 * want_v
+    assert abs(probe.stat_u - want_u) <= 1e-12 * want_u
+
+
+@settings(max_examples=20)
+@given(
+    lattice_spans,
+    lattice_spans,
+    st.one_of(st.just(0.0), weights),
+    weights,
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 0.0, 1.0, 0)
+@example(5, 3, 0.0, 1e3, 1)
+def test_trend_unit_cov_matches_dense_inverse(i_span, j_span, lambda1, lambda2, seed):
+    system, fit = full_coverage_fit(i_span, j_span, lambda1, lambda2)
+    assert fit.n_silent == (2 if lambda1 == 0.0 else 0)
+    v2u = build_v2u(fit.layout).toarray()
+    want_u = v2u @ dense_level_cov(system, fit) @ v2u.T
+    a = np.random.default_rng(seed).normal(size=(3, fit.layout.n_trend))
+    want = a @ want_u @ a.T
+    np.testing.assert_allclose(fit.trend_unit_cov(a), want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+    np.testing.assert_allclose(fit.unit_cov_u, want_u, rtol=0, atol=1e-10 * np.max(np.abs(want_u)))
+
+
+@settings(max_examples=20)
+@given(lattice_spans, lattice_spans, st.one_of(st.just(0.0), weights), weights)
+@example(1, 1, 0.0, 1.0)
+@example(6, 2, 1e-2, 1e-2)
+def test_edf_matches_dense_trace(i_span, j_span, lambda1, lambda2):
+    system, fit = full_coverage_fit(i_span, j_span, lambda1, lambda2)
+    weighted = system.data.T.multiply(system.weights)
+    g0 = (weighted @ system.data).toarray()
+    want = np.trace(dense_level_cov(system, fit) @ g0)
+    assert abs(fit.edf - want) <= 1e-10 * want
+    assert 0.0 < fit.edf <= (fit.layout.dim - fit.n_silent) * (1.0 + 1e-12)
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_raw_and_aggregated_fits_agree_when_member_years_equal(i_span, j_span, seed):
+    # One year fraction per cell, 1-4 members each: aggregation loses nothing.
+    frame = frame_of(i_span, j_span)
+    layout = ParameterLayout.from_frame(frame)
+    rng = np.random.default_rng(seed)
+    entries = []
+    for i in range(i_span + 1):
+        for j in range(j_span + 1):
+            entries += [(i, j, 0.9 * float(rng.random()))] * int(rng.integers(1, 5))
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.8)
+    measurements = generate(model, SamplingPlan(tuple(entries)), seed=seed)
+    raw = solve(build_system_raw(frame, measurements), 1.0, 1.0)
+    agg = solve(build_system_aggregated(frame, aggregate(measurements, frame)), 1.0, 1.0)
+    assert raw.n_obs == agg.n_obs
+    assert np.max(np.abs(raw.v_hat - agg.v_hat)) <= 1e-10
+    assert abs(raw.sigma2_hat - agg.sigma2_hat) <= 1e-10
+    assert np.max(np.abs(raw.level_stderr() - agg.level_stderr())) <= 1e-10
+    assert np.max(np.abs(raw.trend_stderr() - agg.trend_stderr())) <= 1e-10
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 5), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_aggregate_invariant_to_row_order(i_span, j_span, rnd):
+    frame = frame_of(i_span, j_span)
+    layout = ParameterLayout.from_frame(frame)
+    plan = full_coverage_plan(frame, (0.1, 0.45, 0.8), per_fraction=3)
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 2.0)
+    measurements = generate(model, plan, seed=rnd.randrange(2**32))
+    base = aggregate(measurements, frame)
+    rnd.shuffle(measurements)
+    cells = aggregate(measurements, frame)
+    assert [(c.cell, c.n) for c in cells] == [(c.cell, c.n) for c in base]
+    # Only the order of numpy's pairwise sums moves: a few ulps per value.
+    scale = max(abs(m.x) for m in measurements)
+    for got, want in zip(cells, base):
+        assert abs(got.x_bar - want.x_bar) <= 1e-13 * scale
+        assert abs(got.y_bar - want.y_bar) <= 1e-13 * want.y_bar
+        assert abs(got.css - want.css) <= 1e-12 * got.n * scale**2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ctrend import tuner
 from ctrend.design import build_system_aggregated, build_system_raw
 from ctrend.errors import IndexOutOfRange, TargetUnreachable
 from ctrend.grid import Frame, ParameterLayout
@@ -225,3 +226,35 @@ class TestWarmStartedSearch:
         assert report.converged
         assert report.iterations <= 12
         assert joint_log_error(report, targets) <= 0.05
+
+
+class TestProbeCost:
+    def test_selected_point_probes_skip_the_band(self, small_noisefree_system, band_calls):
+        _, report = tune(small_noisefree_system, SmoothnessTargets(f_smv=0.5, f_smu=0.5))
+        assert report.converged and report.iterations > 1
+        assert band_calls == []
+
+    def test_whole_field_statistics_read_the_band(self, small_noisefree_system, band_calls):
+        targets = SmoothnessTargets(f_smv=0.5, f_smu=0.5, fstat_kind="mean")
+        _, report = tune(small_noisefree_system, targets)
+        assert report.converged
+        assert 1 <= len(band_calls) <= report.iterations
+
+    # small layout: level age pairs form a 6 x 7 grid, trend age pairs 5 x 6
+    @pytest.mark.parametrize(
+        "points",
+        [
+            {"selected_point_v": (6, 0)},
+            {"selected_point_v": (0, 7)},
+            {"selected_point_v": (-1, 0)},
+            {"selected_point_u": (5, 0)},
+            {"selected_point_u": (0, 6)},
+            {"selected_point_u": (0, -1)},
+        ],
+    )
+    def test_bad_point_raises_before_any_solve(self, small_noisefree_system, monkeypatch, points):
+        solves = []
+        monkeypatch.setattr(tuner, "solve", lambda *args: solves.append(args))
+        with pytest.raises(IndexOutOfRange, match="outside age-block grid"):
+            tune(small_noisefree_system, SmoothnessTargets(**points))
+        assert solves == []
