@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .design import (
     LinearSystem,
     SparseRow,
-    build_b0_aggregated,
-    build_b0_raw,
     build_penalty_u,
     build_penalty_v,
     build_system_aggregated,
@@ -21,10 +19,9 @@ from .design import (
     build_u2uc,
     build_z2u,
     build_z2v,
-    observation_row,
 )
 from .errors import CtrendError
-from .grid import CellIndex, Frame, ParameterLayout, cohort_path, flatten_surface
+from .grid import CellIndex, Frame, ParameterLayout, flatten_surface
 from .inference import ClusterGrid, ComparisonResult, cluster_means, compare_adjacent, f_cdf
 from .ingest import (
     AggregatedCell,
@@ -66,8 +63,6 @@ __all__ = [
     "TrueModel",
     "ValidationReport",
     "aggregate",
-    "build_b0_aggregated",
-    "build_b0_raw",
     "build_penalty_u",
     "build_penalty_v",
     "build_system_aggregated",
@@ -77,7 +72,6 @@ __all__ = [
     "build_z2v",
     "check_uniqueness",
     "cluster_means",
-    "cohort_path",
     "compare_adjacent",
     "derive_age_year",
     "derive_bmi",
@@ -87,7 +81,6 @@ __all__ = [
     "full_coverage_plan",
     "generate",
     "load_measurements",
-    "observation_row",
     "smoothness_field",
     "smoothness_vector",
     "solve",

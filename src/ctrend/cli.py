@@ -35,7 +35,7 @@ from .ingest import SCHEMAS, aggregate, load_measurements
 from .inference import cluster_means, compare_adjacent
 from .solver import solve
 from .synth import SamplingPlan, TrueModel, full_coverage_plan, generate, survey_plan
-from .tuner import SmoothnessReport, SmoothnessTargets, tune
+from .tuner import FSTAT_KINDS, SmoothnessReport, SmoothnessTargets, tune
 
 MODES = ("raw", "aggregated")
 
@@ -87,8 +87,8 @@ class RunConfig:
             raise ConfigError("lambda1 and lambda2 must be overridden together")
         for name in ("lambda1", "lambda2"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ConfigError(f"{name} must be >= 0, got {v}")
+            if v is not None and not 0 <= v < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
         if self.cluster_age < 1 or self.cluster_year < 1:
             raise ConfigError("cluster sizes must be positive integers")
         if self.min_cell_count is not None and self.min_cell_count < 0:
@@ -97,8 +97,6 @@ class RunConfig:
     def frame(self) -> Frame:
         try:
             return Frame.from_bounds(self.y_min, self.y_max, self.a_min, self.a_max)
-        except CtrendError:
-            raise
         except TypeError as exc:
             raise ConfigError(f"frame bounds missing or invalid: {exc}") from exc
 
@@ -438,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--f-smv", dest="f_smv", type=float)
     analyze.add_argument("--f-smu", dest="f_smu", type=float)
     analyze.add_argument("--delta", dest="delta", type=float)
-    analyze.add_argument("--fstat", dest="fstat",
-                         choices=("selected-point", "mean", "median", "min"))
+    analyze.add_argument("--fstat", dest="fstat", choices=FSTAT_KINDS)
     analyze.add_argument("--point-v", dest="point_v", help="0-based 'i,j' probe for levels")
     analyze.add_argument("--point-u", dest="point_u", help="0-based 'i,j' probe for trends")
     analyze.add_argument("--cluster-age", dest="cluster_age", type=int)

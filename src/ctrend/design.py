@@ -12,9 +12,11 @@ every lambda probe, which sums the three terms' Grams, built once (`lower_band`)
 
 The parameter vector z of `ParameterLayout` (boundary levels plus the trend
 field) is a linear bijection of v: `build_z2v` maps z to v, `build_v2z`
-maps back.  The z-coordinate builders (`observation_row`, `build_b0_*`,
-`build_penalty_*`, `build_z2v`, `build_z2u`, `rows_to_matrix`) are kept as
-reference code that the tests hold the level-surface system against.
+maps back.  The fit never works in z.  What stays here in z is what the
+acceptance criteria read: `FitResult.z_hat` for criteria 1 and 2, and for
+criterion 8 the penalty rows `build_penalty_*` with `build_z2u` and
+`rows_to_matrix`.  The z observation rows of the dense test oracle live in
+`tests/zref.py`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InvalidClusterSize, OutOfFrame
-from .grid import CellIndex, Frame, ParameterLayout, cohort_path
+from .grid import Frame, ParameterLayout
 from .ingest import AggregatedCell, Measurement, MeasurementColumns, as_columns
 
 
@@ -47,89 +49,6 @@ class SparseRow:
 
     def as_dict(self) -> dict[int, float]:
         return dict(zip(self.indices, self.values))
-
-    def dot(self, z: np.ndarray) -> float:
-        return float(np.dot(np.asarray(self.values), z[list(self.indices)]))
-
-
-def _row_from_coeffs(coeffs: dict[int, float], rhs: float = 0.0) -> SparseRow:
-    items = sorted((k, v) for k, v in coeffs.items() if v != 0.0)
-    return SparseRow(
-        indices=tuple(k for k, _ in items),
-        values=tuple(v for _, v in items),
-        rhs=rhs,
-    )
-
-
-def _level_coeffs(layout: ParameterLayout, i: int, j: int) -> dict[int, float]:
-    """Parameter coefficients of the level at lattice point (i, j).
-
-    Valid on the whole level domain: the boundary entry point contributes 1,
-    each trailing cohort cell contributes 1 on its trend parameter.
-    """
-    boundary, interior = cohort_path(CellIndex(i, j))
-    coeffs = {layout.boundary_index(*boundary): 1.0}
-    for cell in interior:
-        coeffs[layout.trend_index(*cell)] = coeffs.get(layout.trend_index(*cell), 0.0) + 1.0
-    return coeffs
-
-
-def cell_observation_coeffs(
-    layout: ParameterLayout, cell: CellIndex, t: float
-) -> dict[int, float]:
-    """Observation functional for a point in `cell` at year fraction `t`."""
-    coeffs = _level_coeffs(layout, cell.i, cell.j)
-    if t != 0.0:
-        k = layout.trend_index(cell.i, cell.j)
-        # Cohort-path cells (i-m, j-m) with m >= 1 never include the current
-        # cell, so the year-fraction coefficient lands on a fresh index.
-        assert k not in coeffs, "year-fraction coefficient collided with path"
-        coeffs[k] = t
-    return coeffs
-
-
-def observation_row(layout: ParameterLayout, frame: Frame, y: float, a: float) -> SparseRow:
-    """Design row for a measurement at (y, a); the right-hand side stays 0."""
-    cell = frame.locate(y, a)
-    t = frame.year_fraction(y)
-    return _row_from_coeffs(cell_observation_coeffs(layout, cell, t))
-
-
-def build_b0_raw(
-    layout: ParameterLayout, frame: Frame, measurements: list[Measurement]
-) -> list[SparseRow]:
-    """One data row per measurement, right-hand side the observed value."""
-    rows = []
-    for m in measurements:
-        cell = frame.locate(m.y, m.a)
-        t = frame.year_fraction(m.y)
-        rows.append(_row_from_coeffs(cell_observation_coeffs(layout, cell, t), rhs=m.x))
-    return rows
-
-
-def build_b0_aggregated(
-    layout: ParameterLayout, frame: Frame, cells: list[AggregatedCell]
-) -> tuple[list[SparseRow], np.ndarray, float]:
-    """Cell-level data rows, their count weights, and the pooled within-cell
-    corrected sum of squares.
-
-    Each row is built at the cell's mean year, so aggregated and raw modes
-    coincide exactly whenever all member years within a cell are equal.
-    """
-    rows = []
-    weights = np.empty(len(cells), dtype=float)
-    css_total = 0.0
-    for pos, c in enumerate(cells):
-        i_abs = c.cell.i + frame.i_min
-        if not (i_abs <= c.y_bar < i_abs + 1):
-            raise OutOfFrame(
-                f"cell {c.cell} mean year {c.y_bar} outside its year interval"
-            )
-        t = c.y_bar - i_abs
-        rows.append(_row_from_coeffs(cell_observation_coeffs(layout, c.cell, t), rhs=c.x_bar))
-        weights[pos] = float(c.n)
-        css_total += c.css
-    return rows, weights, css_total
 
 
 def second_differences(nrows: int, ncols: int) -> sparse.csr_matrix:
@@ -178,14 +97,20 @@ def build_penalty_u(layout: ParameterLayout) -> list[SparseRow]:
 
 
 def build_z2v(layout: ParameterLayout) -> np.ndarray:
-    """Map from parameters to the flattened level surface (row-major)."""
+    """Map from parameters to the flattened level surface (row-major).
+
+    Boundary levels are parameters; every other level follows the dynamic
+    model, row (i+1, j+1) = row (i, j) + the unit row of trend (i, j).
+    """
     nrows, ncols = layout.level_shape
-    a = np.zeros((nrows * ncols, layout.dim))
-    for i in range(nrows):
-        for j in range(ncols):
-            for k, v in _level_coeffs(layout, i, j).items():
-                a[i * ncols + j, k] = v
-    return a
+    a = np.zeros((nrows, ncols, layout.dim))
+    bi, bj = np.array(layout.boundary_points()).T
+    a[bi, bj, np.arange(layout.n_boundary)] = 1.0
+    trend = np.arange(layout.n_boundary, layout.dim).reshape(layout.trend_shape)
+    for i in range(nrows - 1):
+        a[i + 1, 1:] = a[i, :-1]
+        a[i + 1, np.arange(1, ncols), trend[i]] += 1.0
+    return a.reshape(nrows * ncols, layout.dim)
 
 
 def build_z2u(layout: ParameterLayout) -> np.ndarray:

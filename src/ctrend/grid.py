@@ -64,7 +64,7 @@ class Frame:
 
     @classmethod
     def from_bounds(cls, y_min: float, y_max: float, a_min: float, a_max: float) -> Frame:
-        if not (y_min < y_max and a_min < a_max):
+        if not (-math.inf < y_min < y_max < math.inf and -math.inf < a_min < a_max < math.inf):
             raise FrameTooSmall(
                 f"degenerate bounds: years [{y_min}, {y_max}], ages [{a_min}, {a_max}]"
             )
@@ -139,24 +139,6 @@ class Frame:
             k = int(np.argmin(inside))
             self.locate(float(y[k]), float(a[k]))
         return i, j
-
-    def year_fraction(self, y: float) -> float:
-        """Within-cell year fraction, measured from the absolute cell floor."""
-        return y - math.floor(y)
-
-
-def cohort_path(cell: CellIndex) -> tuple[tuple[int, int], list[CellIndex]]:
-    """Boundary point and trailing cells of the cohort passing through `cell`.
-
-    With d = min(i, j) the cohort entered the lattice at boundary point
-    (i-d, j-d); its trend contributions accumulate over cells (i-m, j-m)
-    for m = 1..d (the boundary cell included, the current cell excluded).
-    """
-    i, j = cell
-    d = min(i, j)
-    boundary = (i - d, j - d)
-    interior = [CellIndex(i - m, j - m) for m in range(1, d + 1)]
-    return boundary, interior
 
 
 @dataclass(frozen=True)

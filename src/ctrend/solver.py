@@ -43,7 +43,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg, sparse, special
 
 from .design import LinearSystem, band_order, build_v2u, build_v2z, diagonal_pairs
-from .design import bandwidth  # noqa: F401  (re-exported)
 from .errors import SingularSystem
 from .grid import ParameterLayout, _absolute_cell
 
@@ -196,16 +195,16 @@ class FitResult:
     surface (covariance per unit error variance) inside its band, and
     `unit_cov_u_band` its image on the trend surface; the standard errors,
     `edf` and the tuner's whole-field statistics read only these.
-    `gram_data` is the system's data Gram band.  `unit_cov_v`, `unit_cov_u` and
-    `unit_cov_z` are the dense matrices on the level surface, the trend
-    surface and the parameter vector, computed on first access.  The
+    `gram_data` is the system's data Gram band.  `z_hat` is the estimate in
+    parameter coordinates, and `unit_cov_v`, `unit_cov_u` and `unit_cov_z` are
+    the dense matrices on the level surface, the trend surface and the
+    parameter vector; all four are computed on first access.  The
     `cov_*` properties are their sigma2 multiples and are None when the
     degrees of freedom are not positive.
     """
 
     lambda1: float
     lambda2: float
-    z_hat: np.ndarray
     sigma2_hat: float | None
     dof: int
     n_obs: int
@@ -246,6 +245,10 @@ class FitResult:
     @cached_property
     def unit_cov_u(self) -> np.ndarray:
         return self.trend_unit_cov(np.eye(self.layout.n_trend))
+
+    @cached_property
+    def z_hat(self) -> np.ndarray:
+        return build_v2z(self.layout) @ self.v_hat.ravel()
 
     @cached_property
     def unit_cov_z(self) -> np.ndarray:
@@ -327,8 +330,8 @@ def _equilibrated(band: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, floa
 
 def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
     """Fit the penalized system at fixed regularization weights."""
-    if lambda1 < 0 or lambda2 < 0:
-        raise ValueError("regularization weights must be non-negative")
+    if not (0 <= lambda1 < np.inf and 0 <= lambda2 < np.inf):
+        raise ValueError("regularization weights must be finite and non-negative")
     if system.data.shape[0] == 0:
         raise SingularSystem("no data rows")
 
@@ -385,7 +388,6 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
     return FitResult(
         lambda1=lambda1,
         lambda2=lambda2,
-        z_hat=build_v2z(layout) @ v,
         sigma2_hat=sigma2,
         dof=dof,
         n_obs=n_obs,

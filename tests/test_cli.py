@@ -155,6 +155,19 @@ class TestAnalyze:
         assert len(band_calls) == 1
         assert 0.0 < run["edf"] < layout.dim
 
+    def test_tuned_run_never_forms_parameters(self, dataset, tmp_path, v2z_calls):
+        from ctrend import cli
+
+        base, _ = dataset
+        code = cli.main([
+            "analyze", *FRAME_FLAGS,
+            "--input", str(base / "dataset.csv"),
+            "--f-smv", "0.5", "--f-smu", "0.5", "--delta", "0.1",
+            "--out", str(tmp_path / "tuned"),
+        ])
+        assert code == 0
+        assert v2z_calls == []
+
     def test_tuned_run_records_convergence(self, dataset, tmp_path):
         base, _ = dataset
         out = tmp_path / "tuned"
@@ -189,6 +202,40 @@ class TestAnalyze:
         cfg.write_text("bogus_key = 1\n", encoding="utf-8")
         proc = run_cli("analyze", "--config", str(cfg), expect=2)
         assert json.loads(proc.stderr)["error"] == "config"
+
+    @pytest.mark.parametrize(
+        "flags,error",
+        [
+            (["--lambda1", "nan", "--lambda2", "1"], "config"),
+            (["--lambda1", "inf", "--lambda2", "1"], "config"),
+            (["--lambda1", "1", "--lambda2", "inf"], "config"),
+            (["--y-max", "inf", "--lambda1", "1", "--lambda2", "1"], "frame-too-small"),
+        ],
+    )
+    def test_non_finite_flag_exit_2(self, dataset, tmp_path, flags, error):
+        base, _ = dataset
+        proc = run_cli(
+            "analyze", *FRAME_FLAGS, *flags, "--input", str(base / "dataset.csv"),
+            "--out", str(tmp_path / "out"),
+            expect=2,
+        )
+        assert json.loads(proc.stderr)["error"] == error
+        assert not (tmp_path / "out" / "run.json").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,error", [("lambda2", "nan", "config"), ("y_min", "-inf", "frame-too-small")]
+    )
+    def test_non_finite_config_value_exit_2(self, dataset, tmp_path, key, value, error):
+        base, _ = dataset
+        values = {
+            "y_min": "2000.0", "y_max": "2004.9", "a_min": "10.0", "a_max": "16.0",
+            "lambda1": "1.0", "lambda2": "1.0", "input": str(base / "dataset.csv"),
+        }
+        values[key] = value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+        proc = run_cli("analyze", "--config", str(cfg), "--out", str(tmp_path / "out"), expect=2)
+        assert json.loads(proc.stderr)["error"] == error
 
     def test_empty_input_exit_3(self, tmp_path):
         data = tmp_path / "empty.csv"

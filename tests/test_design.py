@@ -4,8 +4,6 @@ import pytest
 from ctrend.design import (
     LinearSystem,
     SparseRow,
-    build_b0_aggregated,
-    build_b0_raw,
     build_penalty_u,
     build_penalty_v,
     build_system_aggregated,
@@ -13,13 +11,13 @@ from ctrend.design import (
     build_u2uc,
     build_z2u,
     build_z2v,
-    observation_row,
     rows_to_matrix,
 )
 from ctrend.errors import InvalidClusterSize, OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
 from ctrend.ingest import AggregatedCell, Measurement, aggregate
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
+from zref import build_b0_aggregated, build_b0_raw, observation_row, year_fraction
 
 
 def level_surface_by_recurrence(layout, z):
@@ -81,7 +79,7 @@ class TestObservationRow:
             layout.boundary_index(0, 3): 1.0,
             layout.trend_index(1, 4): 1.0,
             layout.trend_index(0, 3): 1.0,
-            layout.trend_index(2, 5): frame.year_fraction(1984.3),
+            layout.trend_index(2, 5): year_fraction(1984.3),
         }
         assert row.as_dict() == expected
         assert row.as_dict()[layout.trend_index(2, 5)] == pytest.approx(0.3, rel=1e-12)
@@ -106,7 +104,7 @@ class TestObservationRow:
             y = rng.uniform(frame.y_min, frame.y_max)
             a = rng.uniform(frame.a_min, frame.a_max)
             cell = frame.locate(y, a)
-            t = frame.year_fraction(y)
+            t = year_fraction(y)
             row = observation_row(layout, frame, y, a)
             d = dict(zip(row.indices, row.values))
             u_sum = sum(v for k, v in d.items() if k >= layout.n_boundary)

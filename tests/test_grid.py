@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ctrend.errors import FrameTooSmall, NotOnBoundary, OutOfFrame
-from ctrend.grid import CellIndex, Frame, ParameterLayout, cohort_path, flatten_surface
+from ctrend.grid import CellIndex, Frame, ParameterLayout, flatten_surface
+from zref import cohort_path
 
 
 def cell_contains(i_abs, j_abs, y, a):
@@ -31,6 +32,14 @@ class TestFrame:
             Frame.from_bounds(1982.0, 1982.0, 25.0, 64.0)
         with pytest.raises(FrameTooSmall):
             Frame.from_bounds(1982.0, 1982.5, 25.0, 64.0)
+
+    @pytest.mark.parametrize("bound", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bounds_rejected(self, bound, value):
+        bounds = [1982.0, 1992.0, 25.0, 64.0]
+        bounds[bound] = value
+        with pytest.raises(FrameTooSmall, match="degenerate bounds"):
+            Frame.from_bounds(*bounds)
 
 
 @pytest.fixture(scope="module")

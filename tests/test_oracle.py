@@ -11,8 +11,6 @@ import pytest
 from scipy import linalg
 
 from ctrend.design import (
-    build_b0_aggregated,
-    build_b0_raw,
     build_penalty_u,
     build_penalty_v,
     build_system_aggregated,
@@ -25,6 +23,7 @@ from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
+from zref import build_b0_aggregated, build_b0_raw
 
 RTOL = 1e-9
 

@@ -7,6 +7,8 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpocon
 
 from ctrend.design import (
+    band_order,
+    bandwidth,
     build_system_aggregated,
     build_system_raw,
     build_v2u,
@@ -15,8 +17,8 @@ from ctrend.design import (
     second_differences,
 )
 from ctrend.grid import Frame, ParameterLayout
-from ctrend.ingest import aggregate
-from ctrend.solver import band_order, bandwidth, normal_equations, solve
+from ctrend.ingest import Measurement, aggregate
+from ctrend.solver import normal_equations, solve
 from ctrend.tuner import SmoothnessTargets, _Evaluator, fstat, smoothness_field, tune
 from ctrend.synth import (
     SamplingPlan,
@@ -203,6 +205,40 @@ def test_gram_band_sum_matches_normal_matrix(i_span, j_span, lambda1, lambda2, s
         assert np.max(np.abs(got[d, : n - d] - np.diag(m, -d))) <= tol, d
         assert not np.any(got[d, n - d:])
     assert np.array_equal(system.normal_rhs, rhs)
+
+
+@settings(max_examples=30)
+@given(lattice_spans, lattice_spans, st.integers(0, 2**32 - 1))
+@example(1, 1, 0)
+@example(1, 6, 1)
+@example(6, 1, 2)
+def test_system_operators_match_level_surface_formulas(i_span, j_span, seed):
+    # The operators `solve` factors, applied to a random level surface v.
+    frame = frame_of(i_span, j_span)
+    layout = ParameterLayout.from_frame(frame)
+    rng = np.random.default_rng(seed)
+    n = 2 * layout.n_trend
+    i, j = rng.integers(i_span + 1, size=n), rng.integers(j_span + 1, size=n)
+    t = np.where(rng.random(n) < 0.2, 0.0, 0.9 * rng.random(n))
+    measurements = [
+        Measurement(0.0, float(frame.i_min + ik + tk), float(frame.j_min + jk))
+        for ik, jk, tk in zip(i, j, t)
+    ]
+    system = build_system_raw(frame, measurements)
+    v = rng.normal(size=layout.level_shape)
+
+    cells = [frame.locate(m.y, m.a) for m in measurements]
+    fraction = np.array([m.y - np.floor(m.y) for m in measurements])
+    lo = np.array([v[c.i, c.j] for c in cells])
+    hi = np.array([v[c.i + 1, c.j + 1] for c in cells])
+    np.testing.assert_allclose(system.data @ v.ravel(), (1.0 - fraction) * lo + fraction * hi,
+                               rtol=0, atol=1e-12)
+
+    for surface, operator in ((v, system.penalty_v), (v[1:, 1:] - v[:-1, :-1], system.penalty_u)):
+        age = surface[:, :-2] - 2.0 * surface[:, 1:-1] + surface[:, 2:]
+        year = surface[:-2, :] - 2.0 * surface[1:-1, :] + surface[2:, :]
+        want = np.concatenate([age.ravel(), year.T.ravel()])
+        np.testing.assert_allclose(operator @ v.ravel(), want, rtol=0, atol=1e-12)
 
 
 fractions = st.floats(min_value=0.0, max_value=1.0)

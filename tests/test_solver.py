@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ctrend.design import LinearSystem, build_system_raw, rows_to_matrix
+from ctrend.design import LinearSystem, build_system_raw, build_v2z, rows_to_matrix
 from ctrend.errors import SingularSystem
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import Measurement, aggregate
@@ -74,6 +74,22 @@ class TestSolve:
                 solve(system, 0.0, 0.0)
         else:
             assert solve(system, 0.0, 0.0).n_silent == n_silent
+
+    @pytest.mark.parametrize(
+        "lambdas",
+        [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, -np.inf)],
+    )
+    def test_non_finite_weights_rejected(self, small_noisefree_system, lambdas):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            solve(small_noisefree_system, *lambdas)
+
+    def test_parameters_formed_once_on_first_read(self, small_noisefree_system, v2z_calls):
+        fit = solve(small_noisefree_system, 2.0, 3.0)
+        assert v2z_calls == []
+        first, second = fit.z_hat, fit.z_hat
+        assert len(v2z_calls) == 1 and second is first
+        want = build_v2z(fit.layout) @ fit.v_hat.ravel()
+        assert np.array_equal(first, want)
 
     def test_objective_identity(self, small_noisy_fit):
         fit = small_noisy_fit

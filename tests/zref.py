@@ -1,0 +1,119 @@
+"""Observation rows in parameter coordinates, for the dense z oracle of the
+tests to hold the level-surface system of `ctrend.design` against.
+
+The parameter vector z of `ParameterLayout` stacks the boundary levels and
+the trend field.  A level v(i, j) is its cohort's boundary entry plus the
+trends of the cells the cohort has passed through (`cohort_path`), so a
+measurement at year fraction t in cell (i, j) reads that sum plus
+t * u(i, j).  `build_b0_raw` and `build_b0_aggregated` give one such
+`SparseRow` per measurement or per cell.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ctrend.design import SparseRow
+from ctrend.errors import OutOfFrame
+from ctrend.grid import CellIndex, Frame, ParameterLayout
+from ctrend.ingest import AggregatedCell, Measurement
+
+
+def year_fraction(y: float) -> float:
+    """Within-cell year fraction, measured from the absolute cell floor."""
+    return y - math.floor(y)
+
+
+def cohort_path(cell: CellIndex) -> tuple[tuple[int, int], list[CellIndex]]:
+    """Boundary point and trailing cells of the cohort passing through `cell`.
+
+    With d = min(i, j) the cohort entered the lattice at boundary point
+    (i-d, j-d); its trend contributions accumulate over cells (i-m, j-m)
+    for m = 1..d (the boundary cell included, the current cell excluded).
+    """
+    i, j = cell
+    d = min(i, j)
+    boundary = (i - d, j - d)
+    interior = [CellIndex(i - m, j - m) for m in range(1, d + 1)]
+    return boundary, interior
+
+
+def _row_from_coeffs(coeffs: dict[int, float], rhs: float = 0.0) -> SparseRow:
+    items = sorted((k, v) for k, v in coeffs.items() if v != 0.0)
+    return SparseRow(
+        indices=tuple(k for k, _ in items),
+        values=tuple(v for _, v in items),
+        rhs=rhs,
+    )
+
+
+def _level_coeffs(layout: ParameterLayout, i: int, j: int) -> dict[int, float]:
+    """Parameter coefficients of the level at lattice point (i, j).
+
+    Valid on the whole level domain: the boundary entry point contributes 1,
+    each trailing cohort cell contributes 1 on its trend parameter.
+    """
+    boundary, interior = cohort_path(CellIndex(i, j))
+    coeffs = {layout.boundary_index(*boundary): 1.0}
+    for cell in interior:
+        coeffs[layout.trend_index(*cell)] = coeffs.get(layout.trend_index(*cell), 0.0) + 1.0
+    return coeffs
+
+
+def cell_observation_coeffs(
+    layout: ParameterLayout, cell: CellIndex, t: float
+) -> dict[int, float]:
+    """Observation functional for a point in `cell` at year fraction `t`."""
+    coeffs = _level_coeffs(layout, cell.i, cell.j)
+    if t != 0.0:
+        k = layout.trend_index(cell.i, cell.j)
+        # Cohort-path cells (i-m, j-m) with m >= 1 never include the current
+        # cell, so the year-fraction coefficient lands on a fresh index.
+        assert k not in coeffs, "year-fraction coefficient collided with path"
+        coeffs[k] = t
+    return coeffs
+
+
+def observation_row(layout: ParameterLayout, frame: Frame, y: float, a: float) -> SparseRow:
+    """Design row for a measurement at (y, a); the right-hand side stays 0."""
+    cell = frame.locate(y, a)
+    return _row_from_coeffs(cell_observation_coeffs(layout, cell, year_fraction(y)))
+
+
+def build_b0_raw(
+    layout: ParameterLayout, frame: Frame, measurements: list[Measurement]
+) -> list[SparseRow]:
+    """One data row per measurement, right-hand side the observed value."""
+    rows = []
+    for m in measurements:
+        cell = frame.locate(m.y, m.a)
+        t = year_fraction(m.y)
+        rows.append(_row_from_coeffs(cell_observation_coeffs(layout, cell, t), rhs=m.x))
+    return rows
+
+
+def build_b0_aggregated(
+    layout: ParameterLayout, frame: Frame, cells: list[AggregatedCell]
+) -> tuple[list[SparseRow], np.ndarray, float]:
+    """Cell-level data rows, their count weights, and the pooled within-cell
+    corrected sum of squares.
+
+    Each row is built at the cell's mean year, so aggregated and raw modes
+    coincide exactly whenever all member years within a cell are equal.
+    """
+    rows = []
+    weights = np.empty(len(cells), dtype=float)
+    css_total = 0.0
+    for pos, c in enumerate(cells):
+        i_abs = c.cell.i + frame.i_min
+        if not (i_abs <= c.y_bar < i_abs + 1):
+            raise OutOfFrame(
+                f"cell {c.cell} mean year {c.y_bar} outside its year interval"
+            )
+        t = c.y_bar - i_abs
+        rows.append(_row_from_coeffs(cell_observation_coeffs(layout, c.cell, t), rhs=c.x_bar))
+        weights[pos] = float(c.n)
+        css_total += c.css
+    return rows, weights, css_total
