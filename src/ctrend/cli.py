@@ -9,9 +9,10 @@ written with 12 significant digits, JSON keys are sorted, and nothing
 time- or environment-dependent is recorded.
 
 Configuration comes from an INI-style flat key=value file (section header
-optional) with every key overridable by a command-line flag.  Exit codes:
-0 success, 2 config error, 3 data error, 4 numerical error; failures print
-a single JSON object with the error category to stderr.
+optional) whose keys are the flag names with `-` turned into `_`; a flag
+overrides the file.  Exit codes: 0 success, 2 config or usage error, 3 data
+error, 4 numerical error; every failure, usage errors included, prints a
+single JSON object with the error category to stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,35 +55,56 @@ def _fmt(value) -> str:
     return format(v, ".12g")
 
 
+def _parse_point(text: str) -> tuple[int, int]:
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 2:
+        raise ConfigError(f"grid point must be 'i,j', got {text!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ConfigError(f"grid point must be two integers, got {text!r}") from exc
+
+
+def _setting(read, help: str, default=MISSING):
+    """A `RunConfig` field with the reader and help of its flag and config key."""
+    return field(default=default, metadata={"read": read, "help": help})
+
+
 @dataclass
 class RunConfig:
-    y_min: float
-    y_max: float
-    a_min: float
-    a_max: float
-    input: str | None = None
-    mode: str = "aggregated"
-    schema: str = "xya"
-    f_smv: float = 0.2
-    f_smu: float = 0.2
-    delta: float = 0.05
-    fstat: str = "selected-point"
-    point_v: tuple[int, int] | None = None
-    point_u: tuple[int, int] | None = None
-    cluster_age: int = 5
-    cluster_year: int = 5
-    lambda1: float | None = None
-    lambda2: float | None = None
-    min_cell_count: int | None = None
-    out: str = "."
-    seed: int = 0
-    model: str | None = None
+    """Every setting; the flag is `--name-with-dashes`, the config key `name`."""
+
+    y_min: float = _setting(float, "first year of the frame")
+    y_max: float = _setting(float, "last year of the frame")
+    a_min: float = _setting(float, "lowest age of the frame")
+    a_max: float = _setting(float, "highest age of the frame")
+    input: str | None = _setting(str, "measurement CSV", None)
+    mode: str = _setting(str, f"one of {', '.join(MODES)}", "aggregated")
+    schema: str = _setting(str, f"one of {', '.join(SCHEMAS)}", "xya")
+    f_smv: float = _setting(float, "smoothness target of the levels", 0.2)
+    f_smu: float = _setting(float, "smoothness target of the trends", 0.2)
+    delta: float = _setting(float, "tolerance on the smoothness targets", 0.05)
+    fstat: str = _setting(str, f"one of {', '.join(FSTAT_KINDS)}", "selected-point")
+    point_v: tuple[int, int] | None = _setting(_parse_point, "0-based 'i,j' probe for levels", None)
+    point_u: tuple[int, int] | None = _setting(_parse_point, "0-based 'i,j' probe for trends", None)
+    cluster_age: int = _setting(int, "ages per cluster", 5)
+    cluster_year: int = _setting(int, "years per cluster", 5)
+    lambda1: float | None = _setting(float, "fixed level weight (skips tuning)", None)
+    lambda2: float | None = _setting(float, "fixed trend weight (skips tuning)", None)
+    min_cell_count: int | None = _setting(
+        int, "also write observed_means.csv for cells above this count", None
+    )
+    out: str = _setting(str, "output directory", ".")
+    seed: int = _setting(int, "random seed of simulate", 0)
+    model: str | None = _setting(str, "ground-truth model JSON", None)
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.schema not in SCHEMAS:
             raise ConfigError(f"schema must be one of {SCHEMAS}, got {self.schema!r}")
+        if self.fstat not in FSTAT_KINDS:
+            raise ConfigError(f"fstat must be one of {FSTAT_KINDS}, got {self.fstat!r}")
         if (self.lambda1 is None) != (self.lambda2 is None):
             raise ConfigError("lambda1 and lambda2 must be overridden together")
         for name in ("lambda1", "lambda2"):
@@ -93,12 +115,11 @@ class RunConfig:
             raise ConfigError("cluster sizes must be positive integers")
         if self.min_cell_count is not None and self.min_cell_count < 0:
             raise ConfigError("min_cell_count must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def frame(self) -> Frame:
-        try:
-            return Frame.from_bounds(self.y_min, self.y_max, self.a_min, self.a_max)
-        except TypeError as exc:
-            raise ConfigError(f"frame bounds missing or invalid: {exc}") from exc
+        return Frame.from_bounds(self.y_min, self.y_max, self.a_min, self.a_max)
 
     def targets(self) -> SmoothnessTargets:
         return SmoothnessTargets(
@@ -111,21 +132,7 @@ class RunConfig:
         )
 
 
-_FLOAT_KEYS = ("y_min", "y_max", "a_min", "a_max", "f_smv", "f_smu", "delta",
-               "lambda1", "lambda2")
-_INT_KEYS = ("cluster_age", "cluster_year", "min_cell_count", "seed")
-_STR_KEYS = ("input", "mode", "schema", "fstat", "out", "model")
-_POINT_KEYS = ("point_v", "point_u")
-
-
-def _parse_point(text: str) -> tuple[int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"grid point must be 'i,j', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"grid point must be two integers, got {text!r}") from exc
+_SETTINGS = {f.name: f for f in fields(RunConfig)}
 
 
 def _read_config_file(path: str) -> dict:
@@ -144,41 +151,22 @@ def _read_config_file(path: str) -> dict:
     for section in parser.sections():
         for key, raw in parser.items(section):
             key = key.strip().lower()
+            if key not in _SETTINGS:
+                raise ConfigError(f"unknown config key {key!r}")
             try:
-                if key in _FLOAT_KEYS:
-                    values[key] = float(raw)
-                elif key in _INT_KEYS:
-                    values[key] = int(raw)
-                elif key in _STR_KEYS:
-                    values[key] = raw.strip()
-                elif key in _POINT_KEYS:
-                    values[key] = _parse_point(raw)
-                else:
-                    raise ConfigError(f"unknown config key {key!r}")
+                values[key] = _SETTINGS[key].metadata["read"](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
     return values
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_read_config_file(args.config))
-    for key in _FLOAT_KEYS + _INT_KEYS + _STR_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    for key in _POINT_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = _parse_point(flag)
-    for bound in ("y_min", "y_max", "a_min", "a_max"):
-        if bound not in values:
-            raise ConfigError(f"frame bound {bound} not set (flag or config file)")
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((name, getattr(args, name)) for name in _SETTINGS if hasattr(args, name))
+    for name, setting in _SETTINGS.items():
+        if setting.default is MISSING and name not in values:
+            raise ConfigError(f"{name} not set (flag or config file)")
+    config = RunConfig(**values)
     config.validate()
     return config
 
@@ -206,19 +194,22 @@ def _write_surface_csv(path: Path, frame: Frame, estimate, stderr, ci_half) -> N
     _write_csv(path, header, rows)
 
 
-def _run_analyze(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    frame = config.frame()
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if not config.input:
-        raise ConfigError("analyze needs an input file")
+def _write_json(path: Path, value) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(value, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
+
+def _load(config: RunConfig, frame: Frame):
+    """Accepted measurements, their validation report, and their cells."""
     measurements, report = load_measurements(config.input, config.schema, frame)
     if not measurements:
         raise NoObservations(f"no usable observations in {config.input}")
+    return measurements, report, aggregate(measurements, frame)
 
-    cells = aggregate(measurements, frame)
+
+def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
+    measurements, report, cells = _load(config, frame)
     if config.mode == "raw":
         system = build_system_raw(frame, measurements)
     else:
@@ -317,9 +308,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         },
         "validation": report.as_dict(),
     }
-    with open(out_dir / "run.json", "w", encoding="utf-8") as handle:
-        json.dump(run_info, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    _write_json(out_dir / "run.json", run_info)
     return 0
 
 
@@ -338,31 +327,27 @@ def _load_model(path: str, frame: Frame) -> tuple[TrueModel, SamplingPlan]:
             u_true=np.asarray(raw["u"], dtype=float),
             noise_sd=float(raw.get("noise_sd", 0.0)),
         )
+        plan_spec = raw.get("plan", {"kind": "full"})
+        kind = plan_spec.get("kind", "full")
+        fractions = tuple(float(t) for t in plan_spec.get("fractions", (0.25, 0.75)))
+        per_fraction = int(plan_spec.get("per_fraction", 1))
+        if kind == "full":
+            plan = full_coverage_plan(frame, fractions, per_fraction)
+        elif kind == "survey":
+            waves = tuple(int(w) for w in plan_spec.get("wave_years", ()))
+            if not waves:
+                raise SpecMismatch("survey plan needs wave_years")
+            plan = survey_plan(frame, waves, fractions, per_fraction)
+        else:
+            raise SpecMismatch(f"unknown plan kind {kind!r}")
     except KeyError as exc:
         raise SpecMismatch(f"model file misses field {exc}") from exc
-    plan_spec = raw.get("plan", {"kind": "full"})
-    kind = plan_spec.get("kind", "full")
-    fractions = tuple(float(t) for t in plan_spec.get("fractions", (0.25, 0.75)))
-    per_fraction = int(plan_spec.get("per_fraction", 1))
-    if kind == "full":
-        plan = full_coverage_plan(frame, fractions, per_fraction)
-    elif kind == "survey":
-        waves = tuple(int(w) for w in plan_spec.get("wave_years", ()))
-        if not waves:
-            raise SpecMismatch("survey plan needs wave_years")
-        plan = survey_plan(frame, waves, fractions, per_fraction)
-    else:
-        raise SpecMismatch(f"unknown plan kind {kind!r}")
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise SpecMismatch(f"malformed model file {path}: {exc}") from exc
     return model, plan
 
 
-def _run_simulate(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    frame = config.frame()
-    if not config.model:
-        raise ConfigError("simulate needs a model file (--model)")
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _run_simulate(config: RunConfig, frame: Frame, out_dir: Path) -> int:
     model, plan = _load_model(config.model, frame)
     measurements = generate(model, plan, config.seed)
     rows = [[_fmt(m.x), _fmt(m.y), _fmt(m.a)] for m in measurements]
@@ -378,94 +363,73 @@ def _run_simulate(args: argparse.Namespace) -> int:
         "seed": config.seed,
         "n_measurements": len(measurements),
     }
-    with open(out_dir / "truth.json", "w", encoding="utf-8") as handle:
-        json.dump(truth, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    _write_json(out_dir / "truth.json", truth)
     return 0
 
 
-def _run_aggregate(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    frame = config.frame()
-    if not config.input:
-        raise ConfigError("aggregate needs an input file")
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    measurements, report = load_measurements(config.input, config.schema, frame)
-    if not measurements:
-        raise NoObservations(f"no usable observations in {config.input}")
-    cells = aggregate(measurements, frame)
+def _run_aggregate(config: RunConfig, frame: Frame, out_dir: Path) -> int:
+    _, report, cells = _load(config, frame)
     rows = [
         [frame.i_min + c.cell.i, frame.j_min + c.cell.j,
          _fmt(c.x_bar), _fmt(c.y_bar), c.n, _fmt(c.css)]
         for c in cells
     ]
-    _write_csv(
-        out_dir / "aggregated.csv",
-        ["year", "age", "x_bar", "y_bar", "n", "css"],
-        rows,
-    )
-    with open(out_dir / "aggregate_report.json", "w", encoding="utf-8") as handle:
-        json.dump(report.as_dict(), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    _write_csv(out_dir / "aggregated.csv", ["year", "age", "x_bar", "y_bar", "n", "css"], rows)
+    _write_json(out_dir / "aggregate_report.json", report.as_dict())
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="INI-style key=value config file")
-    parser.add_argument("--y-min", dest="y_min", type=float)
-    parser.add_argument("--y-max", dest="y_max", type=float)
-    parser.add_argument("--a-min", dest="a_min", type=float)
-    parser.add_argument("--a-max", dest="a_max", type=float)
-    parser.add_argument("--out", dest="out", help="output directory")
-    parser.add_argument("--seed", dest="seed", type=int)
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as `ConfigError`, so they print the JSON object too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+_COMMON_KEYS = ("y_min", "y_max", "a_min", "a_max", "out", "seed")
+# (name, run, help, required key, own keys) of each command
+_COMMANDS = (
+    ("analyze", _run_analyze, "fit the model and write analysis artifacts", "input",
+     ("input", "mode", "schema", "f_smv", "f_smu", "delta", "fstat", "point_v", "point_u",
+      "cluster_age", "cluster_year", "lambda1", "lambda2", "min_cell_count")),
+    ("simulate", _run_simulate, "generate a synthetic dataset", "model", ("model",)),
+    ("aggregate", _run_aggregate, "aggregate a dataset without fitting", "input",
+     ("input", "schema")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctrend",
         description="Cohort-trend estimation from repeated cross-sectional surveys",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="fit the model and write analysis artifacts")
-    _add_common_flags(analyze)
-    analyze.add_argument("--input", dest="input", help="measurement CSV")
-    analyze.add_argument("--mode", dest="mode", choices=MODES)
-    analyze.add_argument("--schema", dest="schema", choices=SCHEMAS)
-    analyze.add_argument("--f-smv", dest="f_smv", type=float)
-    analyze.add_argument("--f-smu", dest="f_smu", type=float)
-    analyze.add_argument("--delta", dest="delta", type=float)
-    analyze.add_argument("--fstat", dest="fstat", choices=FSTAT_KINDS)
-    analyze.add_argument("--point-v", dest="point_v", help="0-based 'i,j' probe for levels")
-    analyze.add_argument("--point-u", dest="point_u", help="0-based 'i,j' probe for trends")
-    analyze.add_argument("--cluster-age", dest="cluster_age", type=int)
-    analyze.add_argument("--cluster-year", dest="cluster_year", type=int)
-    analyze.add_argument("--lambda1", dest="lambda1", type=float)
-    analyze.add_argument("--lambda2", dest="lambda2", type=float)
-    analyze.add_argument("--min-cell-count", dest="min_cell_count", type=int,
-                         help="also write observed_means.csv for cells above this count")
-    analyze.set_defaults(run=_run_analyze)
-
-    simulate = sub.add_parser("simulate", help="generate a synthetic dataset")
-    _add_common_flags(simulate)
-    simulate.add_argument("--model", dest="model", help="ground-truth model JSON")
-    simulate.set_defaults(run=_run_simulate)
-
-    agg = sub.add_parser("aggregate", help="aggregate a dataset without fitting")
-    _add_common_flags(agg)
-    agg.add_argument("--input", dest="input", help="measurement CSV")
-    agg.add_argument("--schema", dest="schema", choices=SCHEMAS)
-    agg.set_defaults(run=_run_aggregate)
-
+    for name, run, help, required, keys in _COMMANDS:
+        command = sub.add_parser(name, help=help)
+        command.add_argument("--config", help="INI-style key=value config file")
+        for key in _COMMON_KEYS + keys:
+            setting = _SETTINGS[key]
+            command.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=setting.metadata["read"],
+                default=argparse.SUPPRESS, help=setting.metadata["help"],
+            )
+        command.set_defaults(run=run, required=required)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        args = build_parser().parse_args(argv)
+        config = _build_config(args)
+        frame = config.frame()
+        if not getattr(config, args.required):
+            raise ConfigError(f"{args.command} needs --{args.required}")
+        out_dir = Path(config.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+        return args.run(config, frame, out_dir)
     except CtrendError as exc:
         print(
             json.dumps({"error": exc.category, "message": str(exc)}, sort_keys=True),

@@ -74,26 +74,25 @@ class InsufficientDof(DataError):
     category = "insufficient-dof"
 
 
-class NoConvergence(NumericalError):
-    """Tuner ran out of budget; `fit` and `report` hold the best attempt."""
+class TuningFailure(NumericalError):
+    """Tuning failed; `fit` and `report` hold the best attempt."""
+
+    def __init__(self, message, fit=None, report=None):
+        super().__init__(message)
+        self.fit = fit
+        self.report = report
+
+
+class NoConvergence(TuningFailure):
+    """Tuner ran out of budget."""
 
     category = "no-convergence"
 
-    def __init__(self, message, fit=None, report=None):
-        super().__init__(message)
-        self.fit = fit
-        self.report = report
 
-
-class TargetUnreachable(NumericalError):
+class TargetUnreachable(TuningFailure):
     """No lambda in the search bracket crosses the smoothness target."""
 
     category = "target-unreachable"
-
-    def __init__(self, message, fit=None, report=None):
-        super().__init__(message)
-        self.fit = fit
-        self.report = report
 
 
 class IndexOutOfRange(ConfigError):

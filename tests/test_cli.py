@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ctrend import cli
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.synth import smooth_boundary, smooth_trend
 
@@ -76,6 +78,43 @@ class TestSimulate:
             "simulate", *FRAME_FLAGS, "--model", str(model), "--out", str(tmp_path), expect=3
         )
         assert json.loads(proc.stderr)["error"] == "spec-mismatch"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda spec: [1],
+            lambda spec: {**spec, "noise_sd": None},
+            lambda spec: {**spec, "v0": "abc"},
+            lambda spec: {**spec, "plan": {"per_fraction": "x"}},
+            lambda spec: {**spec, "plan": [1]},
+            lambda spec: {**spec, "plan": {"per_fraction": float("inf")}},
+        ],
+        ids=["list", "null-noise", "text-v0", "text-count", "list-plan", "infinite-count"],
+    )
+    def test_malformed_model_exit_3(self, tmp_path, edit):
+        model = tmp_path / "model.json"
+        write_model(model)
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))), encoding="utf-8")
+        proc = run_cli(
+            "simulate", *FRAME_FLAGS, "--model", str(model), "--out", str(tmp_path / "out"),
+            expect=3,
+        )
+        assert json.loads(proc.stderr)["error"] == "spec-mismatch"
+        assert not (tmp_path / "out" / "dataset.csv").exists()
+
+    def test_negative_seed_exit_2(self, tmp_path):
+        model = tmp_path / "model.json"
+        write_model(model)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n", encoding="utf-8")
+        for seed in (["--seed", "-1"], ["--config", str(cfg)]):
+            proc = run_cli(
+                "simulate", *FRAME_FLAGS, *seed, "--model", str(model),
+                "--out", str(tmp_path / "out"),
+                expect=2,
+            )
+            assert json.loads(proc.stderr)["error"] == "config"
+            assert not (tmp_path / "out" / "dataset.csv").exists()
 
 
 class TestAnalyze:
@@ -237,6 +276,45 @@ class TestAnalyze:
         proc = run_cli("analyze", "--config", str(cfg), "--out", str(tmp_path / "out"), expect=2)
         assert json.loads(proc.stderr)["error"] == error
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", *FRAME_FLAGS, "--lambda1", "abc", "--lambda2", "1"],
+            ["analyze", "--y-min", "-inf", *FRAME_FLAGS[2:]],
+            ["analyze", *FRAME_FLAGS, "--no-such-flag"],
+            [],
+            ["analyze", *FRAME_FLAGS, "--mode", "bogus"],
+            ["analyze", *FRAME_FLAGS, "--fstat", "bogus"],
+            ["analyze", *FRAME_FLAGS, "--point-v", "1"],
+        ],
+        ids=["text-float", "space-inf", "unknown-flag", "no-command", "mode", "fstat", "point"],
+    )
+    def test_usage_error_is_one_json_object(self, dataset, tmp_path, argv):
+        base, _ = dataset
+        if argv:
+            argv = [*argv, "--input", str(base / "dataset.csv"), "--out", str(tmp_path / "out")]
+        proc = run_cli(*argv, expect=2)
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "config"
+        assert not (tmp_path / "out" / "run.json").exists()
+
+    def test_help_exits_0(self):
+        proc = run_cli("analyze", "--help")
+        assert "--min-cell-count" in proc.stdout
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unusable_out_exit_2(self, dataset, tmp_path, below):
+        base, _ = dataset
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        proc = run_cli(
+            "analyze", *FRAME_FLAGS, "--input", str(base / "dataset.csv"),
+            "--lambda1", "1.0", "--lambda2", "1.0",
+            "--out", str(blocker / "out" if below else blocker),
+            expect=2,
+        )
+        assert json.loads(proc.stderr)["error"] == "config"
+
     def test_empty_input_exit_3(self, tmp_path):
         data = tmp_path / "empty.csv"
         data.write_text("x,year,age\n", encoding="utf-8")
@@ -315,3 +393,41 @@ class TestAggregateCommand:
             expect=3,
         )
         assert json.loads(proc.stderr)["error"] == "malformed-file"
+
+
+# one text per RunConfig field, read differently from the base file's value
+SETTING_TEXT = {
+    "y_min": "2000.25", "y_max": "2004.75", "a_min": "10.5", "a_max": "16.5",
+    "input": "data.csv", "mode": "raw", "schema": "derived", "f_smv": "0.3",
+    "f_smu": "0.1", "delta": "0.02", "fstat": "median", "point_v": "2,3",
+    "point_u": "1, 4", "cluster_age": "3", "cluster_year": "2", "lambda1": "2.5",
+    "lambda2": "1e-3", "min_cell_count": "4", "out": "results", "seed": "7",
+    "model": "model.json",
+}
+BASE_SETTINGS = {
+    "y_min": "2000.0", "y_max": "2004.9", "a_min": "10.0", "a_max": "16.0",
+    "lambda1": "1.0", "lambda2": "1.0",
+}
+COMMAND_KEYS = [
+    (name, key) for name, _, _, _, keys in cli._COMMANDS for key in cli._COMMON_KEYS + keys
+]
+
+
+class TestSettings:
+    def test_every_field_has_a_flag(self):
+        names = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert {key for _, key in COMMAND_KEYS} == names == SETTING_TEXT.keys()
+
+    @pytest.mark.parametrize("command,key", COMMAND_KEYS)
+    def test_flag_and_config_line_agree(self, tmp_path, command, key):
+        def config(argv, settings):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
+            args = cli.build_parser().parse_args([command, "--config", str(cfg), *argv])
+            return cli._build_config(args)
+
+        flag = "--" + key.replace("_", "-")
+        by_flag = config([flag, SETTING_TEXT[key]], BASE_SETTINGS)
+        by_file = config([], {**BASE_SETTINGS, key: SETTING_TEXT[key]})
+        assert by_flag == by_file
+        assert getattr(by_flag, key) != getattr(config([], BASE_SETTINGS), key)
