@@ -10,9 +10,10 @@ time- or environment-dependent is recorded.
 
 Configuration comes from an INI-style flat key=value file (section header
 optional) whose keys are the flag names with `-` turned into `_`; a flag
-overrides the file.  Exit codes: 0 success, 2 config or usage error, 3 data
-error, 4 numerical error; every failure, usage errors included, prints a
-single JSON object with the error category to stderr.
+overrides the file.  A command accepts only the settings it reads, in the
+file as on the command line.  Exit codes: 0 success, 2 config or usage
+error, 3 data error, 4 numerical error; every failure, usage errors
+included, prints a single JSON object with the error category to stderr.
 """
 
 from __future__ import annotations
@@ -58,16 +59,37 @@ def _fmt(value) -> str:
 def _parse_point(text: str) -> tuple[int, int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
-        raise ConfigError(f"grid point must be 'i,j', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"grid point must be two integers, got {text!r}") from exc
+        raise ValueError(f"grid point must be 'i,j', got {text!r}")
+    return int(parts[0]), int(parts[1])
 
 
 def _setting(read, help: str, default=MISSING):
-    """A `RunConfig` field with the reader and help of its flag and config key."""
+    """A `RunConfig` field with the reader and help of its flag and config key;
+    the reader raises ValueError for a text that is no value of the setting."""
     return field(default=default, metadata={"read": read, "help": help})
+
+
+def _one_of(options: tuple[str, ...], default: str):
+    """A setting whose value is one of `options`."""
+
+    def read(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"{text!r} is not one of {', '.join(options)}")
+        return text
+
+    return _setting(read, f"one of {', '.join(options)}", default)
+
+
+def _at_least(kind, low):
+    """A reader of a finite `kind` number no smaller than `low`."""
+
+    def read(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise ValueError(f"{text!r} is not a finite number >= {low}")
+        return value
+
+    return read
 
 
 @dataclass
@@ -79,44 +101,28 @@ class RunConfig:
     a_min: float = _setting(float, "lowest age of the frame")
     a_max: float = _setting(float, "highest age of the frame")
     input: str | None = _setting(str, "measurement CSV", None)
-    mode: str = _setting(str, f"one of {', '.join(MODES)}", "aggregated")
-    schema: str = _setting(str, f"one of {', '.join(SCHEMAS)}", "xya")
+    mode: str = _one_of(MODES, "aggregated")
+    schema: str = _one_of(SCHEMAS, "xya")
     f_smv: float = _setting(float, "smoothness target of the levels", 0.2)
     f_smu: float = _setting(float, "smoothness target of the trends", 0.2)
     delta: float = _setting(float, "tolerance on the smoothness targets", 0.05)
-    fstat: str = _setting(str, f"one of {', '.join(FSTAT_KINDS)}", "selected-point")
+    fstat: str = _one_of(FSTAT_KINDS, "selected-point")
     point_v: tuple[int, int] | None = _setting(_parse_point, "0-based 'i,j' probe for levels", None)
     point_u: tuple[int, int] | None = _setting(_parse_point, "0-based 'i,j' probe for trends", None)
-    cluster_age: int = _setting(int, "ages per cluster", 5)
-    cluster_year: int = _setting(int, "years per cluster", 5)
-    lambda1: float | None = _setting(float, "fixed level weight (skips tuning)", None)
-    lambda2: float | None = _setting(float, "fixed trend weight (skips tuning)", None)
+    cluster_age: int = _setting(_at_least(int, 1), "ages per cluster", 5)
+    cluster_year: int = _setting(_at_least(int, 1), "years per cluster", 5)
+    lambda1: float | None = _setting(_at_least(float, 0), "fixed level weight (skips tuning)", None)
+    lambda2: float | None = _setting(_at_least(float, 0), "fixed trend weight (skips tuning)", None)
     min_cell_count: int | None = _setting(
-        int, "also write observed_means.csv for cells above this count", None
+        _at_least(int, 0), "also write observed_means.csv for cells above this count", None
     )
     out: str = _setting(str, "output directory", ".")
-    seed: int = _setting(int, "random seed of simulate", 0)
+    seed: int = _setting(_at_least(int, 0), "random seed", 0)
     model: str | None = _setting(str, "ground-truth model JSON", None)
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.schema not in SCHEMAS:
-            raise ConfigError(f"schema must be one of {SCHEMAS}, got {self.schema!r}")
-        if self.fstat not in FSTAT_KINDS:
-            raise ConfigError(f"fstat must be one of {FSTAT_KINDS}, got {self.fstat!r}")
         if (self.lambda1 is None) != (self.lambda2 is None):
             raise ConfigError("lambda1 and lambda2 must be overridden together")
-        for name in ("lambda1", "lambda2"):
-            v = getattr(self, name)
-            if v is not None and not 0 <= v < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        if self.cluster_age < 1 or self.cluster_year < 1:
-            raise ConfigError("cluster sizes must be positive integers")
-        if self.min_cell_count is not None and self.min_cell_count < 0:
-            raise ConfigError("min_cell_count must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def frame(self) -> Frame:
         return Frame.from_bounds(self.y_min, self.y_max, self.a_min, self.a_max)
@@ -135,7 +141,8 @@ class RunConfig:
 _SETTINGS = {f.name: f for f in fields(RunConfig)}
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """The text of each setting in the config file; `keys` are the command's."""
     parser = configparser.ConfigParser()
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -147,22 +154,27 @@ def _read_config_file(path: str) -> dict:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    values: dict = {}
+    texts: dict[str, str] = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
             key = key.strip().lower()
             if key not in _SETTINGS:
                 raise ConfigError(f"unknown config key {key!r}")
-            try:
-                values[key] = _SETTINGS[key].metadata["read"](raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    return values
+            if key not in keys:
+                raise ConfigError(f"{key} is not a setting of {command}")
+            texts[key] = raw
+    return texts
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values = _read_config_file(args.config) if args.config else {}
-    values.update((name, getattr(args, name)) for name in _SETTINGS if hasattr(args, name))
+    texts = _read_config_file(args.config, args.command, args.keys) if args.config else {}
+    texts.update((key, getattr(args, key)) for key in args.keys if hasattr(args, key))
+    values = {}
+    for key, text in texts.items():
+        try:
+            values[key] = _SETTINGS[key].metadata["read"](text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from exc
     for name, setting in _SETTINGS.items():
         if setting.default is MISSING and name not in values:
             raise ConfigError(f"{name} not set (flag or config file)")
@@ -386,13 +398,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_COMMON_KEYS = ("y_min", "y_max", "a_min", "a_max", "out", "seed")
+_COMMON_KEYS = ("y_min", "y_max", "a_min", "a_max", "out")
 # (name, run, help, required key, own keys) of each command
 _COMMANDS = (
     ("analyze", _run_analyze, "fit the model and write analysis artifacts", "input",
      ("input", "mode", "schema", "f_smv", "f_smu", "delta", "fstat", "point_v", "point_u",
       "cluster_age", "cluster_year", "lambda1", "lambda2", "min_cell_count")),
-    ("simulate", _run_simulate, "generate a synthetic dataset", "model", ("model",)),
+    ("simulate", _run_simulate, "generate a synthetic dataset", "model", ("model", "seed")),
     ("aggregate", _run_aggregate, "aggregate a dataset without fitting", "input",
      ("input", "schema")),
 )
@@ -405,15 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, run, help, required, keys in _COMMANDS:
-        command = sub.add_parser(name, help=help)
+        # no abbreviations: `--mode` would otherwise be `simulate --model`
+        command = sub.add_parser(name, help=help, allow_abbrev=False)
         command.add_argument("--config", help="INI-style key=value config file")
         for key in _COMMON_KEYS + keys:
-            setting = _SETTINGS[key]
             command.add_argument(
-                "--" + key.replace("_", "-"), dest=key, type=setting.metadata["read"],
-                default=argparse.SUPPRESS, help=setting.metadata["help"],
+                "--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS,
+                help=_SETTINGS[key].metadata["help"],
             )
-        command.set_defaults(run=run, required=required)
+        command.set_defaults(run=run, required=required, keys=_COMMON_KEYS + keys)
     return parser
 
 

@@ -115,10 +115,7 @@ def build_z2v(layout: ParameterLayout) -> np.ndarray:
 
 def build_z2u(layout: ParameterLayout) -> np.ndarray:
     """Selector of the trend block, in row-major trend order."""
-    a = np.zeros((layout.n_trend, layout.dim))
-    for k in range(layout.n_trend):
-        a[k, layout.n_boundary + k] = 1.0
-    return a
+    return np.eye(layout.n_trend, layout.dim, k=layout.n_boundary)
 
 
 def diagonal_pairs(layout: ParameterLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -204,16 +201,11 @@ def build_u2uc(layout: ParameterLayout, delta_a: int, delta_y: int) -> np.ndarra
             f"cluster sizes must satisfy 1 <= delta_y <= {nrows}, "
             f"1 <= delta_a <= {ncols}, got ({delta_y}, {delta_a})"
         )
-    year_bands = cluster_bands(nrows, delta_y)
-    age_bands = cluster_bands(ncols, delta_a)
-    a = np.zeros((len(year_bands) * len(age_bands), layout.n_trend))
-    for p, band_i in enumerate(year_bands):
-        for q, band_j in enumerate(age_bands):
-            w = 1.0 / (len(band_i) * len(band_j))
-            row = p * len(age_bands) + q
-            for i in band_i:
-                for j in band_j:
-                    a[row, i * ncols + j] = w
+    i, j = np.divmod(np.arange(layout.n_trend), ncols)
+    cluster = (i // delta_y) * -(-ncols // delta_a) + j // delta_a
+    size = np.bincount(cluster)
+    a = np.zeros((len(size), layout.n_trend))
+    a[cluster, np.arange(layout.n_trend)] = 1.0 / size[cluster]
     return a
 
 

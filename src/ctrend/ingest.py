@@ -33,12 +33,11 @@ counted.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,20 +185,44 @@ _REASONS = np.array(
 # Stands in for a record the csv reader cannot read: one field, so too
 # short for either schema (unparsable), and not blank (counted).
 _UNREADABLE = ["<unreadable record>"]
+# Physical lines read from the source at a time.
+_LINE_CHUNK = 1024
 
 
-def _records(reader) -> Iterable[list[str]]:
-    """The reader's records, with `_UNREADABLE` for each it cannot read.
+def _records(source) -> Iterator[list[str]]:
+    """The csv records of a text stream, with `_UNREADABLE` for each it cannot read.
 
     The csv reader drops the rest of the physical line it failed on and
-    resumes at the next one.
+    resumes at the next one.  If the quote characters on the lines read so
+    far are odd in number, that line ended inside a quoted field: the lines
+    up to the one that makes the count even are skipped too, so no text
+    inside the quote is read as records.  The count is kept per chunk of
+    lines, not per line.
     """
+    chunk: list[str] = []
+    before = quotes = 0  # lines handed out before `chunk`, and the quotes on them
+
+    def chunks():
+        nonlocal chunk, before, quotes
+        while new := list(islice(source, _LINE_CHUNK)):
+            before, quotes = before + len(chunk), quotes + "".join(chunk).count('"')
+            chunk = new
+            yield new
+
+    lines = chain.from_iterable(chunks())
+    reader = csv.reader(lines)
+    skipped = 0  # lines read past the csv reader
     while True:
         try:
             yield from reader
             return
         except csv.Error:
             yield _UNREADABLE
+        read = reader.line_num + skipped - before
+        odd = (quotes + "".join(chunk[:read]).count('"')) % 2
+        while odd and (line := next(lines, None)) is not None:
+            skipped += 1
+            odd ^= line.count('"') % 2
 
 
 def _floats(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -283,13 +306,11 @@ def _take_block(
     return x[keep], y[keep], a[keep], i[keep], j[keep]
 
 
-def _read(reader, schema: str, frame: Frame) -> tuple[MeasurementColumns, ValidationReport]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        header = None
-    except csv.Error as exc:
-        raise MalformedFile(f"cannot read CSV header: {exc}") from exc
+def _read(source, schema: str, frame: Frame) -> tuple[MeasurementColumns, ValidationReport]:
+    records = _records(source)
+    header = next(records, None)
+    if header is _UNREADABLE:
+        raise MalformedFile("cannot read CSV header")
     report = ValidationReport()
     columns = [np.empty(0), np.empty(0), np.empty(0), np.empty(0, int), np.empty(0, int)]
     if header is None:
@@ -302,7 +323,6 @@ def _read(reader, schema: str, frame: Frame) -> tuple[MeasurementColumns, Valida
         )
     positions = [names.index(c) for c in _COLUMNS[schema]]
 
-    records = _records(reader)
     first_row = 2
     while block := list(islice(records, BLOCK_ROWS)):
         kept = _take_block(block, first_row, positions, schema, frame, report)
@@ -335,7 +355,7 @@ def load_measurements(
         except OSError as exc:
             raise ConfigError(f"cannot read input file {source}: {exc}") from exc
     try:
-        return _read(csv.reader(source), schema, frame)
+        return _read(source, schema, frame)
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"input is not valid UTF-8: {exc}") from exc
 
@@ -369,13 +389,3 @@ def aggregate(
             )
         )
     return cells
-
-
-def measurements_to_csv(measurements: Iterable[Measurement]) -> str:
-    """Render measurements in the ``xya`` schema (repr-exact floats)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x", "year", "age"])
-    for m in measurements:
-        writer.writerow([repr(m.x), repr(m.y), repr(m.a)])
-    return out.getvalue()

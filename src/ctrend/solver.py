@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import linalg, sparse, special
+from scipy import linalg, special
 
 from .design import LinearSystem, band_order, build_v2u, build_v2z, diagonal_pairs
 from .errors import SingularSystem
@@ -292,19 +292,6 @@ class FitResult:
         return q * stderr
 
 
-def normal_equations(
-    system: LinearSystem, lambda1: float, lambda2: float
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Sparse normal matrix and right-hand side of the fit on the level surface."""
-    weighted = system.data.T @ sparse.diags(system.weights)
-    gram = (
-        weighted @ system.data
-        + lambda1 * (system.penalty_v.T @ system.penalty_v)
-        + lambda2 * (system.penalty_u.T @ system.penalty_u)
-    )
-    return gram.tocsr(), weighted @ system.rhs
-
-
 def _reduced_band(band: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Lower band storage of the submatrix on the ascending positions `keep`
     of a matrix held in lower band storage."""
@@ -497,6 +484,11 @@ def check_uniqueness(points: list[tuple[float, float]]) -> tuple[bool, str]:
     General position in (y, a) alone is not enough.  Inside one cell the
     four columns are affine in t, so points sharing a cell give rank <= 2;
     points on one cohort diagonal (cells (i+k, j+k)) give rank <= 3.
+
+    With positive weights the rank test alone is necessary and sufficient
+    for a positive definite normal matrix.  General position is a deliberate,
+    stricter sufficient condition (criterion 3 pins it): it also rejects
+    identifiable same-age sets, e.g. sigma_min/sigma_max = 1.4e-2 at age 35.
     """
     distinct = sorted(set((float(y), float(a)) for y, a in points))
     if len(distinct) < 4:
@@ -512,9 +504,3 @@ def check_uniqueness(points: list[tuple[float, float]]) -> tuple[bool, str]:
             f"(relative singular value {sv[-1] / sv[0]:.1e})"
         )
     return True, why
-
-
-def normal_residual(system: LinearSystem, fit: FitResult) -> float:
-    """Norm of the weighted normal-equation residual; ~0 at the optimum."""
-    m, rhs = normal_equations(system, fit.lambda1, fit.lambda2)
-    return float(np.linalg.norm(m @ fit.v_hat.ravel() - rhs))

@@ -4,12 +4,15 @@ columnar `ctrend.ingest` against.
 `load_rows` parses, derives and locates one record at a time with the
 scalar `derive_bmi`, `derive_age_year` and `Frame.locate`; `aggregate_buckets`
 groups measurements in a dict keyed by `Frame.locate`'s cell.
+`measurements_to_csv` writes measurements back as ``xya`` CSV text.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -47,8 +50,23 @@ def _measurement(fields: list[float], schema: str) -> Measurement:
 
 
 def load_rows(source, schema: str, frame) -> tuple[list[Measurement], ValidationReport]:
-    """Accepted measurements in file order and the validation report."""
-    reader = csv.reader(source)
+    """Accepted measurements in file order and the validation report.
+
+    After a record the csv reader cannot read, lines are skipped while the
+    count of quote characters on the lines read so far is odd: the failed
+    line ended inside a quoted field, and the field runs on to the line that
+    makes the count even.
+    """
+    quotes = 0
+
+    def counted():
+        nonlocal quotes
+        for line in source:
+            quotes += line.count('"')
+            yield line
+
+    lines = counted()
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -73,6 +91,8 @@ def load_rows(source, schema: str, frame) -> tuple[list[Measurement], Validation
         except csv.Error:
             report.n_rows += 1
             _reject(report, row_number, REASON_UNPARSABLE)
+            while quotes % 2 and next(lines, None) is not None:
+                pass
             continue
         if not row or all(not f.strip() for f in row):
             continue
@@ -124,3 +144,13 @@ def aggregate_buckets(measurements, frame) -> list[AggregatedCell]:
             )
         )
     return cells
+
+
+def measurements_to_csv(measurements: Iterable[Measurement]) -> str:
+    """Render measurements in the ``xya`` schema (repr-exact floats)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["x", "year", "age"])
+    for m in measurements:
+        writer.writerow([repr(m.x), repr(m.y), repr(m.a)])
+    return out.getvalue()

@@ -411,6 +411,19 @@ BASE_SETTINGS = {
 COMMAND_KEYS = [
     (name, key) for name, _, _, _, keys in cli._COMMANDS for key in cli._COMMON_KEYS + keys
 ]
+KEYS = {name: cli._COMMON_KEYS + keys for name, _, _, _, keys in cli._COMMANDS}
+# every (command, RunConfig field) pair the command does not accept
+FOREIGN_KEYS = [
+    (name, key) for name, keys in KEYS.items() for key in SETTING_TEXT if key not in keys
+]
+# a value each single-setting rule rejects
+BAD_VALUES = [
+    ("analyze", "mode", "bogus"), ("analyze", "schema", "bogus"), ("aggregate", "schema", "Xya"),
+    ("analyze", "fstat", "bogus"), ("analyze", "lambda1", "nan"), ("analyze", "lambda1", "-1"),
+    ("analyze", "lambda2", "inf"), ("analyze", "cluster_age", "0"),
+    ("analyze", "cluster_year", "-2"), ("analyze", "min_cell_count", "-1"),
+    ("simulate", "seed", "-1"),
+]
 
 
 class TestSettings:
@@ -426,8 +439,41 @@ class TestSettings:
             args = cli.build_parser().parse_args([command, "--config", str(cfg), *argv])
             return cli._build_config(args)
 
+        base = {k: v for k, v in BASE_SETTINGS.items() if k in KEYS[command]}
         flag = "--" + key.replace("_", "-")
-        by_flag = config([flag, SETTING_TEXT[key]], BASE_SETTINGS)
-        by_file = config([], {**BASE_SETTINGS, key: SETTING_TEXT[key]})
+        by_flag = config([flag, SETTING_TEXT[key]], base)
+        by_file = config([], {**base, key: SETTING_TEXT[key]})
         assert by_flag == by_file
-        assert getattr(by_flag, key) != getattr(config([], BASE_SETTINGS), key)
+        assert getattr(by_flag, key) != getattr(config([], base), key)
+
+    @pytest.mark.parametrize("command,key", FOREIGN_KEYS)
+    def test_foreign_setting_exit_2(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {SETTING_TEXT[key]}\n", encoding="utf-8")
+        flag = "--" + key.replace("_", "-")
+        # the flag of another command is unknown here, abbreviations included
+        for argv, named in (
+            (["--config", str(cfg)], f"{key} is not a setting of {command}"),
+            ([flag, SETTING_TEXT[key]], f"unrecognized arguments: {flag}"),
+        ):
+            code = cli.main([command, *FRAME_FLAGS, *argv, "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2 and err.count("\n") == 1
+            error = json.loads(err)
+            assert error["error"] == "config"
+            assert named in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,key,text", BAD_VALUES)
+    def test_bad_value_rejected_as_flag_and_config_line(self, tmp_path, capsys, command, key, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+        messages = []
+        for argv in (["--" + key.replace("_", "-"), text], ["--config", str(cfg)]):
+            code = cli.main([command, *FRAME_FLAGS, *argv, "--out", str(tmp_path / "out")])
+            error = json.loads(capsys.readouterr().err)
+            assert code == 2 and error["error"] == "config"
+            messages.append(error["message"])
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"bad value for {key}: {text!r}")
+        assert not (tmp_path / "out").exists()

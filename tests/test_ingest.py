@@ -18,10 +18,9 @@ from ctrend.ingest import (
     derive_age_year,
     derive_bmi,
     load_measurements,
-    measurements_to_csv,
 )
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
-from ingest_reference import aggregate_buckets, load_rows
+from ingest_reference import aggregate_buckets, load_rows, measurements_to_csv
 
 
 class TestDeriveBmi:
@@ -259,6 +258,30 @@ class TestCsvRecordErrors:
         rows, ref = load_rows(io.StringIO(text), "derived", frame)
         assert len(ms) == 5 and ms.rows() == rows
         assert report.details == [(long_at + 2, "unparsable")]
+        assert report.as_dict() == ref.as_dict()
+
+    @pytest.mark.parametrize("line_chunk", [1, 2, 1024])
+    @pytest.mark.parametrize(
+        "after,accepted,details",
+        [
+            ("22.0,1986.5,35,ok", [Measurement(22.0, 1986.5, 35.0)], [(2, "unparsable")]),
+            ("22.0,1999.5,35,ok", [], [(2, "unparsable"), (3, "out-of-frame")]),
+        ],
+        ids=["accepted", "rejected"],
+    )
+    def test_oversized_quoted_field_over_lines(
+        self, frame, monkeypatch, line_chunk, after, accepted, details
+    ):
+        # the quoted note runs on to a line that reads as a good row on its own
+        monkeypatch.setattr(ingest, "_LINE_CHUNK", line_chunk)
+        text = (
+            f'x,year,age,note\n21.0,1984.5,40,"{self.LONG}\n'
+            f'20.0,1985.5,30,inner line"\n{after}\n'
+        )
+        ms, report = load_measurements(io.StringIO(text), "xya", frame)
+        rows, ref = load_rows(io.StringIO(text), "xya", frame)
+        assert ms.rows() == rows == accepted
+        assert (report.n_rows, report.details) == (2, details)
         assert report.as_dict() == ref.as_dict()
 
 

@@ -18,7 +18,7 @@ from ctrend.design import (
 )
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import Measurement, aggregate
-from ctrend.solver import normal_equations, solve
+from ctrend.solver import solve
 from ctrend.tuner import SmoothnessTargets, _Evaluator, fstat, smoothness_field, tune
 from ctrend.synth import (
     SamplingPlan,
@@ -28,6 +28,7 @@ from ctrend.synth import (
     smooth_boundary,
     smooth_trend,
 )
+from solver_reference import normal_equations
 
 spans = st.integers(min_value=1, max_value=12)
 

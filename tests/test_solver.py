@@ -10,8 +10,9 @@ from ctrend.errors import SingularSystem
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import Measurement, aggregate
 from ctrend.design import build_system_aggregated
-from ctrend.solver import check_uniqueness, normal_equations, normal_residual, solve
+from ctrend.solver import check_uniqueness, solve
 from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
+from solver_reference import normal_equations, normal_residual
 
 
 class TestSolve:
