@@ -184,10 +184,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_surface_csv(path: Path, frame: Frame, estimate, stderr, ci_half) -> None:
@@ -207,9 +210,12 @@ def _write_surface_csv(path: Path, frame: Frame, estimate, stderr, ci_half) -> N
 
 
 def _write_json(path: Path, value) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(value, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(value, handle, sort_keys=True, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _load(config: RunConfig, frame: Frame):
@@ -305,6 +311,7 @@ def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
         "dof": fit.dof,
         "edf": fit.edf,
         "condition": fit.condition,
+        "n_silent": fit.n_silent,
         "s0": fit.s0,
         "s1": fit.s1,
         "s2": fit.s2,

@@ -75,8 +75,9 @@ def cluster_means(fit: FitResult, delta_a: int, delta_y: int) -> ClusterGrid:
 
     The covariance of the cluster means is sigma2 * A U A^T, with A the
     averaging map (`build_u2uc`) and U the unit trend covariance; it is W^T W
-    from one whitening solve with a column per cluster
-    (`FitResult.trend_unit_cov`), without the dense trend covariance.
+    from one forward solve with a column per cluster
+    (`FitResult.trend_unit_cov`, `BandedInverse.quadratic`), without the
+    dense trend covariance.  Silent levels enter with zero covariance.
     """
     if delta_a < 1 or delta_y < 1:
         raise InvalidClusterSize(f"cluster sizes must be >= 1, got ({delta_a}, {delta_y})")

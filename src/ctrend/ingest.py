@@ -344,13 +344,13 @@ def load_measurements(
     case-insensitive; extra columns are ignored.  The accepted rows come
     back as columns in file order, each with its cell in `frame`.  A path
     that cannot be opened or read raises ConfigError; bytes that are not
-    UTF-8 raise MalformedFile.
+    UTF-8 raise MalformedFile.  A path's leading byte-order mark is skipped.
     """
     if schema not in SCHEMAS:
         raise UnknownSchema(f"schema must be one of {SCHEMAS}, got {schema!r}")
     if isinstance(source, (str, os.PathLike)):
         try:
-            with open(source, "r", encoding="utf-8", newline="") as handle:
+            with open(source, "r", encoding="utf-8-sig", newline="") as handle:
                 return load_measurements(handle, schema, frame)
         except OSError as exc:
             raise ConfigError(f"cannot read input file {source}: {exc}") from exc

@@ -18,7 +18,7 @@ Covariances follow the classical weighted-least-squares formulas with
 sigma2 = (S0 + pooled within-cell CSS) / (n_obs - dim).  No fit forms the
 dense inverse.  The covariance of a few linear maps of v (the tuner's
 selected pairs, cluster means) is W^T W from one forward solve with L
-(`BandedInverse.whiten`).  The inverse inside the band, which holds every
+(`BandedInverse.quadratic`).  The inverse inside the band, which holds every
 variance and every covariance of lattice-adjacent levels and trends, comes
 from the Takahashi recurrence (Takahashi, Fagan & Chin 1973) on first
 access only, for standard errors and whole-field statistics (Rue & Martino
@@ -26,10 +26,10 @@ access only, for standard errors and whole-field statistics (Rue & Martino
 
 Cohort diagonals of levels whose normal-matrix columns are all exactly zero
 (possible only with lambda1 = 0: the two extreme corners v(I+1,0) and
-v(0,J+1), and with both lambdas zero any diagonal without data) are excluded
-from the factorization and reported as zero with zero variance, as their
-parameters are in z; `FitResult.n_silent` counts them.  An unreached level
-on any other diagonal makes the system singular.
+v(0,J+1), and with both lambdas zero any diagonal without data) are silent:
+a unit pivot decouples each of their levels in the factor, and a zero scale
+makes it solve to zero with zero variance; `FitResult.n_silent` counts them.
+An unreached level on any other diagonal makes the system singular.
 """
 
 from __future__ import annotations
@@ -123,19 +123,19 @@ class BandedInverse:
 
     Indexed like the dense dim x dim matrix over flat row-major level
     indices, `cov[k1, k2]` with integer arrays, for any pair of levels no
-    more than the bandwidth apart in `band_order`; silent levels read zero.
-    It keeps the banded Cholesky factor L L^T of the equilibrated normal
-    matrix D M D, so `solve` applies the whole inverse and `whiten` half of
-    it without forming either; the band is computed on first access.
+    more than the bandwidth apart in `band_order`.  It keeps the banded
+    Cholesky factor L L^T of the equilibrated normal matrix D M D, so `solve`
+    applies the inverse and `quadratic` forms R^T M^-1 R without forming it;
+    the band is computed on first access.  D is zero on silent levels, which
+    therefore solve and read zero.
     """
 
-    def __init__(self, factor: np.ndarray, order: np.ndarray, scale: np.ndarray, dim: int):
+    def __init__(self, factor: np.ndarray, order: np.ndarray, scale: np.ndarray):
         self.factor = factor
         self.order = order
         self.scale = scale
-        self.shape = (dim, dim)
-        self._position = np.full(dim, -1)
-        self._position[order] = np.arange(len(order))
+        self.shape = (len(order), len(order))
+        self._position = np.argsort(order)
 
     @cached_property
     def band(self) -> np.ndarray:
@@ -143,28 +143,24 @@ class BandedInverse:
 
     def __getitem__(self, key: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         p1, p2 = (self._position[np.asarray(k)] for k in key)
-        silent = (p1 < 0) | (p2 < 0)
-        offset = np.where(silent, 0, np.abs(p1 - p2))
+        offset = np.abs(p1 - p2)
         if np.any(offset >= len(self.band)):
             raise IndexError("covariance entry outside the band of the normal matrix")
-        first = np.where(silent, 0, np.minimum(p1, p2))
-        value = self.band[offset, first] * self.scale[p1] * self.scale[p2]
-        return np.where(silent, 0.0, value)
+        return self.band[offset, np.minimum(p1, p2)] * self.scale[p1] * self.scale[p2]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The inverse applied to `rhs` (a vector or one column per right-hand side)."""
         scale = self.scale if rhs.ndim == 1 else self.scale[:, None]
-        out = np.zeros(rhs.shape)
-        out[self.order] = scale * linalg.cho_solve_banded(
+        out = scale * linalg.cho_solve_banded(
             (self.factor, True), scale * rhs[self.order], check_finite=False
         )
-        return out
+        return out[self._position]
 
-    def whiten(self, rhs: np.ndarray) -> np.ndarray:
-        """W = L^-1 D rhs[order] for a dim x m `rhs`, so that rhs^T M^-1 rhs = W^T W."""
+    def quadratic(self, rhs: np.ndarray) -> np.ndarray:
+        """rhs^T M^-1 rhs for a dim x m `rhs`, as W^T W with W = L^-1 D rhs[order]."""
         w, info = linalg.lapack.dtbtrs(self.factor, self.scale[:, None] * rhs[self.order], uplo="L")
         assert info == 0, f"dtbtrs info {info}"
-        return w
+        return w.T @ w
 
 
 class TrendBand:
@@ -194,13 +190,13 @@ class FitResult:
     `unit_cov_v_band` is the inverse weighted normal matrix on the level
     surface (covariance per unit error variance) inside its band, and
     `unit_cov_u_band` its image on the trend surface; the standard errors,
-    `edf` and the tuner's whole-field statistics read only these.
-    `gram_data` is the system's data Gram band.  `z_hat` is the estimate in
-    parameter coordinates, and `unit_cov_v`, `unit_cov_u` and `unit_cov_z` are
-    the dense matrices on the level surface, the trend surface and the
-    parameter vector; all four are computed on first access.  The
-    `cov_*` properties are their sigma2 multiples and are None when the
-    degrees of freedom are not positive.
+    `edf` and the tuner's whole-field statistics read only these.  Silent
+    levels read zero in every covariance.  `gram_data` is the system's data
+    Gram band.  `z_hat` is the estimate in parameter coordinates, and
+    `unit_cov_v`, `unit_cov_u` and `unit_cov_z` are the dense matrices on
+    the level surface, the trend surface and the parameter vector; all four
+    are computed on first access.  The `cov_*` properties are their sigma2
+    multiples and are None when the degrees of freedom are not positive.
     """
 
     lambda1: float
@@ -225,9 +221,8 @@ class FitResult:
 
     def trend_unit_cov(self, a: np.ndarray) -> np.ndarray:
         """a @ unit_cov_u @ a.T for a linear map `a` of the flattened trend
-        surface, as W^T W from one whitening solve with a column per row of `a`."""
-        w = self.unit_cov_v_band.whiten(build_v2u(self.layout).T @ a.T)
-        return w.T @ w
+        surface, from one `quadratic` solve with a column per row of `a`."""
+        return self.unit_cov_v_band.quadratic(build_v2u(self.layout).T @ a.T)
 
     @cached_property
     def edf(self) -> float:
@@ -292,17 +287,6 @@ class FitResult:
         return q * stderr
 
 
-def _reduced_band(band: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Lower band storage of the submatrix on the ascending positions `keep`
-    of a matrix held in lower band storage."""
-    n = len(keep)
-    offsets = np.arange(min(len(band), n))[:, None]
-    within = np.arange(n) + offsets
-    gap = keep[np.minimum(within, n - 1)] - keep
-    inside = (within < n) & (gap < len(band))
-    return np.where(inside, band[np.minimum(gap, len(band) - 1), keep], 0.0)
-
-
 def _equilibrated(band: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, float]:
     """D M D with D = diag(scale), in lower band storage like M's, and its 1-norm,
     each column summed from top to bottom of the symmetric matrix."""
@@ -325,20 +309,16 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
     layout = system.layout
     band = system.gram_data + lambda1 * system.gram_v + lambda2 * system.gram_u
     order = band_order(layout)
-    reached = np.empty(layout.dim, dtype=bool)
-    reached[order] = band[0] > 0.0
-    # An unreached level drops out only together with its whole cohort
-    # diagonal, as its parameters do in z; elsewhere it is undetermined.
-    cohort = np.subtract(*np.indices(layout.level_shape)).ravel()
+    reached = band[0] > 0.0
+    # An unreached level is silent only together with its whole cohort
+    # diagonal, as its parameters drop out of z; elsewhere it is undetermined.
+    cohort = np.subtract(*np.indices(layout.level_shape)).ravel()[order]
     cohort -= cohort.min()
-    active = np.bincount(cohort, weights=reached)[cohort] > 0
-    if not reached[active].all():
+    silent = np.bincount(cohort, weights=reached)[cohort] == 0
+    if not reached[~silent].all():
         raise SingularSystem("a level on an observed cohort diagonal is reached by no data")
-    n_silent = int(np.sum(~active))
-    if n_silent:
-        keep = active[order]
-        band = _reduced_band(band, np.flatnonzero(keep))
-        order = order[keep]
+    n_silent = int(np.sum(silent))
+    band[0, silent] = 1.0  # its row and column are zero: a unit pivot decouples it
     # Symmetric Jacobi equilibration: with lambdas spanning many decades the
     # normal matrix is strongly graded, and the raw condition number reflects
     # block scale disparity rather than actual ill-posedness.  The condition
@@ -350,7 +330,7 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
     except linalg.LinAlgError as exc:
         raise SingularSystem(f"normal matrix not positive definite: {exc}") from exc
     condition = anorm * _inverse_norm_1(
-        lambda x: linalg.cho_solve_banded((factor, True), x, check_finite=False), len(order)
+        lambda x: linalg.cho_solve_banded((factor, True), x, check_finite=False), layout.dim
     )
     if not np.isfinite(condition):
         raise SingularSystem("condition estimate failed")
@@ -359,7 +339,8 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
             f"normal matrix condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
 
-    inverse = BandedInverse(factor, order, scale, layout.dim)
+    scale[silent] = 0.0
+    inverse = BandedInverse(factor, order, scale)
     v = inverse.solve(system.normal_rhs)
     hi, lo = diagonal_pairs(layout)
 

@@ -198,7 +198,7 @@ class _Evaluator:
     """Solves at given lambdas and summarizes both smoothness statistics.
 
     No probe forms a dense covariance: `selected-point` reads its two pairs
-    from one four-column whitening solve, the other statistics read the
+    from one four-column `quadratic` solve, the other statistics read the
     whole field off the fit's banded inverses.
     """
 
@@ -222,8 +222,7 @@ class _Evaluator:
         # Correlations are scale-free, so the unit covariance works even
         # when sigma2 is unavailable or zero.
         if self.pairs is not None:
-            w = fit.unit_cov_v_band.whiten(self.pairs)
-            cov = w.T @ w
+            cov = fit.unit_cov_v_band.quadratic(self.pairs)
             stats = (float(_pair_indicator(cov, k, k + 1)[0]) for k in (0, 2))
             return _Probe(fit, *stats)
         field_v = smoothness_field(fit.unit_cov_v_band, fit.layout.level_shape)

@@ -345,6 +345,14 @@ class TestAnalyze:
         )
         assert json.loads(proc.stderr)["error"] == "malformed-file"
 
+    @pytest.mark.parametrize("lambda1,n_silent", [("0", 2), ("1e-8", 0), ("1.0", 0)])
+    def test_run_records_silent_levels(self, dataset, tmp_path, lambda1, n_silent):
+        # with lambda1 = 0 no data or penalty reaches the two extreme corners
+        base, _ = dataset
+        argv = ["--input", str(base / "dataset.csv"), "--lambda1", lambda1, "--lambda2", "1"]
+        assert cli.main(["analyze", *FRAME_FLAGS, *argv, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["n_silent"] == n_silent
+
     def test_observed_means_filter(self, dataset, tmp_path):
         base, _ = dataset
         out = tmp_path / "means"
@@ -393,6 +401,26 @@ class TestAggregateCommand:
             expect=3,
         )
         assert json.loads(proc.stderr)["error"] == "malformed-file"
+
+
+@pytest.mark.parametrize(
+    "command,artifact",
+    [("analyze", "run.json"), ("simulate", "dataset.csv"), ("aggregate", "aggregated.csv")],
+)
+def test_failed_artifact_write_exit_2(dataset, tmp_path, capsys, command, artifact):
+    base, _ = dataset
+    flags = {
+        "analyze": ["--input", str(base / "dataset.csv"), "--lambda1", "1.0", "--lambda2", "1.0"],
+        "simulate": ["--model", str(base / "model.json")],
+        "aggregate": ["--input", str(base / "dataset.csv")],
+    }[command]
+    (tmp_path / artifact).mkdir()  # a directory takes the artifact's path
+    code = cli.main([command, *FRAME_FLAGS, *flags, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert error["message"].startswith(f"cannot write {tmp_path / artifact}: ")
 
 
 # one text per RunConfig field, read differently from the base file's value

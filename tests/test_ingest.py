@@ -157,6 +157,18 @@ class TestLoadMeasurements:
         ms, report = load_measurements(src, "xya", frame)
         assert ms.rows() == ms_in and report.n_accepted == 2
 
+    def test_byte_order_mark_skipped(self, frame, tmp_path):
+        text = "x,year,age\n24.5,1982.25,40\nabc,1982.25,40\n26.0,1991.5,55\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        (ms, report), (want, want_report) = (
+            load_measurements(path, "xya", frame) for path in (marked, plain)
+        )
+        assert ms.rows() == want.rows() and len(ms) == 2
+        assert report.as_dict() == want_report.as_dict()
+
 
 class TestAggregate:
     def test_two_point_cell(self, frame):

@@ -39,9 +39,14 @@ def dense_z_fit(frame, layout, measurements, mode, lambda1, lambda2):
     b1 = rows_to_matrix(build_penalty_v(layout), layout.dim)
     b2 = rows_to_matrix(build_penalty_u(layout), layout.dim)
     m = b0.T @ (w[:, None] * b0) + lambda1 * b1.T @ b1 + lambda2 * b2.T @ b2
-    factor = linalg.cho_factor(m)
-    z = linalg.cho_solve(factor, b0.T @ (w * x))
-    cov_z = linalg.cho_solve(factor, np.eye(layout.dim))
+    # parameters that no row reaches (with lambda1 = 0, the two corner
+    # boundary levels) are zero with zero covariance
+    keep = np.flatnonzero(np.diag(m) > 0.0)
+    factor = linalg.cho_factor(m[np.ix_(keep, keep)])
+    z = np.zeros(layout.dim)
+    z[keep] = linalg.cho_solve(factor, (b0.T @ (w * x))[keep])
+    cov_z = np.zeros((layout.dim, layout.dim))
+    cov_z[np.ix_(keep, keep)] = linalg.cho_solve(factor, np.eye(len(keep)))
     z2v, z2u = build_z2v(layout), build_z2u(layout)
     s0 = float(np.sum(w * (b0 @ z - x) ** 2))
     dof = int(round(w.sum())) - layout.dim
@@ -65,7 +70,7 @@ def survey(paper_frame, paper_layout):
 
 
 MODES = ["raw", "aggregated"]
-LAMBDAS = [(1e-3, 1e-3), (1.0, 1.0), (1e4, 10.0)]
+LAMBDAS = [(1e-3, 1e-3), (1.0, 1.0), (1e4, 10.0), (0.0, 1.0)]
 
 
 def check_against_oracle(frame, layout, measurements, mode, lambdas):
@@ -74,6 +79,7 @@ def check_against_oracle(frame, layout, measurements, mode, lambdas):
     else:
         system = build_system_aggregated(frame, aggregate(measurements, frame))
     fit = solve(system, *lambdas)
+    assert fit.n_silent == (2 if lambdas[0] == 0.0 else 0)
     want = dense_z_fit(frame, layout, measurements, mode, *lambdas)
     for name, expected in want.items():
         got = getattr(fit, name)

@@ -80,11 +80,12 @@ def full_coverage_fit(i_span, j_span, lambda1, lambda2):
 
 
 def equilibrated_dense(system, fit):
-    """The dense normal matrix the fit factored: active levels in factorization
-    order, Jacobi-equilibrated."""
+    """The dense normal matrix the fit factored: levels in factorization
+    order, Jacobi-equilibrated, with a unit pivot on each silent level."""
     band = fit.unit_cov_v_band
     m = normal_equations(system, fit.lambda1, fit.lambda2)[0].toarray()
-    return m[np.ix_(band.order, band.order)] * np.outer(band.scale, band.scale)
+    dense = m[np.ix_(band.order, band.order)] * np.outer(band.scale, band.scale)
+    return dense + np.diag(band.scale == 0)
 
 
 @settings(max_examples=30)
