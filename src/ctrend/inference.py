@@ -32,10 +32,12 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
     """F-distribution CDF via the regularized incomplete beta function."""
     if d1 < 1 or d2 < 1:
         raise InvalidDof(f"degrees of freedom must be positive, got ({d1}, {d2})")
-    if x < 0:
+    if not x >= 0:
         raise InvalidDof(f"F statistic must be >= 0, got {x}")
     if x == 0:
         return 0.0
+    if x == np.inf:
+        return 1.0
     return float(special.betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2)))
 
 

@@ -229,8 +229,8 @@ class FitResult:
         """Effective degrees of freedom trace(M^-1 G0), G0 the data Gram: the sum
         of G0 * M^-1 over G0's nonzeros, which all lie in the band."""
         d, k = np.nonzero(self.gram_data)
-        order = band_order(self.layout)
-        cov = self.unit_cov_v_band[order[k + d], order[k]]
+        inverse = self.unit_cov_v_band
+        cov = inverse.band[d, k] * inverse.scale[k + d] * inverse.scale[k]
         return float(np.sum(np.where(d > 0, 2.0, 1.0) * self.gram_data[d, k] * cov))
 
     @cached_property
@@ -385,47 +385,24 @@ def _collinear(p: tuple[float, float], q: tuple[float, float], r: tuple[float, f
 
 
 def _general_position(distinct: list[tuple[float, float]]) -> tuple[bool, str]:
-    """Whether four of the (sorted, distinct) points have no three on a line.
+    """Whether four of the n >= 4 distinct points have no three on a line.
 
-    The search is exact: find a non-degenerate triangle, look for a fourth
-    point off all three of its lines; if every point sits on those lines,
-    a valid quadruple exists exactly when two of the lines each carry two
-    points besides their shared vertex.
+    They do exactly when no line holds n - 1 of the points.  If the fullest
+    line L holds at most n - 2, two points p and q lie off it; the line pq
+    meets L at most once, so two points of L lie off pq, and those two with
+    p and q have no three on a line.  If no three points are collinear at
+    all, any four will do.  A line holding n - 1 points passes through two
+    of any three points, so the three lines through pairs of the first two
+    points and the first point c off their line are enough.
     """
-    a = distinct[0]
-    b = next((p for p in distinct if p != a), None)
+    a, b = distinct[:2]
     c = next((p for p in distinct if not _collinear(a, b, p)), None)
     if c is None:
         return False, "all points collinear"
-
-    on_ab, on_bc, on_ac = [], [], []
-    for p in distinct:
-        off = True
-        if _collinear(a, b, p):
-            on_ab.append(p)
-            off = False
-        if _collinear(b, c, p):
-            on_bc.append(p)
-            off = False
-        if _collinear(a, c, p):
-            on_ac.append(p)
-            off = False
-        if off:
-            return True, "found 4 points in general position"
-
-    # Every point lies on the triangle's lines; a 2+2 pick across two lines
-    # works iff both lines hold two points besides the shared vertex.
-    for line1, line2, vertex in (
-        (on_ab, on_bc, b),
-        (on_ab, on_ac, a),
-        (on_bc, on_ac, c),
-    ):
-        if (
-            sum(1 for p in line1 if p != vertex) >= 2
-            and sum(1 for p in line2 if p != vertex) >= 2
-        ):
-            return True, "found 4 points in general position"
-    return False, "all but at most one point share a line"
+    fullest = max(sum(_collinear(p, q, r) for r in distinct) for p, q in ((a, b), (a, c), (b, c)))
+    if fullest >= len(distinct) - 1:
+        return False, "all but at most one point share a line"
+    return True, "found 4 points in general position"
 
 
 def _null_space_rows(points: list[tuple[float, float]]) -> np.ndarray:
@@ -457,8 +434,8 @@ def check_uniqueness(points: list[tuple[float, float]]) -> tuple[bool, str]:
 
     True when both conditions hold:
 
-    * four points exist with no three on a common straight line in the
-      (y, a) plane (searched exactly, see `_general_position`);
+    * no line in the (y, a) plane holds n - 1 of the n distinct points, so
+      four of them have no three on a line (`_general_position`);
     * the n x 4 null-space matrix has full rank: its smallest singular value
       relative to its largest exceeds `RANK_TOL`.
 
@@ -472,6 +449,8 @@ def check_uniqueness(points: list[tuple[float, float]]) -> tuple[bool, str]:
     identifiable same-age sets, e.g. sigma_min/sigma_max = 1.4e-2 at age 35.
     """
     distinct = sorted(set((float(y), float(a)) for y, a in points))
+    if not np.isfinite(distinct).all():
+        return False, "non-finite point"
     if len(distinct) < 4:
         return False, f"only {len(distinct)} distinct points"
 

@@ -61,6 +61,14 @@ class TestFCdf:
         with pytest.raises(InvalidDof):
             f_cdf(-1.0, 1, 10)
 
+    def test_nan_statistic(self):
+        with pytest.raises(InvalidDof):
+            f_cdf(float("nan"), 1, 10)
+
+    def test_infinite_statistic(self):
+        for d2 in (1, 10, 60):
+            assert f_cdf(float("inf"), 1, d2) == 1.0
+
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 20.0, 50)
         vals = [f_cdf(float(x), 1, 60) for x in xs]

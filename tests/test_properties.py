@@ -1,5 +1,7 @@
 """Property-based checks of the level-surface algebra, the solver and the tuner."""
 
+from itertools import combinations
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from ctrend.design import (
 )
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import Measurement, aggregate
-from ctrend.solver import solve
+from ctrend.solver import check_uniqueness, solve
 from ctrend.tuner import SmoothnessTargets, _Evaluator, fstat, smoothness_field, tune
 from ctrend.synth import (
     SamplingPlan,
@@ -359,3 +361,32 @@ def test_aggregate_invariant_to_row_order(i_span, j_span, rnd):
         assert abs(got.x_bar - want.x_bar) <= 1e-13 * scale
         assert abs(got.y_bar - want.y_bar) <= 1e-13 * want.y_bar
         assert abs(got.css - want.css) <= 1e-12 * got.n * scale**2
+
+
+@st.composite
+def grid_point_sets(draw):
+    """4 to 9 distinct points on an integer grid of up to 6 x 6."""
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(-(-4 // width), 6))
+    point = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    return draw(st.lists(point, min_size=4, max_size=min(9, width * height), unique=True))
+
+
+def on_one_line(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
+
+
+@settings(max_examples=300)
+@given(grid_point_sets())
+def test_general_position_matches_quadruple_search(points):
+    # Integer coordinates keep every cross product exact, so the collinearity
+    # tolerance plays no part.
+    _, why = check_uniqueness(points)
+    free_quadruple = any(
+        not any(on_one_line(*triple) for triple in combinations(quad, 3))
+        for quad in combinations(points, 4)
+    )
+    collinear_reasons = ("all points collinear", "all but at most one point share a line")
+    assert (why in collinear_reasons) == (not free_quadruple)
+    one_line = all(on_one_line(points[0], points[1], r) for r in points)
+    assert (why == "all points collinear") == one_line

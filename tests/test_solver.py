@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import subprocess
 import sys
 
@@ -274,6 +275,20 @@ class TestCheckUniqueness:
     def test_three_on_line_plus_one(self):
         ok, _ = check_uniqueness([(0, 0), (1, 0), (2, 0), (1, 1)])
         assert not ok
+
+    def test_point_near_two_lines_counts_on_one(self):
+        # (1 + 2e-10, 1) is within the collinearity tolerance of the line
+        # through (0, 0) and (1, 1) and of the line through (1, 1) and (1, 5),
+        # so three of the four points share a line.
+        pts = [(0, 0), (1, 1), (1, 5), (1 + 2e-10, 1)]
+        assert check_uniqueness(pts) == (False, "all but at most one point share a line")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_point(self, bad, axis):
+        pts = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        pts[3] = (bad, 1) if axis == 0 else (1, bad)
+        assert check_uniqueness(pts) == (False, "non-finite point")
 
     # Sets in general position in (y, a) whose observations cannot pin the
     # four bilinear surfaces the penalties leave free.
