@@ -359,6 +359,8 @@ def _load_model(path: str, frame: Frame) -> tuple[TrueModel, SamplingPlan]:
             plan = survey_plan(frame, waves, fractions, per_fraction)
         else:
             raise SpecMismatch(f"unknown plan kind {kind!r}")
+        if not plan.entries:
+            raise SpecMismatch("model plan places no measurement")
     except KeyError as exc:
         raise SpecMismatch(f"model file misses field {exc}") from exc
     except (TypeError, ValueError, AttributeError, OverflowError) as exc:

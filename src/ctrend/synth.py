@@ -40,8 +40,10 @@ class TrueModel:
             raise SpecMismatch(
                 f"trend field must have shape {layout.trend_shape}, got {u.shape}"
             )
-        if self.noise_sd < 0:
-            raise SpecMismatch(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not (np.isfinite(v0).all() and np.isfinite(u).all()):
+            raise SpecMismatch("boundary levels and trend field must be finite")
+        if not 0 <= self.noise_sd < np.inf:
+            raise SpecMismatch(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         object.__setattr__(self, "v0_true", v0)
         object.__setattr__(self, "u_true", u)
 
@@ -91,13 +93,8 @@ class SamplingPlan:
 def full_coverage_plan(
     frame: Frame, fractions: tuple[float, ...] = (0.25, 0.75), per_fraction: int = 1
 ) -> SamplingPlan:
-    """Every cell sampled at every listed year fraction."""
-    entries = []
-    for i in range(frame.i_span + 1):
-        for j in range(frame.j_span + 1):
-            for t in fractions:
-                entries.extend([(i, j, float(t))] * per_fraction)
-    return SamplingPlan(tuple(entries))
+    """Every cell sampled at every listed year fraction: a survey in every year."""
+    return survey_plan(frame, tuple(range(frame.i_span + 1)), fractions, per_fraction)
 
 
 def survey_plan(

@@ -112,12 +112,15 @@ def fstat(
     if selected is None:
         raise IndexOutOfRange("selected-point fstat needs a grid point")
     i, j = selected
-    nrows, ncols = field.age.shape
-    if not (0 <= i < nrows and 0 <= j < ncols):
-        raise IndexOutOfRange(
-            f"selected point ({i}, {j}) outside age-block grid {field.age.shape}"
-        )
+    _check_age_pair((i, j), field.age.shape)
     return float(field.age[i, j])
+
+
+def _check_age_pair(point: tuple[int, int], pairs: tuple[int, int]) -> None:
+    """IndexOutOfRange unless `point` lies on the `pairs`-shaped age-pair grid."""
+    (i, j), (nrows, ncols) = point, pairs
+    if not (0 <= i < nrows and 0 <= j < ncols):
+        raise IndexOutOfRange(f"selected point ({i}, {j}) outside age-block grid {pairs}")
 
 
 def default_selected_point_v(layout) -> tuple[int, int]:
@@ -173,9 +176,12 @@ def _safe_log(x: float) -> float:
 
 @dataclass
 class _Probe:
-    fit: FitResult
-    stat_v: float
-    stat_u: float
+    """One solve at lambdas 10**lg; `fit` is None when the system was singular."""
+
+    lg: tuple[float, float]
+    fit: FitResult | None = None
+    stat_v: float = math.nan
+    stat_u: float = math.nan
 
 
 def _selected_pairs(layout, point_v: tuple[int, int], point_u: tuple[int, int]) -> np.ndarray:
@@ -183,10 +189,7 @@ def _selected_pairs(layout, point_v: tuple[int, int], point_u: tuple[int, int]) 
     two selected age pairs; IndexOutOfRange for a point outside its pair grid."""
     flat = []
     for (i, j), (nrows, ncols) in ((point_v, layout.level_shape), (point_u, layout.trend_shape)):
-        if not (0 <= i < nrows and 0 <= j < ncols - 1):
-            raise IndexOutOfRange(
-                f"selected point ({i}, {j}) outside age-block grid {(nrows, ncols - 1)}"
-            )
+        _check_age_pair((i, j), (nrows, ncols - 1))
         flat.append(i * ncols + j)
     k, t = flat
     levels = np.zeros((layout.dim, 2))
@@ -195,8 +198,9 @@ def _selected_pairs(layout, point_v: tuple[int, int], point_u: tuple[int, int]) 
 
 
 class _Evaluator:
-    """Solves at given lambdas and summarizes both smoothness statistics.
+    """Solves at given log10-lambdas and summarizes both smoothness statistics.
 
+    `probes` records every probe in solve order, singular ones included.
     No probe forms a dense covariance: `selected-point` reads its two pairs
     from one four-column `quadratic` solve, the other statistics read the
     whole field off the fit's banded inverses.
@@ -210,30 +214,38 @@ class _Evaluator:
         self.pairs = None
         if targets.fstat_kind == "selected-point":
             self.pairs = _selected_pairs(system.layout, self.point_v, self.point_u)
-        self.solves = 0
+        self.probes: list[_Probe] = []
 
-    def __call__(self, lambda1: float, lambda2: float) -> _Probe | None:
-        """A probe, or None when the system is singular at these lambdas."""
-        self.solves += 1
+    def __call__(self, lg: tuple[float, float]) -> _Probe:
+        """The probe at lambdas 10**lg, appended to `probes`."""
+        probe = _Probe(lg)
+        self.probes.append(probe)
         try:
-            fit = solve(self.system, lambda1, lambda2)
+            probe.fit = fit = solve(self.system, 10.0 ** lg[0], 10.0 ** lg[1])
         except SingularSystem:
-            return None
+            return probe
         # Correlations are scale-free, so the unit covariance works even
         # when sigma2 is unavailable or zero.
         if self.pairs is not None:
             cov = fit.unit_cov_v_band.quadratic(self.pairs)
-            stats = (float(_pair_indicator(cov, k, k + 1)[0]) for k in (0, 2))
-            return _Probe(fit, *stats)
-        field_v = smoothness_field(fit.unit_cov_v_band, fit.layout.level_shape)
-        field_u = smoothness_field(fit.unit_cov_u_band, fit.layout.trend_shape)
+            probe.stat_v, probe.stat_u = (float(_pair_indicator(cov, k, k + 1)[0]) for k in (0, 2))
+            return probe
         kind = self.targets.fstat_kind
-        return _Probe(fit=fit, stat_v=fstat(field_v, kind), stat_u=fstat(field_u, kind))
+        probe.stat_v = fstat(smoothness_field(fit.unit_cov_v_band, fit.layout.level_shape), kind)
+        probe.stat_u = fstat(smoothness_field(fit.unit_cov_u_band, fit.layout.trend_shape), kind)
+        return probe
 
-    def log_errors(self, probe: _Probe) -> tuple[float, float]:
-        ev = abs(_safe_log(probe.stat_v) - math.log(self.targets.f_smv))
-        eu = abs(_safe_log(probe.stat_u) - math.log(self.targets.f_smu))
-        return ev, eu
+    def log_error(self, probe: _Probe, which: int) -> float:
+        """Signed log distance of statistic `which` (0 level, 1 trend) from its
+        target; -inf when the probe is singular."""
+        if probe.fit is None:
+            return -math.inf
+        if which == 0:
+            return _safe_log(probe.stat_v) - math.log(self.targets.f_smv)
+        return _safe_log(probe.stat_u) - math.log(self.targets.f_smu)
+
+    def joint_error(self, probe: _Probe) -> float:
+        return max(abs(self.log_error(probe, 0)), abs(self.log_error(probe, 1)))
 
     def report(self, probe: _Probe, converged: bool) -> SmoothnessReport:
         return SmoothnessReport(
@@ -241,54 +253,42 @@ class _Evaluator:
             stat_u=probe.stat_u,
             lambda1=probe.fit.lambda1,
             lambda2=probe.fit.lambda2,
-            iterations=self.solves,
+            iterations=len(self.probes),
             converged=converged,
         )
 
 
 def _search(
-    evaluate: _Evaluator,
-    which: int,
-    fixed: float,
-    lg: float,
-    probe: _Probe | None,
-    target: float,
-    tol: float,
-) -> tuple[float, _Probe, float | None]:
-    """One weight's search in log10-lambda, the other weight held at `fixed`.
+    evaluate: _Evaluator, which: int, start: _Probe, tol: float
+) -> tuple[_Probe, float | None]:
+    """One weight's search in log10-lambda, the other held where `start` has it.
 
-    Starts at `lg`, where `probe` was solved (None if singular), and steps
-    LOG10_STEP decades toward the target until the log error changes sign;
-    a bracket end is probed only when a step reaches it.  The last step is
-    narrowed by false position (Dowell & Jarratt 1971), each new point kept
-    inside the inner 80 % of the bracket, or at its midpoint when an end is
-    singular.  Relies on the statistic decreasing in its own lambda.  A
-    singular probe counts as below the target, as if the penalty had
-    overwhelmed the data (maximally smooth): past the target when stepping
-    up or narrowing, short of it when stepping down.
+    Starts at `start` and steps LOG10_STEP decades toward the target until
+    the log error changes sign; a bracket end is probed only when a step
+    reaches it.  The last step is narrowed by false position (Dowell &
+    Jarratt 1971), each new point kept inside the inner 80 % of the
+    bracket, or at its midpoint when an end is singular.  Relies on the
+    statistic decreasing in its own lambda.  A singular probe counts as
+    below the target, as if the penalty had overwhelmed the data (maximally
+    smooth): past the target when stepping up or narrowing, short of it
+    when stepping down.
 
-    Returns the log10-lambda and probe closest to the target, and the
-    bracket end if the search stopped at a solvable end short of its target.
+    Returns the solvable probe closest to the target among `start` and the
+    probes this search made, and the bracket end if the search stopped at a
+    solvable end short of its target.
     """
-    solvable: list[tuple[float, float, _Probe]] = []  # (|log error|, log10-lambda, probe)
+    begin = len(evaluate.probes)
 
-    def log_error(x: float, p: _Probe | None) -> float:
-        if p is None:
-            return -math.inf
-        g = _safe_log(p.stat_v if which == 0 else p.stat_u) - math.log(target)
-        solvable.append((abs(g), x, p))
-        return g
-
-    def closest() -> tuple[float, _Probe, None]:
-        if not solvable:
+    def closest() -> tuple[_Probe, None]:
+        solved = [q for q in (start, *evaluate.probes[begin:]) if q.fit is not None]
+        if not solved:
             raise SingularSystem(f"no solvable lambda found for the {WEIGHT_NAMES[which]} weight")
-        _, x, p = min(solvable, key=lambda item: item[0])
-        return x, p, None
+        return min(solved, key=lambda q: abs(evaluate.log_error(q, which))), None
 
     # lo and hi: log10-lambda of the latest points above and below the target.
     lo = hi = None
-    x, p = lg, probe
-    g = log_error(x, p)
+    p, x = start, start.lg[which]
+    g = evaluate.log_error(p, which)
     while abs(g) > tol:
         if g > 0:
             lo, g_lo = x, g
@@ -297,9 +297,9 @@ def _search(
         if lo is None or hi is None:
             end = LOG10_HI if hi is None else LOG10_LO
             if x == end:
-                return (x, p, end) if p is not None else closest()
+                return (p, end) if p.fit is not None else closest()
             x = min(x + LOG10_STEP, end) if hi is None else max(x - LOG10_STEP, end)
-        elif evaluate.solves >= MAX_SOLVES or hi - lo <= 1e-12:
+        elif len(evaluate.probes) >= MAX_SOLVES or hi - lo <= 1e-12:
             return closest()
         elif math.isinf(g_hi):  # singular (or zero statistic) at the upper end
             x = 0.5 * (lo + hi)
@@ -307,10 +307,9 @@ def _search(
             width = hi - lo
             x = lo + width * g_lo / (g_lo - g_hi)
             x = min(max(x, lo + 0.1 * width), hi - 0.1 * width)
-        lam = 10.0**x
-        p = evaluate(lam, fixed) if which == 0 else evaluate(fixed, lam)
-        g = log_error(x, p)
-    return x, p, None
+        p = evaluate((x, start.lg[1]) if which == 0 else (start.lg[0], x))
+        g = evaluate.log_error(p, which)
+    return p, None
 
 
 def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, SmoothnessReport]:
@@ -321,44 +320,39 @@ def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, S
     condition holds.  A search that stops at a bracket end short of its
     target keeps that end for the rest of the sweep; TargetUnreachable, with
     that fit, is raised when a weight stops at the same end in two sweeps
-    running.  NoConvergence, with the best attempt, is raised after
-    MAX_SWEEPS sweeps or MAX_SOLVES solves.
+    running.  NoConvergence, with the best attempt among all solves, is
+    raised after MAX_SWEEPS sweeps or MAX_SOLVES solves.
     """
     evaluate = _Evaluator(system, targets)
-    lgs = [0.5 * (LOG10_LO + LOG10_HI)] * 2
-    probe = evaluate(10.0 ** lgs[0], 10.0 ** lgs[1])
+    mid = 0.5 * (LOG10_LO + LOG10_HI)
+    probe = evaluate((mid, mid))
     if math.isinf(targets.delta):
-        if probe is None:
+        if probe.fit is None:
             raise SingularSystem("system is singular at the starting lambdas")
         return probe.fit, evaluate.report(probe, converged=True)
 
     inner_tol = 0.4 * targets.delta
     stopped_at: list[float | None] = [None, None]
-    best: tuple[float, _Probe] | None = None
     for _ in range(MAX_SWEEPS):
-        for which, target in ((1, targets.f_smu), (0, targets.f_smv)):
-            lgs[which], probe, end = _search(
-                evaluate, which, 10.0 ** lgs[1 - which], lgs[which], probe, target, inner_tol
-            )
+        for which in (1, 0):
+            probe, end = _search(evaluate, which, probe, inner_tol)
             if end is not None and end == stopped_at[which]:
                 side = "above" if end == LOG10_HI else "below"
+                target = (targets.f_smv, targets.f_smu)[which]
                 raise TargetUnreachable(
                     f"{WEIGHT_NAMES[which]} smoothness stays {side} target {target} "
                     f"at lambda=1e{end:g}",
                     fit=probe.fit,
                 )
             stopped_at[which] = end
-        err = max(evaluate.log_errors(probe))
-        if best is None or err < best[0]:
-            best = (err, probe)
-        if err <= targets.delta:
+        if evaluate.joint_error(probe) <= targets.delta:
             return probe.fit, evaluate.report(probe, converged=True)
-        if evaluate.solves >= MAX_SOLVES:
+        if len(evaluate.probes) >= MAX_SOLVES:
             break
-    err, probe = best
+    best = min((q for q in evaluate.probes if q.fit is not None), key=evaluate.joint_error)
     raise NoConvergence(
-        f"tuner used {evaluate.solves} solves; best joint log error {err:.4f} "
-        f"exceeds delta {targets.delta}",
-        fit=probe.fit,
-        report=evaluate.report(probe, converged=False),
+        f"tuner used {len(evaluate.probes)} solves; best joint log error "
+        f"{evaluate.joint_error(best):.4f} exceeds delta {targets.delta}",
+        fit=best.fit,
+        report=evaluate.report(best, converged=False),
     )

@@ -10,9 +10,11 @@ from ctrend.grid import Frame, ParameterLayout
 from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
 
 # `python -m ctrend` subprocesses in the CLI tests import the package from
-# this checkout, as the tests themselves do through pytest's `pythonpath`.
+# this checkout, as the tests themselves do through pytest's `pythonpath`,
+# and turn warnings into errors, as pytest's `filterwarnings` does here.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = "error"
 
 # Property tests draw the same examples on every run and every machine, and
 # keep no example database between runs.

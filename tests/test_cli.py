@@ -9,7 +9,8 @@ import pytest
 
 from ctrend import cli
 from ctrend.grid import Frame, ParameterLayout
-from ctrend.synth import smooth_boundary, smooth_trend
+from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
+from ingest_reference import measurements_to_csv
 
 FRAME_FLAGS = ["--y-min", "2000.0", "--y-max", "2004.9", "--a-min", "10.0", "--a-max", "16.0"]
 
@@ -88,8 +89,20 @@ class TestSimulate:
             lambda spec: {**spec, "plan": {"per_fraction": "x"}},
             lambda spec: {**spec, "plan": [1]},
             lambda spec: {**spec, "plan": {"per_fraction": float("inf")}},
+            lambda spec: {**spec, "v0": [float("nan"), *spec["v0"][1:]]},
+            lambda spec: {**spec, "u": [[float("inf"), *spec["u"][0][1:]], *spec["u"][1:]]},
+            lambda spec: {**spec, "noise_sd": float("nan")},
+            lambda spec: {**spec, "noise_sd": float("inf")},
+            lambda spec: {**spec, "plan": {"per_fraction": 0}},
+            lambda spec: {**spec, "plan": {"per_fraction": -2}},
+            lambda spec: {**spec, "plan": {"fractions": []}},
+            lambda spec: {**spec, "plan": {"kind": "survey", "wave_years": [0], "fractions": []}},
         ],
-        ids=["list", "null-noise", "text-v0", "text-count", "list-plan", "infinite-count"],
+        ids=[
+            "list", "null-noise", "text-v0", "text-count", "list-plan", "infinite-count",
+            "nan-v0", "infinite-u", "nan-noise", "infinite-noise", "zero-count",
+            "negative-count", "no-fractions", "survey-no-fractions",
+        ],
     )
     def test_malformed_model_exit_3(self, tmp_path, edit):
         model = tmp_path / "model.json"
@@ -344,6 +357,25 @@ class TestAnalyze:
             expect=3,
         )
         assert json.loads(proc.stderr)["error"] == "malformed-file"
+
+    def test_tuner_out_of_budget_exit_4(self, tmp_path, capsys):
+        # two survey waves six years apart cannot meet delta = 1e-6
+        frame = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
+        layout = ParameterLayout.from_frame(frame)
+        model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
+        data = tmp_path / "data.csv"
+        data.write_text(
+            measurements_to_csv(generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1)),
+            encoding="utf-8",
+        )
+        frame_flags = ["--y-min", "2000.0", "--y-max", "2006.9", "--a-min", "30.0", "--a-max", "40.0"]
+        out = tmp_path / "out"
+        argv = ["--input", str(data), "--delta", "1e-6", "--out", str(out)]
+        code = cli.main(["analyze", *frame_flags, *argv])
+        err = capsys.readouterr().err
+        assert code == 4 and err.count("\n") == 1
+        assert json.loads(err)["error"] == "no-convergence"
+        assert not (out / "run.json").exists()
 
     @pytest.mark.parametrize("lambda1,n_silent", [("0", 2), ("1e-8", 0), ("1.0", 0)])
     def test_run_records_silent_levels(self, dataset, tmp_path, lambda1, n_silent):

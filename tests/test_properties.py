@@ -275,7 +275,7 @@ def test_whitened_selected_point_matches_band_route(
     point_v = grid_point(fvi, fvj, *layout.level_shape)
     point_u = grid_point(fui, fuj, *layout.trend_shape)
     targets = SmoothnessTargets(selected_point_v=point_v, selected_point_u=point_u)
-    probe = _Evaluator(system, targets)(lambda1, lambda2)
+    probe = _Evaluator(system, targets)((np.log10(lambda1) if lambda1 else -np.inf, np.log10(lambda2)))
     fit = probe.fit
     want_v = fstat(
         smoothness_field(fit.unit_cov_v_band, layout.level_shape), "selected-point", point_v

@@ -74,6 +74,18 @@ class TestTrueModel:
                 frame, np.zeros(layout.n_boundary), np.zeros(layout.trend_shape), -1.0
             )
 
+    @pytest.mark.parametrize(
+        "v0_entry,u_entry,noise_sd",
+        [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, np.nan), (0.0, 0.0, np.inf)],
+        ids=["nan-v0", "infinite-u", "nan-noise", "infinite-noise"],
+    )
+    def test_non_finite_values_rejected(self, frame, layout, v0_entry, u_entry, noise_sd):
+        v0 = np.zeros(layout.n_boundary)
+        u = np.zeros(layout.trend_shape)
+        v0[1], u[1, 1] = v0_entry, u_entry
+        with pytest.raises(SpecMismatch):
+            TrueModel(frame, v0, u, noise_sd)
+
 
 class TestGenerate:
     def test_noise_free_values_exact(self, frame, layout):
@@ -102,6 +114,29 @@ class TestGenerate:
                 SamplingPlan.from_cells([(frame.i_span, 0, [0.95])]),
                 seed=1,
             )
+
+    @pytest.mark.parametrize(
+        "bounds,fractions,per_fraction",
+        [
+            ((2000.0, 2004.9, 10.0, 16.0), (0.25, 0.75), 1),
+            ((2000.0, 2006.9, 30.0, 40.0), (0.3,), 2),
+            ((1982.0, 1992.9, 25.0, 64.0), (0.0, 0.1, 0.5), 3),
+            ((2000.0, 2004.9, 10.0, 16.0), (), 1),
+        ],
+    )
+    def test_full_coverage_is_a_survey_in_every_year(self, bounds, fractions, per_fraction):
+        frame = Frame.from_bounds(*bounds)
+        every_cell = tuple(
+            (i, j, float(t))
+            for i in range(frame.i_span + 1)
+            for j in range(frame.j_span + 1)
+            for t in fractions
+            for _ in range(per_fraction)
+        )
+        every_year = tuple(range(frame.i_span + 1))
+        full = full_coverage_plan(frame, fractions, per_fraction)
+        assert full.entries == survey_plan(frame, every_year, fractions, per_fraction).entries
+        assert full.entries == every_cell
 
     def test_survey_plan_cell_coverage(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)

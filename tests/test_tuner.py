@@ -5,7 +5,7 @@ import pytest
 
 from ctrend import tuner
 from ctrend.design import build_system_aggregated, build_system_raw
-from ctrend.errors import IndexOutOfRange, TargetUnreachable
+from ctrend.errors import IndexOutOfRange, NoConvergence, TargetUnreachable
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
@@ -214,6 +214,41 @@ class TestWarmStartedSearch:
         _, report = tune(two_wave_system, targets)
         assert report.converged
         assert joint_log_error(report, targets) <= 0.05
+
+    def test_no_convergence_reports_the_best_of_all_solves(self, two_wave_system, monkeypatch):
+        # unreachable accuracy: the tune runs out of sweeps, and its best
+        # solve falls inside a search, not at the end of a sweep
+        calls, fits = [], []
+
+        def recorded(*args):
+            calls.append(args)
+            fits.append(solve(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(tuner, "solve", recorded)
+        targets = SmoothnessTargets(delta=1e-6)
+        with pytest.raises(NoConvergence) as caught:
+            tune(two_wave_system, targets)
+        layout = two_wave_system.layout
+        points = default_selected_point_v(layout), default_selected_point_u(layout)
+
+        def error(fit):
+            stats = (
+                fstat(smoothness_field(cov, shape), "selected-point", point)
+                for cov, shape, point in zip(
+                    (fit.unit_cov_v_band, fit.unit_cov_u_band),
+                    (layout.level_shape, layout.trend_shape),
+                    points,
+                )
+            )
+            return max(abs(math.log(f) - math.log(0.2)) for f in stats)
+
+        best = min(fits, key=error)
+        report = caught.value.report
+        assert report.iterations == len(calls) > len(fits)  # some solves were singular
+        assert caught.value.fit is best
+        assert (report.lambda1, report.lambda2) == (best.lambda1, best.lambda2)
+        assert joint_log_error(report, targets) == pytest.approx(error(best), rel=1e-9)
 
     def test_study_survey_design_converges_in_few_solves(self):
         frame = Frame.from_bounds(1982.0, 1992.99, 25.0, 64.0)
