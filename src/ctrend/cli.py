@@ -105,7 +105,7 @@ class RunConfig:
     schema: str = _one_of(SCHEMAS, "xya")
     f_smv: float = _setting(float, "smoothness target of the levels", 0.2)
     f_smu: float = _setting(float, "smoothness target of the trends", 0.2)
-    delta: float = _setting(float, "tolerance on the smoothness targets", 0.05)
+    delta: float = _setting(float, "accepted log distance from the targets (tuned to 1e-8)", 0.05)
     fstat: str = _one_of(FSTAT_KINDS, "selected-point")
     point_v: tuple[int, int] | None = _setting(_parse_point, "0-based 'i,j' probe for levels", None)
     point_u: tuple[int, int] | None = _setting(_parse_point, "0-based 'i,j' probe for trends", None)
@@ -452,10 +452,12 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         return args.run(config, frame, out_dir)
     except CtrendError as exc:
-        print(
-            json.dumps({"error": exc.category, "message": str(exc)}, sort_keys=True),
-            file=sys.stderr,
-        )
+        record = {"error": exc.category, "message": str(exc)}
+        report = getattr(exc, "report", None)  # a failed tune's best attempt
+        if report is not None:
+            record.update(lambda1=report.lambda1, lambda2=report.lambda2, stat_v=report.stat_v,
+                          stat_u=report.stat_u, solves=report.iterations)
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return exc.exit_code
 
 

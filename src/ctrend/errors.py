@@ -84,13 +84,14 @@ class TuningFailure(NumericalError):
 
 
 class NoConvergence(TuningFailure):
-    """Tuner ran out of budget."""
+    """Tuner stopped short of delta: out of budget, or no step lowers the error."""
 
     category = "no-convergence"
 
 
 class TargetUnreachable(TuningFailure):
-    """No lambda in the search bracket crosses the smoothness target."""
+    """A weight held at a bound of its range, or where the system turns
+    singular, leaves its statistic short of the target."""
 
     category = "target-unreachable"
 

@@ -2,12 +2,14 @@
 
 The control quantity per adjacent pair of surface estimates is 1 - r^2,
 with r their correlation: the fraction of variance not explained by the
-neighbor ("new information").  A summary statistic of those indicators is
-driven to a target on the log scale, separately for the trend surface
-(via lambda2) and the level surface (via lambda1), by one warm-started
-search per weight in log10-lambda over [-8, 10].  Each statistic decreases
-in its own lambda.  The trend statistic barely moves with lambda1, so each
-sweep tunes lambda2 first; further sweeps absorb the remaining coupling.
+neighbor ("new information").  `tune` drives a summary statistic of the level
+indicators (by lambda1) and of the trend indicators (by lambda2) to its target:
+it solves g(lg) = log(statistics / targets) = 0 for lg = log10-lambda in
+[-8, 10]^2 by projected Newton steps on an exact (`selected-point`) or
+forward-difference Jacobian.  Where that Jacobian does not show each statistic
+falling mainly in its own weight, a step of each weight on its own statistic is
+tried first.  The iteration runs to a root tolerance far inside delta, so the
+lambdas depend on the design and the targets alone.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from .solver import FitResult, solve
 
 LOG10_LO = -8.0
 LOG10_HI = 10.0
-LOG10_STEP = 2.0
+LOG10_STEP = 2.0  # longest step, decades
+ROOT_TOL = 1e-8  # joint log error at which the iteration stops
+DIFF_STEP = 0.01  # forward-difference step of the whole-field Jacobian, decades
+HALVINGS = 4  # probes per line search
+ARMIJO = 1e-4  # sufficient decrease of |g|^2 per unit step fraction
 MAX_SOLVES = 200
-MAX_SWEEPS = 10
 WEIGHT_NAMES = ("level", "trend")  # lambda1, lambda2
 FSTAT_KINDS = ("selected-point", "mean", "median", "min")
 
@@ -137,11 +142,12 @@ def default_selected_point_u(layout) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SmoothnessTargets:
-    """Targets and stopping rule for the tuner.
+    """Targets and acceptance bound for the tuner.
 
     `delta` bounds the absolute log-distance of both statistics from their
-    targets; `math.inf` disables tuning and accepts the first solve, at
-    lambda1 = lambda2 = 10 (the center of the search range).
+    targets that a tune accepts: the iteration runs on to ROOT_TOL, and
+    delta decides whether its best probe counts as converged.  `math.inf`
+    accepts the first solve, at lambda1 = lambda2 = 10, without tuning.
     """
 
     f_smv: float = 0.2
@@ -170,23 +176,24 @@ class SmoothnessReport:
     converged: bool
 
 
-def _safe_log(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
-
-
 @dataclass
 class _Probe:
-    """One solve at lambdas 10**lg; `fit` is None when the system was singular."""
+    """One solve at lambdas 10**lg: g(lg) as `error`, -inf when the system
+    was singular (`fit` None), and dg/dlg for `selected-point` probes."""
 
     lg: tuple[float, float]
+    error: np.ndarray
     fit: FitResult | None = None
     stat_v: float = math.nan
     stat_u: float = math.nan
+    jacobian: np.ndarray | None = None
 
 
-def _selected_pairs(layout, point_v: tuple[int, int], point_u: tuple[int, int]) -> np.ndarray:
+def _selected_pairs(layout, targets: SmoothnessTargets) -> np.ndarray:
     """dim x 4 map from the level surface onto v(k), v(k+1), u(t), u(t+1), the
     two selected age pairs; IndexOutOfRange for a point outside its pair grid."""
+    point_v = targets.selected_point_v or default_selected_point_v(layout)
+    point_u = targets.selected_point_u or default_selected_point_u(layout)
     flat = []
     for (i, j), (nrows, ncols) in ((point_v, layout.level_shape), (point_u, layout.trend_shape)):
         _check_age_pair((i, j), (nrows, ncols - 1))
@@ -197,28 +204,42 @@ def _selected_pairs(layout, point_v: tuple[int, int], point_u: tuple[int, int]) 
     return np.hstack([levels, build_v2u(layout)[[t, t + 1]].T.toarray()])
 
 
+def _pair_sensitivity(cov: np.ndarray, dcovs: list[np.ndarray]) -> tuple[float, np.ndarray]:
+    """The indicator f = 1 - r^2 of the pair in a 2 x 2 covariance, and the
+    derivatives of log f along each change in `dcovs`: -(d r^2) / f, with
+    d r^2 = 2 c12 dc12 / (c11 c22) - r^2 (dc11 / c11 + dc22 / c22).  They are
+    zero where `_pair_indicator` pins f to 1, and where f is 0."""
+    f, zero = _pair_indicator(cov, 0, 1)
+    if zero or f <= 0.0:
+        return float(f), np.zeros(len(dcovs))
+    (c11, c12), (_, c22) = cov
+    dr2 = [
+        2 * c12 * d[0, 1] / (c11 * c22) - (1 - f) * (d[0, 0] / c11 + d[1, 1] / c22) for d in dcovs
+    ]
+    return float(f), -np.array(dr2) / f
+
+
 class _Evaluator:
     """Solves at given log10-lambdas and summarizes both smoothness statistics.
 
     `probes` records every probe in solve order, singular ones included.
-    No probe forms a dense covariance: `selected-point` reads its two pairs
-    from one four-column `quadratic` solve, the other statistics read the
-    whole field off the fit's banded inverses.
+    No probe forms a dense covariance.  `selected-point` solves M X = R for
+    the four columns R of its two pairs; C = R^T X, and dM/dlg_k =
+    lambda_k ln 10 P_k^T P_k (P_k the penalty of weight k) gives dC/dlg_k =
+    -lambda_k ln 10 (P_k X)^T (P_k X).  Whole-field statistics read the band.
     """
 
     def __init__(self, system: LinearSystem, targets: SmoothnessTargets):
         self.system = system
         self.targets = targets
-        self.point_v = targets.selected_point_v or default_selected_point_v(system.layout)
-        self.point_u = targets.selected_point_u or default_selected_point_u(system.layout)
-        self.pairs = None
-        if targets.fstat_kind == "selected-point":
-            self.pairs = _selected_pairs(system.layout, self.point_v, self.point_u)
+        self.log_targets = np.log([targets.f_smv, targets.f_smu])
+        selected = targets.fstat_kind == "selected-point"
+        self.pairs = _selected_pairs(system.layout, targets) if selected else None
         self.probes: list[_Probe] = []
 
     def __call__(self, lg: tuple[float, float]) -> _Probe:
         """The probe at lambdas 10**lg, appended to `probes`."""
-        probe = _Probe(lg)
+        probe = _Probe(lg, np.full(2, -np.inf))
         self.probes.append(probe)
         try:
             probe.fit = fit = solve(self.system, 10.0 ** lg[0], 10.0 ** lg[1])
@@ -227,25 +248,36 @@ class _Evaluator:
         # Correlations are scale-free, so the unit covariance works even
         # when sigma2 is unavailable or zero.
         if self.pairs is not None:
-            cov = fit.unit_cov_v_band.quadratic(self.pairs)
-            probe.stat_v, probe.stat_u = (float(_pair_indicator(cov, k, k + 1)[0]) for k in (0, 2))
-            return probe
-        kind = self.targets.fstat_kind
-        probe.stat_v = fstat(smoothness_field(fit.unit_cov_v_band, fit.layout.level_shape), kind)
-        probe.stat_u = fstat(smoothness_field(fit.unit_cov_u_band, fit.layout.trend_shape), kind)
+            x = fit.unit_cov_v_band.solve(self.pairs)
+            cov = self.pairs.T @ x
+            weights = ((fit.lambda1, self.system.penalty_v), (fit.lambda2, self.system.penalty_u))
+            dcovs = [-lam * math.log(10.0) * (p @ x).T @ (p @ x) for lam, p in weights]
+            (probe.stat_v, row_v), (probe.stat_u, row_u) = (
+                _pair_sensitivity(cov[b, b], [d[b, b] for d in dcovs])
+                for b in (slice(0, 2), slice(2, 4))
+            )
+            probe.jacobian = np.array([row_v, row_u])
+        else:
+            kind = self.targets.fstat_kind
+            probe.stat_v = fstat(smoothness_field(fit.unit_cov_v_band, fit.layout.level_shape), kind)
+            probe.stat_u = fstat(smoothness_field(fit.unit_cov_u_band, fit.layout.trend_shape), kind)
+        with np.errstate(divide="ignore"):
+            probe.error = np.log([probe.stat_v, probe.stat_u]) - self.log_targets
         return probe
 
-    def log_error(self, probe: _Probe, which: int) -> float:
-        """Signed log distance of statistic `which` (0 level, 1 trend) from its
-        target; -inf when the probe is singular."""
-        if probe.fit is None:
-            return -math.inf
-        if which == 0:
-            return _safe_log(probe.stat_v) - math.log(self.targets.f_smv)
-        return _safe_log(probe.stat_u) - math.log(self.targets.f_smu)
+    def jacobian(self, probe: _Probe) -> np.ndarray:
+        """dg/dlg at `probe`: its exact Jacobian, or forward differences from
+        one probe per weight, DIFF_STEP decades inward; a column across a
+        singular probe reads zero."""
+        if probe.jacobian is not None:
+            return probe.jacobian
+        steps = np.diag(np.where(np.array(probe.lg) < LOG10_HI, DIFF_STEP, -DIFF_STEP))
+        columns = [(self(tuple(probe.lg + h)).error - probe.error) / h.sum() for h in steps]
+        return np.where(np.isfinite(columns), columns, 0.0).T
 
-    def joint_error(self, probe: _Probe) -> float:
-        return max(abs(self.log_error(probe, 0)), abs(self.log_error(probe, 1)))
+    @staticmethod
+    def joint_error(probe: _Probe) -> float:
+        return float(np.max(np.abs(probe.error)))
 
     def report(self, probe: _Probe, converged: bool) -> SmoothnessReport:
         return SmoothnessReport(
@@ -258,101 +290,131 @@ class _Evaluator:
         )
 
 
-def _search(
-    evaluate: _Evaluator, which: int, start: _Probe, tol: float
-) -> tuple[_Probe, float | None]:
-    """One weight's search in log10-lambda, the other held where `start` has it.
+def _held(lg: np.ndarray, step: np.ndarray) -> list[int]:
+    """The weights that sit at a bound with their step pointing outward."""
+    return [k for k in (0, 1) if (lg[k], np.sign(step[k])) in ((LOG10_LO, -1), (LOG10_HI, 1))]
 
-    Starts at `start` and steps LOG10_STEP decades toward the target until
-    the log error changes sign; a bracket end is probed only when a step
-    reaches it.  The last step is narrowed by false position (Dowell &
-    Jarratt 1971), each new point kept inside the inner 80 % of the
-    bracket, or at its midpoint when an end is singular.  Relies on the
-    statistic decreasing in its own lambda.  A singular probe counts as
-    below the target, as if the penalty had overwhelmed the data (maximally
-    smooth): past the target when stepping up or narrowing, short of it
-    when stepping down.
 
-    Returns the solvable probe closest to the target among `start` and the
-    probes this search made, and the bracket end if the search stopped at a
-    solvable end short of its target.
+def _newton_step(lg: np.ndarray, error: np.ndarray, jacobian: np.ndarray) -> tuple:
+    """The Newton step on g and the weights it moves.  A held weight stays,
+    and the step is taken again for the others, each on its own statistic."""
+    free = [0, 1]
+    while free:
+        step = np.zeros(2)
+        step[free] = np.linalg.lstsq(jacobian[np.ix_(free, free)], -error[free], rcond=None)[0]
+        held = _held(lg, step)
+        if not held:
+            return step, free
+        free.remove(held[0])
+    return np.zeros(2), free
+
+
+def _own_step(lg: np.ndarray, error: np.ndarray, jacobian: np.ndarray) -> tuple:
+    """Each weight on its own statistic alone, taken to fall in its weight:
+    the Newton step on the diagonal of the Jacobian where that slope is
+    negative and reaches the target within LOG10_STEP, else LOG10_STEP
+    toward the target.  Held weights stay."""
+    slope = np.maximum(-np.diag(jacobian), np.abs(error) / LOG10_STEP)
+    step = np.divide(error, slope, out=np.zeros(2), where=slope > 0)
+    free = [k for k in (0, 1) if k not in _held(lg, step)]
+    return np.where(np.isin([0, 1], free), step, 0.0), free
+
+
+def _line_search(evaluate, probe, jacobian, step, free, probed_ends) -> _Probe | None:
+    """The first probe along `step` (capped at LOG10_STEP decades, projected
+    onto the box, then halved) that lowers |g|^2 over the free weights
+    sufficiently (Dennis & Schnabel 1983, A6.3.1), or None.
+
+    Before it, a statistic whose own slope cannot cover its error over the
+    range left toward the bound it heads for is probed once at that bound,
+    the one with the largest error first; that probe is taken while the
+    statistic is still short of its target there.
     """
-    begin = len(evaluate.probes)
-
-    def closest() -> tuple[_Probe, None]:
-        solved = [q for q in (start, *evaluate.probes[begin:]) if q.fit is not None]
-        if not solved:
-            raise SingularSystem(f"no solvable lambda found for the {WEIGHT_NAMES[which]} weight")
-        return min(solved, key=lambda q: abs(evaluate.log_error(q, which))), None
-
-    # lo and hi: log10-lambda of the latest points above and below the target.
-    lo = hi = None
-    p, x = start, start.lg[which]
-    g = evaluate.log_error(p, which)
-    while abs(g) > tol:
-        if g > 0:
-            lo, g_lo = x, g
-        else:
-            hi, g_hi = x, g
-        if lo is None or hi is None:
-            end = LOG10_HI if hi is None else LOG10_LO
-            if x == end:
-                return (p, end) if p.fit is not None else closest()
-            x = min(x + LOG10_STEP, end) if hi is None else max(x - LOG10_STEP, end)
-        elif len(evaluate.probes) >= MAX_SOLVES or hi - lo <= 1e-12:
-            return closest()
-        elif math.isinf(g_hi):  # singular (or zero statistic) at the upper end
-            x = 0.5 * (lo + hi)
-        else:
-            width = hi - lo
-            x = lo + width * g_lo / (g_lo - g_hi)
-            x = min(max(x, lo + 0.1 * width), hi - 0.1 * width)
-        p = evaluate((x, start.lg[1]) if which == 0 else (start.lg[0], x))
-        g = evaluate.log_error(p, which)
-    return p, None
+    lg, error = np.array(probe.lg), probe.error
+    fraction = LOG10_STEP / max(LOG10_STEP, *np.abs(step))
+    trial = np.clip(lg + fraction * step, LOG10_LO, LOG10_HI)
+    ends = np.where(step > 0, LOG10_HI, LOG10_LO)
+    short = [k for k in free if 0 < -error[k] * jacobian[k, k] * (ends[k] - lg[k]) < error[k] ** 2]
+    short = [k for k in short if (k, ends[k]) not in probed_ends]
+    if short and len(evaluate.probes) < MAX_SOLVES:
+        k = max(short, key=lambda k: abs(error[k]))
+        probed_ends.add((k, ends[k]))
+        q = evaluate(tuple(np.where(np.arange(2) == k, ends, trial)))
+        if np.isfinite(q.error[k]) and q.error[k] * error[k] > 0:
+            return q
+    merit = np.sum(error[free] ** 2)
+    for _ in range(HALVINGS):
+        if len(evaluate.probes) >= MAX_SOLVES:
+            return None
+        q = evaluate(tuple(trial))
+        if np.sum(q.error[free] ** 2) < (1 - 2 * ARMIJO * fraction) * merit:
+            return q
+        trial, fraction = 0.5 * (lg + trial), 0.5 * fraction
+    return None
 
 
 def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, SmoothnessReport]:
     """Find lambdas meeting both smoothness targets within `targets.delta`.
 
-    Each sweep searches lambda2 on the trend statistic, then lambda1 on the
-    level statistic, each from its previous value, until the joint log-scale
-    condition holds.  A search that stops at a bracket end short of its
-    target keeps that end for the rest of the sweep; TargetUnreachable, with
-    that fit, is raised when a weight stops at the same end in two sweeps
-    running.  NoConvergence, with the best attempt among all solves, is
-    raised after MAX_SWEEPS sweeps or MAX_SOLVES solves.
+    From lg = (1, 1) each iteration tries two steps, each line-searched:
+    the projected Newton step on g (Dennis & Schnabel 1983, ch. 6), and the
+    step of each weight on its own statistic (`_own_step`).  Newton goes
+    first where the Jacobian shows each statistic falling mainly in its own
+    weight, or once the joint error is within delta; the own step goes first
+    elsewhere, so that a local slope does not lead the iteration into a
+    region where a weight stops mattering.  The iteration stops at the root
+    (ROOT_TOL); when a weight is held at a bound and every other weight is
+    within delta (TargetUnreachable, current fit, unless an earlier probe was
+    within delta); when neither step lowers the error; or after MAX_SOLVES
+    solves.  It returns the best probe if that is within delta, and else
+    raises NoConvergence with the best probe.
     """
     evaluate = _Evaluator(system, targets)
-    mid = 0.5 * (LOG10_LO + LOG10_HI)
-    probe = evaluate((mid, mid))
+    probe = evaluate((1.0, 1.0))
+    if probe.fit is None:
+        raise SingularSystem("system is singular at the starting lambdas")
     if math.isinf(targets.delta):
-        if probe.fit is None:
-            raise SingularSystem("system is singular at the starting lambdas")
         return probe.fit, evaluate.report(probe, converged=True)
-
-    inner_tol = 0.4 * targets.delta
-    stopped_at: list[float | None] = [None, None]
-    for _ in range(MAX_SWEEPS):
-        for which in (1, 0):
-            probe, end = _search(evaluate, which, probe, inner_tol)
-            if end is not None and end == stopped_at[which]:
-                side = "above" if end == LOG10_HI else "below"
-                target = (targets.f_smv, targets.f_smu)[which]
-                raise TargetUnreachable(
-                    f"{WEIGHT_NAMES[which]} smoothness stays {side} target {target} "
-                    f"at lambda=1e{end:g}",
-                    fit=probe.fit,
-                )
-            stopped_at[which] = end
-        if evaluate.joint_error(probe) <= targets.delta:
-            return probe.fit, evaluate.report(probe, converged=True)
-        if len(evaluate.probes) >= MAX_SOLVES:
+    jacobian = evaluate.jacobian(probe)
+    probed_ends: set[tuple[int, float]] = set()
+    held: list[int] = []
+    while evaluate.joint_error(probe) > ROOT_TOL and len(evaluate.probes) < MAX_SOLVES:
+        lg, error = np.array(probe.lg), probe.error
+        steps = [_newton_step(lg, error, jacobian), _own_step(lg, error, jacobian)]
+        own_first = any(jacobian[k, k] >= -abs(jacobian[k, 1 - k]) for k in (0, 1))
+        if own_first and evaluate.joint_error(probe) > targets.delta:
+            steps.reverse()
+        free = steps[0][1]
+        if len(free) < 2 and np.all(np.abs(error[free]) <= targets.delta):
+            held = [k for k in (0, 1) if k not in free]
             break
+        candidates = (
+            _line_search(evaluate, probe, jacobian, step, free, probed_ends)
+            for step, free in steps
+            if free
+        )
+        candidate = next((q for q in candidates if q is not None), None)
+        if candidate is None:
+            # every probe of the last search singular: the weights sit at the
+            # edge past which the normal matrix is singular, as at a bound
+            if all(q.fit is None for q in evaluate.probes[-HALVINGS:]):
+                held = [k for k in (0, 1) if abs(error[k]) > targets.delta]
+            break
+        probe, jacobian = candidate, evaluate.jacobian(candidate)
+
     best = min((q for q in evaluate.probes if q.fit is not None), key=evaluate.joint_error)
-    raise NoConvergence(
-        f"tuner used {len(evaluate.probes)} solves; best joint log error "
-        f"{evaluate.joint_error(best):.4f} exceeds delta {targets.delta}",
-        fit=best.fit,
-        report=evaluate.report(best, converged=False),
+    if evaluate.joint_error(best) <= targets.delta:
+        return best.fit, evaluate.report(best, converged=True)
+    if held:
+        message = "; ".join(
+            f"{WEIGHT_NAMES[k]} smoothness stays {('below', 'above')[int(probe.error[k] > 0)]} "
+            f"target {(targets.f_smv, targets.f_smu)[k]} at lambda=1e{probe.lg[k]:g}"
+            for k in held
+        )
+        raise TargetUnreachable(message, fit=probe.fit, report=evaluate.report(probe, False))
+    why = "out of budget" if len(evaluate.probes) >= MAX_SOLVES else "no step lowers the error"
+    message = (
+        f"tuner stopped after {len(evaluate.probes)} solves ({why}); best joint log error "
+        f"{evaluate.joint_error(best):.4f} exceeds delta {targets.delta}"
     )
+    raise NoConvergence(message, fit=best.fit, report=evaluate.report(best, converged=False))

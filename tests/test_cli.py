@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from ctrend import cli
+from ctrend import cli, tuner
+from ctrend.errors import TuningFailure
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
 from ingest_reference import measurements_to_csv
@@ -358,8 +359,9 @@ class TestAnalyze:
         )
         assert json.loads(proc.stderr)["error"] == "malformed-file"
 
-    def test_tuner_out_of_budget_exit_4(self, tmp_path, capsys):
-        # two survey waves six years apart cannot meet delta = 1e-6
+    def test_tuner_out_of_budget_exit_4(self, tmp_path, capsys, monkeypatch):
+        # three solves cannot meet delta = 1e-6 on two survey waves six years apart
+        monkeypatch.setattr(tuner, "MAX_SOLVES", 3)
         frame = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
         layout = ParameterLayout.from_frame(frame)
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
@@ -376,6 +378,38 @@ class TestAnalyze:
         assert code == 4 and err.count("\n") == 1
         assert json.loads(err)["error"] == "no-convergence"
         assert not (out / "run.json").exists()
+        # the best attempt of the three solves rides along
+        record = json.loads(err)
+        assert record["solves"] == 3
+        assert {"lambda1", "lambda2", "stat_v", "stat_u"} < set(record)
+
+    def test_unreachable_target_reports_its_last_attempt(self, dataset, tmp_path, capsys, monkeypatch):
+        failures = []
+
+        def recorded(*args):
+            try:
+                return tuner.tune(*args)
+            except TuningFailure as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(cli, "tune", recorded)
+        base, _ = dataset
+        argv = ["--input", str(base / "dataset.csv"), "--f-smv", "0.05", "--out", str(tmp_path)]
+        assert cli.main(["analyze", *FRAME_FLAGS, *argv]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        report = failures[0].report
+        assert json.loads(err) == {
+            "error": "target-unreachable",
+            "message": str(failures[0]),
+            "lambda1": report.lambda1,
+            "lambda2": report.lambda2,
+            "stat_v": report.stat_v,
+            "stat_u": report.stat_u,
+            "solves": report.iterations,
+        }
+        assert not (tmp_path / "run.json").exists()
 
     @pytest.mark.parametrize("lambda1,n_silent", [("0", 2), ("1e-8", 0), ("1.0", 0)])
     def test_run_records_silent_levels(self, dataset, tmp_path, lambda1, n_silent):

@@ -29,6 +29,7 @@ from ctrend.synth import (
     generate,
     smooth_boundary,
     smooth_trend,
+    survey_plan,
 )
 from solver_reference import normal_equations
 
@@ -285,6 +286,58 @@ def test_whitened_selected_point_matches_band_route(
     )
     assert abs(probe.stat_v - want_v) <= 1e-12 * want_v
     assert abs(probe.stat_u - want_u) <= 1e-12 * want_u
+
+
+@settings(max_examples=30)
+@given(
+    lattice_spans,
+    lattice_spans,
+    st.one_of(st.just(0.0), weights),
+    weights,
+    fractions,
+    fractions,
+    fractions,
+    fractions,
+)
+@example(3, 4, 0.0, 1.0, 0.0, 1.0, 0.5, 0.5)  # level pair holds the silent corner: pinned to 1
+@example(8, 8, 1e3, 1e-2, 0.5, 0.5, 0.5, 0.5)
+def test_selected_point_jacobian_matches_central_differences(
+    i_span, j_span, lambda1, lambda2, fvi, fvj, fui, fuj
+):
+    system, _ = full_coverage_fit(i_span, j_span, lambda1, lambda2)
+    layout = system.layout
+    point_v = grid_point(fvi, fvj, *layout.level_shape)
+    point_u = grid_point(fui, fuj, *layout.trend_shape)
+    evaluate = _Evaluator(system, SmoothnessTargets(selected_point_v=point_v, selected_point_u=point_u))
+    lg = np.array([np.log10(lambda1) if lambda1 else -np.inf, np.log10(lambda2)])
+    jacobian = evaluate(tuple(lg)).jacobian
+    h = 1e-4
+    central = np.column_stack([
+        (evaluate(tuple(lg + h * unit)).error - evaluate(tuple(lg - h * unit)).error) / (2 * h)
+        for unit in np.eye(2)
+    ])
+    # relative to the largest entry: a pinned indicator's row is exactly zero
+    assert np.max(np.abs(jacobian - central)) <= 1e-6 * np.max(np.abs(central))
+    if lambda1 == 0.0:
+        assert np.all(jacobian[:, 0] == 0.0)
+
+
+def test_doubling_every_raw_row_doubles_the_tuned_lambdas():
+    # Criterion 5's design in raw mode.  With every row twice the normal
+    # matrix at (2 lambda1, 2 lambda2) is twice the one at (lambda1, lambda2),
+    # so every correlation, and the root the tuner converges to, doubles.
+    frame = Frame.from_bounds(1982.0, 1992.99, 25.0, 64.0)
+    layout = ParameterLayout.from_frame(frame)
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd=3.5)
+    plan = survey_plan(frame, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
+    measurements = generate(model, plan, seed=42)
+    targets = SmoothnessTargets(f_smv=0.2, f_smu=0.2, delta=0.05)
+    (once, report), (twice, doubled) = (
+        tune(build_system_raw(frame, measurements * copies), targets) for copies in (1, 2)
+    )
+    assert abs(doubled.lambda1 / (2 * report.lambda1) - 1) <= 1e-6
+    assert abs(doubled.lambda2 / (2 * report.lambda2) - 1) <= 1e-6
+    assert np.max(np.abs(twice.v_hat - once.v_hat)) <= 1e-9 * np.max(np.abs(once.v_hat))
 
 
 @settings(max_examples=20)

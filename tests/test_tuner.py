@@ -198,6 +198,16 @@ def two_wave_system():
     return build_system_raw(frame, generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1))
 
 
+@pytest.fixture(scope="module")
+def study_system():
+    """Criterion 5's survey design: three waves five years apart, aggregated."""
+    frame = Frame.from_bounds(1982.0, 1992.99, 25.0, 64.0)
+    layout = ParameterLayout.from_frame(frame)
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd=3.5)
+    plan = survey_plan(frame, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
+    return build_system_aggregated(frame, aggregate(generate(model, plan, seed=42), frame))
+
+
 class TestWarmStartedSearch:
     def test_sparse_design_converges_in_few_solves(self, two_wave_system):
         # strongly coupled weights: alternating bisection ran out of budget here
@@ -216,8 +226,9 @@ class TestWarmStartedSearch:
         assert joint_log_error(report, targets) <= 0.05
 
     def test_no_convergence_reports_the_best_of_all_solves(self, two_wave_system, monkeypatch):
-        # unreachable accuracy: the tune runs out of sweeps, and its best
-        # solve falls inside a search, not at the end of a sweep
+        # a budget of six solves: the trend target of 0.05 lies past the
+        # lambda2 at which the normal matrix turns singular, so some probes
+        # fail and the best solve is not the last one
         calls, fits = [], []
 
         def recorded(*args):
@@ -226,7 +237,8 @@ class TestWarmStartedSearch:
             return fits[-1]
 
         monkeypatch.setattr(tuner, "solve", recorded)
-        targets = SmoothnessTargets(delta=1e-6)
+        monkeypatch.setattr(tuner, "MAX_SOLVES", 6)
+        targets = SmoothnessTargets(f_smu=0.05, delta=1e-6)
         with pytest.raises(NoConvergence) as caught:
             tune(two_wave_system, targets)
         layout = two_wave_system.layout
@@ -241,7 +253,7 @@ class TestWarmStartedSearch:
                     points,
                 )
             )
-            return max(abs(math.log(f) - math.log(0.2)) for f in stats)
+            return max(abs(math.log(f / t)) for f, t in zip(stats, (targets.f_smv, targets.f_smu)))
 
         best = min(fits, key=error)
         report = caught.value.report
@@ -261,6 +273,70 @@ class TestWarmStartedSearch:
         assert report.converged
         assert report.iterations <= 12
         assert joint_log_error(report, targets) <= 0.05
+
+
+class TestNewtonIteration:
+    def test_median_statistic_converges(self, two_wave_system):
+        targets = SmoothnessTargets(0.2, 0.2, 0.05, "median")
+        _, report = tune(two_wave_system, targets)
+        assert report.converged
+        assert joint_log_error(report, targets) <= 0.05
+
+    def test_tight_delta_converges(self, two_wave_system):
+        # the level statistic at the default point falls as lambda1 falls
+        # below the root: it is not monotone in its own weight
+        targets = SmoothnessTargets(delta=1e-6)
+        _, report = tune(two_wave_system, targets)
+        assert report.converged
+        assert joint_log_error(report, targets) <= 1e-6
+
+    def test_flat_trend_side_costs_few_solves(self, two_wave_system):
+        _, report = tune(two_wave_system, SmoothnessTargets(f_smv=0.05, f_smu=0.3))
+        assert report.converged and report.iterations <= 8
+
+    def test_study_survey_design_in_six_solves(self, study_system):
+        _, report = tune(study_system, SmoothnessTargets(f_smv=0.2, f_smu=0.2, delta=0.05))
+        assert report.converged and report.iterations <= 6
+
+    @pytest.mark.parametrize(
+        "f_smv,f_smu,kind",
+        [
+            # Newton steps on the local slopes from (1, 1) end short of these:
+            # they lead lambda1 toward 1e-8, where neither statistic depends on it
+            (0.3, 0.1, "selected-point"),
+            (0.3, 0.05, "selected-point"),
+            (0.05, 0.05, "median"),
+            (0.5, 0.2, "median"),
+            (0.5, 0.3, "median"),
+            (0.05, 0.05, "mean"),
+        ],
+    )
+    def test_study_targets_off_the_local_slope_converge(self, study_system, f_smv, f_smu, kind):
+        targets = SmoothnessTargets(f_smv, f_smu, 0.05, kind)
+        _, report = tune(study_system, targets)
+        assert report.converged
+        assert joint_log_error(report, targets) <= 0.05
+
+    def test_singular_edge_holds_like_a_bound(self, two_wave_system):
+        # the trend statistic stays near 0.134 up to the lambda2 past which
+        # the normal matrix is singular
+        with pytest.raises(TargetUnreachable, match="^trend smoothness stays above target 0.05"):
+            tune(two_wave_system, SmoothnessTargets(f_smv=0.2, f_smu=0.05))
+
+    def test_budget_spent_at_a_bound_is_no_convergence(self, small_noisefree_system, monkeypatch):
+        # the fifth solve puts lambda1 at 1e10, where the level statistic is
+        # still above 0.05, but the trend statistic is then far from 0.2
+        monkeypatch.setattr(tuner, "MAX_SOLVES", 5)
+        with pytest.raises(NoConvergence, match="out of budget") as caught:
+            tune(small_noisefree_system, SmoothnessTargets(f_smv=0.05))
+        assert caught.value.report.iterations == 5
+
+    def test_unreachable_target_names_the_held_weight(self, small_noisefree_system):
+        with pytest.raises(TargetUnreachable, match="level smoothness stays above") as caught:
+            tune(small_noisefree_system, SmoothnessTargets(f_smv=0.05))
+        report = caught.value.report
+        assert not report.converged
+        assert (report.lambda1, report.lambda2) == (caught.value.fit.lambda1, caught.value.fit.lambda2)
 
 
 class TestProbeCost:
