@@ -21,7 +21,7 @@ from .design import (
     build_z2v,
 )
 from .errors import CtrendError
-from .grid import CellIndex, Frame, ParameterLayout, flatten_surface
+from .grid import CellIndex, Frame, ParameterLayout
 from .inference import ClusterGrid, ComparisonResult, cluster_means, compare_adjacent, f_cdf
 from .ingest import (
     AggregatedCell,
@@ -35,14 +35,7 @@ from .ingest import (
 )
 from .solver import FitResult, check_uniqueness, solve
 from .synth import SamplingPlan, TrueModel, full_coverage_plan, generate, survey_plan, true_level
-from .tuner import (
-    SmoothnessReport,
-    SmoothnessTargets,
-    fstat,
-    smoothness_field,
-    smoothness_vector,
-    tune,
-)
+from .tuner import SmoothnessReport, SmoothnessTargets, fstat, smoothness_field, tune
 
 __all__ = [
     "AggregatedCell",
@@ -76,13 +69,11 @@ __all__ = [
     "derive_age_year",
     "derive_bmi",
     "f_cdf",
-    "flatten_surface",
     "fstat",
     "full_coverage_plan",
     "generate",
     "load_measurements",
     "smoothness_field",
-    "smoothness_vector",
     "solve",
     "survey_plan",
     "true_level",

@@ -203,14 +203,3 @@ class ParameterLayout:
         bottom = [(0, j) for j in range(1, self.j_span + 2)]
         return left + bottom
 
-
-def flatten_surface(matrix) -> np.ndarray:
-    """Row-major flattening of a level or trend surface.
-
-    The 0-based element (i, j) of an ncol-column matrix lands at flat
-    position i*ncol + j, matching the layout's trend-block ordering.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d surface, got ndim={m.ndim}")
-    return m.ravel(order="C")

@@ -5,7 +5,10 @@ cluster is compared against its age-adjacent (next older band) and
 year-adjacent (next calendar band) neighbors with the linear-hypothesis
 F statistic
 
-    F = (m_a - m_b)^2 / (c_aa - 2 c_ab + c_bb),    p = 1 - F_cdf(F, 1, dof).
+    F = (m_a - m_b)^2 / (c_aa - 2 c_ab + c_bb),    p = P(F(1, dof) > F),
+
+with the upper tail taken directly (`scipy.special.fdtrc`), not as
+1 - F_cdf, which cancels to 0 for large F.
 
 Comparisons whose difference variance degenerates are kept in the output,
 flagged untestable, so the report shape depends only on the grid.
@@ -45,8 +48,6 @@ def f_cdf(x: float, d1: int, d2: int) -> float:
 class ClusterGrid:
     """Cluster means of the trend surface with their covariance."""
 
-    delta_a: int
-    delta_y: int
     means: np.ndarray          # year bands x age bands
     cov: np.ndarray            # over row-major flattened clusters
     dof: int
@@ -95,8 +96,6 @@ def cluster_means(fit: FitResult, delta_a: int, delta_y: int) -> ClusterGrid:
     means = (a @ fit.u_hat.ravel()).reshape(len(year_bands), len(age_bands))
     cov = fit.sigma2_hat * fit.trend_unit_cov(a)
     return ClusterGrid(
-        delta_a=delta_a,
-        delta_y=delta_y,
         means=means,
         cov=cov,
         dof=fit.dof,
@@ -114,7 +113,7 @@ def _compare(grid: ClusterGrid, a: tuple[int, int], b: tuple[int, int], directio
     if var_diff <= _DEGENERATE_REL_TOL * max(c_aa + c_bb, np.finfo(float).tiny):
         return ComparisonResult(a, b, direction, diff, None, None, testable=False)
     f_value = diff**2 / var_diff
-    p_value = 1.0 - f_cdf(f_value, 1, grid.dof)
+    p_value = float(special.fdtrc(1, grid.dof, f_value))
     return ComparisonResult(a, b, direction, diff, f_value, p_value, testable=True)
 
 

@@ -193,10 +193,10 @@ class FitResult:
     `edf` and the tuner's whole-field statistics read only these.  Silent
     levels read zero in every covariance.  `gram_data` is the system's data
     Gram band.  `z_hat` is the estimate in parameter coordinates, and
-    `unit_cov_v`, `unit_cov_u` and `unit_cov_z` are the dense matrices on
-    the level surface, the trend surface and the parameter vector; all four
-    are computed on first access.  The `cov_*` properties are their sigma2
-    multiples and are None when the degrees of freedom are not positive.
+    `unit_cov_v` and `unit_cov_z` are the dense matrices on the level
+    surface and the parameter vector; all three are computed on first
+    access.  `cov_z` is the sigma2 multiple of `unit_cov_z`, None when the
+    degrees of freedom are not positive.
     """
 
     lambda1: float
@@ -220,8 +220,8 @@ class FitResult:
         return TrendBand(self.unit_cov_v_band, *diagonal_pairs(self.layout))
 
     def trend_unit_cov(self, a: np.ndarray) -> np.ndarray:
-        """a @ unit_cov_u @ a.T for a linear map `a` of the flattened trend
-        surface, from one `quadratic` solve with a column per row of `a`."""
+        """a U a^T, U the unit covariance of the flattened trend surface, for a
+        linear map `a`: one `quadratic` solve with a column per row of `a`."""
         return self.unit_cov_v_band.quadratic(build_v2u(self.layout).T @ a.T)
 
     @cached_property
@@ -238,10 +238,6 @@ class FitResult:
         return self.unit_cov_v_band.solve(np.eye(self.layout.dim))
 
     @cached_property
-    def unit_cov_u(self) -> np.ndarray:
-        return self.trend_unit_cov(np.eye(self.layout.n_trend))
-
-    @cached_property
     def z_hat(self) -> np.ndarray:
         return build_v2z(self.layout) @ self.v_hat.ravel()
 
@@ -253,18 +249,6 @@ class FitResult:
     @property
     def cov_z(self) -> np.ndarray | None:
         return None if self.sigma2_hat is None else self.sigma2_hat * self.unit_cov_z
-
-    @property
-    def cov_v(self) -> np.ndarray | None:
-        return None if self.sigma2_hat is None else self.sigma2_hat * self.unit_cov_v
-
-    @property
-    def cov_u(self) -> np.ndarray | None:
-        return None if self.sigma2_hat is None else self.sigma2_hat * self.unit_cov_u
-
-    @property
-    def objective(self) -> float:
-        return self.s0 + self.lambda1 * self.s1 + self.lambda2 * self.s2
 
     def _stderr(
         self, unit_cov: BandedInverse | TrendBand, shape: tuple[int, int]

@@ -10,7 +10,7 @@ so datasets are reproducible from the seed alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,14 +80,6 @@ class SamplingPlan:
     """Measurement placement: one draw per (cell, year fraction) entry."""
 
     entries: tuple[tuple[int, int, float], ...]
-
-    @classmethod
-    def from_cells(cls, cells: list[tuple[int, int, list[float]]]) -> SamplingPlan:
-        flat = []
-        for i, j, fractions in cells:
-            for t in fractions:
-                flat.append((int(i), int(j), float(t)))
-        return cls(tuple(flat))
 
 
 def full_coverage_plan(

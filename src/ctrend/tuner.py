@@ -40,22 +40,17 @@ class SmoothnessField:
     """Local 1 - r^2 indicators for one surface.
 
     `age` holds pairs ((i,j), (i,j+1)) as an nrows x (ncols-1) grid, `year`
-    pairs ((i,j), (i+1,j)) as (nrows-1) x ncols; `zero_variance` flags pairs
-    where a variance vanished and the indicator was pinned to 1.
+    pairs ((i,j), (i+1,j)) as (nrows-1) x ncols; a pair where a variance
+    vanished reads 1.  `vector` is the age block then the year block, each
+    row-major.
     """
 
     age: np.ndarray
     year: np.ndarray
-    zero_variance_age: np.ndarray
-    zero_variance_year: np.ndarray
 
     @property
     def vector(self) -> np.ndarray:
         return np.concatenate([self.age.ravel(), self.year.ravel()])
-
-    @property
-    def any_zero_variance(self) -> bool:
-        return bool(self.zero_variance_age.any() or self.zero_variance_year.any())
 
 
 def _pair_indicator(cov: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,21 +76,14 @@ def smoothness_field(cov: np.ndarray, shape: tuple[int, int]) -> SmoothnessField
         raise ValueError(f"covariance shape {cov.shape} does not match surface {shape}")
     ii, jj = np.meshgrid(np.arange(nrows), np.arange(ncols - 1), indexing="ij")
     k1 = (ii * ncols + jj).ravel()
-    f_age, z_age = _pair_indicator(cov, k1, k1 + 1)
+    f_age = _pair_indicator(cov, k1, k1 + 1)[0]
     ii, jj = np.meshgrid(np.arange(nrows - 1), np.arange(ncols), indexing="ij")
     k1 = (ii * ncols + jj).ravel()
-    f_year, z_year = _pair_indicator(cov, k1, k1 + ncols)
+    f_year = _pair_indicator(cov, k1, k1 + ncols)[0]
     return SmoothnessField(
         age=f_age.reshape(nrows, ncols - 1),
         year=f_year.reshape(nrows - 1, ncols),
-        zero_variance_age=z_age.reshape(nrows, ncols - 1),
-        zero_variance_year=z_year.reshape(nrows - 1, ncols),
     )
-
-
-def smoothness_vector(cov: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Flat indicator vector: age block then year block, each row-major."""
-    return smoothness_field(cov, shape).vector
 
 
 def fstat(

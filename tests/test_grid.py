@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctrend.errors import FrameTooSmall, NotOnBoundary, OutOfFrame
-from ctrend.grid import CellIndex, Frame, ParameterLayout, flatten_surface
+from ctrend.grid import CellIndex, Frame, ParameterLayout
 from zref import cohort_path
 
 
@@ -202,19 +202,3 @@ class TestParameterLayout:
             (3, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
         ]
 
-
-class TestFlattenSurface:
-    def test_row_major(self):
-        assert flatten_surface([[1.0, 2.0], [3.0, 4.0]]).tolist() == [1.0, 2.0, 3.0, 4.0]
-
-    def test_one_based_rule(self):
-        # 1-based element (i, j) of an ncol-column matrix sits at
-        # k = (i-1)*ncol + j, 1-based
-        m = np.arange(6.0).reshape(3, 2)
-        flat = flatten_surface(m)
-        assert flat[1 - 1] == m[0, 0]          # (1,1) -> k=1
-        assert flat[3 - 1] == m[1, 0]          # (2,1), ncol=2 -> k=3
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError):
-            flatten_surface(np.arange(4.0))

@@ -78,8 +78,6 @@ class TestFCdf:
 def make_grid(means, cov, dof=60):
     means = np.asarray(means, dtype=float)
     return ClusterGrid(
-        delta_a=1,
-        delta_y=1,
         means=means,
         cov=np.asarray(cov, dtype=float),
         dof=dof,
@@ -108,6 +106,23 @@ class TestCompareAdjacent:
         grid = make_grid([[3.0, 1.0]], np.eye(2), dof=60)
         (comp,) = compare_adjacent(grid)
         assert comp.p_value == pytest.approx(0.16246748977119374, rel=1e-9)
+
+    def test_far_tail_p_value_is_not_cancelled(self):
+        # F = 100 at dof = 3000: 1 - F_cdf rounds to 0, the upper tail is 3.5e-23
+        grid = make_grid([[10.0, 0.0]], 0.5 * np.eye(2), dof=3000)
+        (comp,) = compare_adjacent(grid)
+        assert comp.f_value == 100.0
+        tail, _ = integrate.quad(f_density, 100.0, math.inf, args=(1, 3000), limit=400)
+        assert comp.p_value > 0.0
+        assert comp.p_value == pytest.approx(tail, rel=1e-4)
+
+    def test_small_f_p_value_at_large_dof(self):
+        # near p = 1 the complement of the CDF loses nothing; the upper tail
+        # must agree with it (betainc(dof/2, 1/2, dof/(dof + F)) is 4.5e-11 off)
+        grid = make_grid([[0.1, 0.0]], 0.5 * np.eye(2), dof=109508)
+        (comp,) = compare_adjacent(grid)
+        want = 1.0 - f_cdf(comp.f_value, 1, 109508)
+        assert comp.p_value == pytest.approx(want, rel=1e-13)
 
     def test_directions_and_report_shape(self):
         grid = make_grid(np.arange(6.0).reshape(2, 3), np.eye(6))
@@ -163,7 +178,8 @@ class TestClusterMeans:
         fit = small_noisy_fit
         grid = cluster_means(fit, 1, 1)
         assert np.array_equal(grid.means, fit.u_hat)
-        assert np.allclose(grid.cov, fit.cov_u, rtol=0, atol=0)
+        cov_u = fit.sigma2_hat * fit.trend_unit_cov(np.eye(fit.layout.n_trend))
+        assert np.allclose(grid.cov, cov_u, rtol=0, atol=0)
         assert grid.dof == fit.dof
 
     def test_cluster_shape_and_bands(self, small_noisy_fit):

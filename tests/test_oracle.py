@@ -82,7 +82,10 @@ def check_against_oracle(frame, layout, measurements, mode, lambdas):
     assert fit.n_silent == (2 if lambdas[0] == 0.0 else 0)
     want = dense_z_fit(frame, layout, measurements, mode, *lambdas)
     for name, expected in want.items():
-        got = getattr(fit, name)
+        if name == "unit_cov_u":
+            got = fit.trend_unit_cov(np.eye(layout.n_trend))
+        else:
+            got = getattr(fit, name)
         err = np.max(np.abs(got - expected))
         assert err <= RTOL * np.max(np.abs(expected)), (name, err)
 

@@ -93,12 +93,6 @@ class TestSolve:
         want = build_v2z(fit.layout) @ fit.v_hat.ravel()
         assert np.array_equal(first, want)
 
-    def test_objective_identity(self, small_noisy_fit):
-        fit = small_noisy_fit
-        assert fit.objective == pytest.approx(
-            fit.s0 + fit.lambda1 * fit.s1 + fit.lambda2 * fit.s2, rel=1e-12
-        )
-
     def test_normal_equation_residual(self, small_noisefree_system):
         fit = solve(small_noisefree_system, 2.0, 3.0)
         residual = normal_residual(small_noisefree_system, fit)
@@ -155,17 +149,18 @@ class TestCovariances:
         fit = small_noisy_fit
         a_v = build_z2v(small_layout)
         recomputed = a_v @ fit.cov_z @ a_v.T
-        assert np.allclose(fit.cov_v, recomputed, rtol=1e-10, atol=1e-14)
+        assert np.allclose(fit.sigma2_hat * fit.unit_cov_v, recomputed, rtol=1e-10, atol=1e-14)
         a_u = build_z2u(small_layout)
         recomputed_u = a_u @ fit.cov_z @ a_u.T
-        assert np.allclose(fit.cov_u, recomputed_u, rtol=1e-10, atol=1e-14)
+        cov_u = fit.sigma2_hat * fit.trend_unit_cov(np.eye(small_layout.n_trend))
+        assert np.allclose(cov_u, recomputed_u, rtol=1e-10, atol=1e-14)
 
     def test_level_variance_rowwise_oracle(self, small_noisy_fit, small_layout):
         from ctrend.design import build_z2v
 
         fit = small_noisy_fit
         a_v = build_z2v(small_layout)
-        diag = np.diag(fit.cov_v)
+        diag = np.diag(fit.sigma2_hat * fit.unit_cov_v)
         for k in range(0, a_v.shape[0], 7):
             quad = a_v[k] @ fit.cov_z @ a_v[k]
             assert diag[k] == pytest.approx(quad, rel=1e-10, abs=1e-15)

@@ -90,7 +90,7 @@ class TestTrueModel:
 class TestGenerate:
     def test_noise_free_values_exact(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.0)
-        plan = SamplingPlan.from_cells([(1, 2, [0.25]), (0, 5, [0.0, 0.5])])
+        plan = SamplingPlan(((1, 2, 0.25), (0, 5, 0.0), (0, 5, 0.5)))
         ms = generate(model, plan, seed=1)
         assert ms[0].x == true_level(model, CellIndex(1, 2), 0.25)
         assert ms[1].x == true_level(model, CellIndex(0, 5), 0.0)
@@ -106,12 +106,12 @@ class TestGenerate:
     def test_plan_validation(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.0)
         with pytest.raises(PlanOutOfFrame):
-            generate(model, SamplingPlan.from_cells([(99, 0, [0.1])]), seed=1)
+            generate(model, SamplingPlan(((99, 0, 0.1),)), seed=1)
         # top-row cells only admit fractions within the frame's headroom
         with pytest.raises(PlanOutOfFrame):
             generate(
                 model,
-                SamplingPlan.from_cells([(frame.i_span, 0, [0.95])]),
+                SamplingPlan(((frame.i_span, 0, 0.95),)),
                 seed=1,
             )
 
@@ -158,7 +158,7 @@ class TestGenerate:
     def test_cell_mean_converges_to_true_level(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 1.0)
         n = 10_000
-        plan = SamplingPlan.from_cells([(2, 3, [0.25] * n)])
+        plan = SamplingPlan(((2, 3, 0.25),) * n)
         ms = generate(model, plan, seed=6)
         (cell,) = aggregate(ms, frame)
         target = true_level(model, CellIndex(2, 3), 0.25)

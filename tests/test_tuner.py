@@ -16,7 +16,6 @@ from ctrend.tuner import (
     default_selected_point_v,
     fstat,
     smoothness_field,
-    smoothness_vector,
     tune,
 )
 
@@ -44,8 +43,6 @@ class TestSmoothnessField:
     def test_zero_variance_flagged_as_one(self):
         field = smoothness_field(pair_cov([[0.0, 0.0], [0.0, 1.0]]), (1, 2))
         assert field.age[0, 0] == 1.0
-        assert field.zero_variance_age[0, 0]
-        assert field.any_zero_variance
 
     def test_block_shapes_and_vector_order(self):
         rng = np.random.default_rng(0)
@@ -54,13 +51,13 @@ class TestSmoothnessField:
         field = smoothness_field(cov, (3, 4))
         assert field.age.shape == (3, 3)
         assert field.year.shape == (2, 4)
-        vec = smoothness_vector(cov, (3, 4))
+        vec = field.vector
         assert vec.shape == (9 + 8,)
         assert np.array_equal(vec, np.concatenate([field.age.ravel(), field.year.ravel()]))
 
     def test_indicators_within_unit_interval(self, small_noisy_fit):
         fit = small_noisy_fit
-        vec = smoothness_vector(fit.unit_cov_v, fit.layout.level_shape)
+        vec = smoothness_field(fit.unit_cov_v, fit.layout.level_shape).vector
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
 
@@ -148,7 +145,7 @@ class TestTune:
         assert fstat(field_v, "selected-point", point_v) == pytest.approx(
             report.stat_v, rel=1e-9
         )
-        field_u = smoothness_field(refit.unit_cov_u, refit.layout.trend_shape)
+        field_u = smoothness_field(refit.unit_cov_u_band, refit.layout.trend_shape)
         point_u = default_selected_point_u(refit.layout)
         assert fstat(field_u, "selected-point", point_u) == pytest.approx(
             report.stat_u, rel=1e-9
@@ -261,18 +258,6 @@ class TestWarmStartedSearch:
         assert caught.value.fit is best
         assert (report.lambda1, report.lambda2) == (best.lambda1, best.lambda2)
         assert joint_log_error(report, targets) == pytest.approx(error(best), rel=1e-9)
-
-    def test_study_survey_design_converges_in_few_solves(self):
-        frame = Frame.from_bounds(1982.0, 1992.99, 25.0, 64.0)
-        layout = ParameterLayout.from_frame(frame)
-        model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd=3.5)
-        plan = survey_plan(frame, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
-        system = build_system_aggregated(frame, aggregate(generate(model, plan, seed=42), frame))
-        targets = SmoothnessTargets(f_smv=0.2, f_smu=0.2, delta=0.05)
-        _, report = tune(system, targets)
-        assert report.converged
-        assert report.iterations <= 12
-        assert joint_log_error(report, targets) <= 0.05
 
 
 class TestNewtonIteration:

@@ -1,0 +1,77 @@
+"""Tune every target pair of a 5 x 5 grid on three designs and count the outcomes.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/tuner_grid.py
+
+The targets are (f_smv, f_smu) in {0.05, 0.1, 0.2, 0.3, 0.5}^2 at delta =
+0.05, for each of the four statistic kinds.  The designs are those of the
+tuner tests: the two-wave and study survey designs of `test_tuner.py`, and
+the small noise-free full-coverage design of `conftest.py`.  For each design
+and kind it prints how many tunes converged (C), raised TargetUnreachable
+(U) or raised NoConvergence (N), and the solves they used; then the totals
+per kind and overall.  A change to the tuner shows here as a lost converged
+tune or a change of solves.  pytest does not collect this file.
+"""
+
+from ctrend.design import build_system_aggregated, build_system_raw
+from ctrend.errors import NoConvergence, TargetUnreachable
+from ctrend.grid import Frame, ParameterLayout
+from ctrend.ingest import aggregate
+from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend, survey_plan
+from ctrend.tuner import FSTAT_KINDS, SmoothnessTargets, tune
+
+TARGETS = (0.05, 0.1, 0.2, 0.3, 0.5)
+
+
+def model(frame, noise_sd):
+    layout = ParameterLayout.from_frame(frame)
+    return TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd)
+
+
+def designs():
+    two_wave = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
+    plan = survey_plan(two_wave, (0, 6), (0.3,), 1)
+    yield "two-wave", build_system_raw(two_wave, generate(model(two_wave, 0.5), plan, seed=1))
+    study = Frame.from_bounds(1982.0, 1992.99, 25.0, 64.0)
+    plan = survey_plan(study, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
+    cells = aggregate(generate(model(study, 3.5), plan, seed=42), study)
+    yield "study", build_system_aggregated(study, cells)
+    small = Frame.from_bounds(2000.0, 2004.9, 10.0, 16.0)
+    plan = full_coverage_plan(small, (0.25, 0.75))
+    yield "small", build_system_raw(small, generate(model(small, 0.0), plan, seed=5))
+
+
+def outcome(system, targets):
+    """("C", "U" or "N", solves) of one tune."""
+    try:
+        return "C", tune(system, targets)[1].iterations
+    except (TargetUnreachable, NoConvergence) as exc:
+        return "U" if isinstance(exc, TargetUnreachable) else "N", exc.report.iterations
+
+
+def row(name, kind, counts):
+    print(f"{name:<10} {kind:<15} {counts['C']:>3} {counts['U']:>3} {counts['N']:>3} {counts['solves']:>7}")
+
+
+def main():
+    totals = {kind: dict.fromkeys("CUN", 0) | {"solves": 0} for kind in FSTAT_KINDS}
+    print(f"{'design':<10} {'kind':<15} {'C':>3} {'U':>3} {'N':>3} {'solves':>7}")
+    for name, system in designs():
+        for kind in FSTAT_KINDS:
+            counts = dict.fromkeys("CUN", 0) | {"solves": 0}
+            for f_smv in TARGETS:
+                for f_smu in TARGETS:
+                    code, solves = outcome(system, SmoothnessTargets(f_smv, f_smu, 0.05, kind))
+                    counts[code] += 1
+                    counts["solves"] += solves
+            for key, value in counts.items():
+                totals[kind][key] += value
+            row(name, kind, counts)
+    for kind, counts in totals.items():
+        row("total", kind, counts)
+    print(f"all solves: {sum(counts['solves'] for counts in totals.values())}")
+
+
+if __name__ == "__main__":
+    main()
