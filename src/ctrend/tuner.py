@@ -253,13 +253,13 @@ class _Evaluator:
             probe.error = np.log([probe.stat_v, probe.stat_u]) - self.log_targets
         return probe
 
-    def jacobian(self, probe: _Probe) -> np.ndarray:
+    def jacobian(self, probe: _Probe, box: np.ndarray) -> np.ndarray:
         """dg/dlg at `probe`: its exact Jacobian, or forward differences from
-        one probe per weight, DIFF_STEP decades inward; a column across a
-        singular probe reads zero."""
+        one probe per weight, DIFF_STEP decades into the weights' ranges `box`;
+        a column across a singular probe reads zero."""
         if probe.jacobian is not None:
             return probe.jacobian
-        steps = np.diag(np.where(np.array(probe.lg) < LOG10_HI, DIFF_STEP, -DIFF_STEP))
+        steps = np.diag(np.where(np.array(probe.lg) < box[:, 1], DIFF_STEP, -DIFF_STEP))
         columns = [(self(tuple(probe.lg + h)).error - probe.error) / h.sum() for h in steps]
         return np.where(np.isfinite(columns), columns, 0.0).T
 
@@ -278,50 +278,50 @@ class _Evaluator:
         )
 
 
-def _held(lg: np.ndarray, step: np.ndarray) -> list[int]:
-    """The weights that sit at a bound with their step pointing outward."""
-    return [k for k in (0, 1) if (lg[k], np.sign(step[k])) in ((LOG10_LO, -1), (LOG10_HI, 1))]
+def _held(lg: np.ndarray, step: np.ndarray, box: np.ndarray) -> list[int]:
+    """The weights that sit at an end of their range with their step pointing past it."""
+    return [k for k in (0, 1) if step[k] != 0 and lg[k] == box[k, int(step[k] > 0)]]
 
 
-def _newton_step(lg: np.ndarray, error: np.ndarray, jacobian: np.ndarray) -> tuple:
+def _newton_step(lg: np.ndarray, error: np.ndarray, jacobian: np.ndarray, box: np.ndarray) -> tuple:
     """The Newton step on g and the weights it moves.  A held weight stays,
     and the step is taken again for the others, each on its own statistic."""
     free = [0, 1]
     while free:
         step = np.zeros(2)
         step[free] = np.linalg.lstsq(jacobian[np.ix_(free, free)], -error[free], rcond=None)[0]
-        held = _held(lg, step)
+        held = _held(lg, step, box)
         if not held:
             return step, free
         free.remove(held[0])
     return np.zeros(2), free
 
 
-def _own_step(lg: np.ndarray, error: np.ndarray, jacobian: np.ndarray) -> tuple:
+def _own_step(lg: np.ndarray, error: np.ndarray, jacobian: np.ndarray, box: np.ndarray) -> tuple:
     """Each weight on its own statistic alone, taken to fall in its weight:
     the Newton step on the diagonal of the Jacobian where that slope is
     negative and reaches the target within LOG10_STEP, else LOG10_STEP
     toward the target.  Held weights stay."""
     slope = np.maximum(-np.diag(jacobian), np.abs(error) / LOG10_STEP)
     step = np.divide(error, slope, out=np.zeros(2), where=slope > 0)
-    free = [k for k in (0, 1) if k not in _held(lg, step)]
+    free = [k for k in (0, 1) if k not in _held(lg, step, box)]
     return np.where(np.isin([0, 1], free), step, 0.0), free
 
 
-def _line_search(evaluate, probe, jacobian, step, free, probed_ends) -> _Probe | None:
+def _line_search(evaluate, probe, jacobian, step, free, box, probed_ends) -> _Probe | None:
     """The first probe along `step` (capped at LOG10_STEP decades, projected
-    onto the box, then halved) that lowers |g|^2 over the free weights
-    sufficiently (Dennis & Schnabel 1983, A6.3.1), or None.
+    onto the weights' ranges, then halved) that lowers |g|^2 over the free
+    weights sufficiently (Dennis & Schnabel 1983, A6.3.1), or None.
 
     Before it, a statistic whose own slope cannot cover its error over the
-    range left toward the bound it heads for is probed once at that bound,
-    the one with the largest error first; that probe is taken while the
+    range left toward the end it heads for is probed once at that end, the
+    one with the largest error first; that probe is taken while the
     statistic is still short of its target there.
     """
     lg, error = np.array(probe.lg), probe.error
     fraction = LOG10_STEP / max(LOG10_STEP, *np.abs(step))
-    trial = np.clip(lg + fraction * step, LOG10_LO, LOG10_HI)
-    ends = np.where(step > 0, LOG10_HI, LOG10_LO)
+    trial = np.clip(lg + fraction * step, box[:, 0], box[:, 1])
+    ends = np.where(step > 0, box[:, 1], box[:, 0])
     short = [k for k in free if 0 < -error[k] * jacobian[k, k] * (ends[k] - lg[k]) < error[k] ** 2]
     short = [k for k in short if (k, ends[k]) not in probed_ends]
     if short and len(evaluate.probes) < MAX_SOLVES:
@@ -338,6 +338,8 @@ def _line_search(evaluate, probe, jacobian, step, free, probed_ends) -> _Probe |
         if np.sum(q.error[free] ** 2) < (1 - 2 * ARMIJO * fraction) * merit:
             return q
         trial, fraction = 0.5 * (lg + trial), 0.5 * fraction
+        if q.fit is None:  # the range of each weight it moved ends at the next halving point
+            box[trial < lg, 0], box[trial > lg, 1] = trial[trial < lg], trial[trial > lg]
     return None
 
 
@@ -351,7 +353,8 @@ def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, S
     weight, or once the joint error is within delta; the own step goes first
     elsewhere, so that a local slope does not lead the iteration into a
     region where a weight stops mattering.  The iteration stops at the root
-    (ROOT_TOL); when a weight is held at a bound and every other weight is
+    (ROOT_TOL); when a weight is held at an end of its range: a bound, or the
+    last solvable point before a singular probe, and every other weight is
     within delta (TargetUnreachable, current fit, unless an earlier probe was
     within delta); when neither step lowers the error; or after MAX_SOLVES
     solves.  It returns the best probe if that is within delta, and else
@@ -363,12 +366,13 @@ def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, S
         raise SingularSystem("system is singular at the starting lambdas")
     if math.isinf(targets.delta):
         return probe.fit, evaluate.report(probe, converged=True)
-    jacobian = evaluate.jacobian(probe)
+    box = np.array([[LOG10_LO, LOG10_HI]] * 2)  # the range of each weight's lg
+    jacobian = evaluate.jacobian(probe, box)
     probed_ends: set[tuple[int, float]] = set()
     held: list[int] = []
     while evaluate.joint_error(probe) > ROOT_TOL and len(evaluate.probes) < MAX_SOLVES:
         lg, error = np.array(probe.lg), probe.error
-        steps = [_newton_step(lg, error, jacobian), _own_step(lg, error, jacobian)]
+        steps = [_newton_step(lg, error, jacobian, box), _own_step(lg, error, jacobian, box)]
         own_first = any(jacobian[k, k] >= -abs(jacobian[k, 1 - k]) for k in (0, 1))
         if own_first and evaluate.joint_error(probe) > targets.delta:
             steps.reverse()
@@ -377,18 +381,14 @@ def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, S
             held = [k for k in (0, 1) if k not in free]
             break
         candidates = (
-            _line_search(evaluate, probe, jacobian, step, free, probed_ends)
+            _line_search(evaluate, probe, jacobian, step, free, box, probed_ends)
             for step, free in steps
             if free
         )
         candidate = next((q for q in candidates if q is not None), None)
         if candidate is None:
-            # every probe of the last search singular: the weights sit at the
-            # edge past which the normal matrix is singular, as at a bound
-            if all(q.fit is None for q in evaluate.probes[-HALVINGS:]):
-                held = [k for k in (0, 1) if abs(error[k]) > targets.delta]
             break
-        probe, jacobian = candidate, evaluate.jacobian(candidate)
+        probe, jacobian = candidate, evaluate.jacobian(candidate, box)
 
     best = min((q for q in evaluate.probes if q.fit is not None), key=evaluate.joint_error)
     if evaluate.joint_error(best) <= targets.delta:

@@ -53,11 +53,11 @@ def load_rows(source, schema: str, frame) -> tuple[list[Measurement], Validation
     """Accepted measurements in file order and the validation report.
 
     After a record the csv reader cannot read, lines are skipped while the
-    count of quote characters on the lines read so far is odd: the failed
-    line ended inside a quoted field, and the field runs on to the line that
-    makes the count even.
+    count of quote characters from the start of that record is odd: the
+    failed line ended inside a quoted field, and the field runs on to the
+    line that makes the count even.
     """
-    quotes = 0
+    quotes = 0  # on the lines read since the last whole record
 
     def counted():
         nonlocal quotes
@@ -93,7 +93,9 @@ def load_rows(source, schema: str, frame) -> tuple[list[Measurement], Validation
             _reject(report, row_number, REASON_UNPARSABLE)
             while quotes % 2 and next(lines, None) is not None:
                 pass
+            quotes = 0
             continue
+        quotes = 0
         if not row or all(not f.strip() for f in row):
             continue
         report.n_rows += 1

@@ -296,6 +296,21 @@ class TestCsvRecordErrors:
         assert (report.n_rows, report.details) == (2, details)
         assert report.as_dict() == ref.as_dict()
 
+    @pytest.mark.parametrize("line_chunk", [1, 2, 1024])
+    def test_literal_quote_before_an_oversized_field(self, frame, monkeypatch, line_chunk):
+        # csv reads the quote inside the unquoted note as a literal, so the
+        # record before the oversized one holds an odd number of quotes
+        monkeypatch.setattr(ingest, "_LINE_CHUNK", line_chunk)
+        text = (
+            f'x,year,age,note\n21.0,1984.5,40,5ft 11"\n21.0,1984.5,40,{self.LONG}\n'
+            + "22.0,1986.5,35,ok\n" * 5
+        )
+        ms, report = load_measurements(io.StringIO(text), "xya", frame)
+        rows, ref = load_rows(io.StringIO(text), "xya", frame)
+        assert len(ms) == 6 and ms.rows() == rows
+        assert (report.n_rows, report.details) == (7, [(3, "unparsable")])
+        assert report.as_dict() == ref.as_dict()
+
 
 # Field spellings that exercise every parse and reject path.
 SPECIAL_FIELDS = [

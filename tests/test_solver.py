@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from ctrend.design import LinearSystem, build_system_raw, build_v2z, rows_to_matrix
+from ctrend.design import build_system_raw, build_v2z
 from ctrend.errors import SingularSystem
-from ctrend.grid import Frame, ParameterLayout
+from ctrend.grid import Frame
 from ctrend.ingest import Measurement, aggregate
 from ctrend.design import build_system_aggregated
 from ctrend.solver import check_uniqueness, solve

@@ -5,7 +5,7 @@ import pytest
 
 from ctrend import tuner
 from ctrend.design import build_system_aggregated, build_system_raw
-from ctrend.errors import IndexOutOfRange, NoConvergence, TargetUnreachable
+from ctrend.errors import IndexOutOfRange, NoConvergence, SingularSystem, TargetUnreachable
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
@@ -307,6 +307,35 @@ class TestNewtonIteration:
         # the normal matrix is singular
         with pytest.raises(TargetUnreachable, match="^trend smoothness stays above target 0.05"):
             tune(two_wave_system, SmoothnessTargets(f_smv=0.2, f_smu=0.05))
+
+    @pytest.mark.parametrize(
+        "f_smv,f_smu,solves_below",
+        # solves taken when each line search sought the singular edge anew
+        [(0.1, 0.05, 29), (0.1, 0.1, 35), (0.2, 0.1, 27)],
+    )
+    def test_trend_plateau_up_to_the_singular_edge_is_unreachable(
+        self, two_wave_system, f_smv, f_smu, solves_below
+    ):
+        # the trend statistic stops falling from about lambda2 = 1e5 on, and
+        # the normal matrix turns singular near lambda2 = 1e9
+        with pytest.raises(TargetUnreachable, match="trend smoothness stays above target") as caught:
+            tune(two_wave_system, SmoothnessTargets(f_smv, f_smu))
+        assert caught.value.report.iterations < solves_below
+
+    def test_singular_edge_is_found_once(self, two_wave_system, monkeypatch):
+        singular = []
+
+        def counted(*args):
+            try:
+                return solve(*args)
+            except SingularSystem:
+                singular.append(args)
+                raise
+
+        monkeypatch.setattr(tuner, "solve", counted)
+        with pytest.raises(TargetUnreachable, match="trend smoothness stays above target 0.1"):
+            tune(two_wave_system, SmoothnessTargets(f_smv=0.2, f_smu=0.1))
+        assert len(singular) <= 2
 
     def test_budget_spent_at_a_bound_is_no_convergence(self, small_noisefree_system, monkeypatch):
         # the fifth solve puts lambda1 at 1e10, where the level statistic is

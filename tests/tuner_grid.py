@@ -9,15 +9,18 @@ The targets are (f_smv, f_smu) in {0.05, 0.1, 0.2, 0.3, 0.5}^2 at delta =
 tuner tests: the two-wave and study survey designs of `test_tuner.py`, and
 the small noise-free full-coverage design of `conftest.py`.  For each design
 and kind it prints how many tunes converged (C), raised TargetUnreachable
-(U) or raised NoConvergence (N), and the solves they used; then the totals
-per kind and overall.  A change to the tuner shows here as a lost converged
-tune or a change of solves.  pytest does not collect this file.
+(U) or raised NoConvergence (N), the solves they used, and how many of those
+solves were singular (S); then the totals per kind and overall.  A change to
+the tuner shows here as a lost converged tune or a change of solves.  pytest
+does not collect this file.
 """
 
+from ctrend import tuner
 from ctrend.design import build_system_aggregated, build_system_raw
-from ctrend.errors import NoConvergence, TargetUnreachable
+from ctrend.errors import NoConvergence, SingularSystem, TargetUnreachable
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
+from ctrend.solver import solve
 from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend, survey_plan
 from ctrend.tuner import FSTAT_KINDS, SmoothnessTargets, tune
 
@@ -43,34 +46,55 @@ def designs():
 
 
 def outcome(system, targets):
-    """("C", "U" or "N", solves) of one tune."""
+    """("C", "U" or "N", solves, singular solves) of one tune."""
+    singular = []
+
+    def counted(*args):
+        try:
+            return solve(*args)
+        except SingularSystem:
+            singular.append(args)
+            raise
+
+    tuner.solve = counted
     try:
-        return "C", tune(system, targets)[1].iterations
+        return "C", tune(system, targets)[1].iterations, len(singular)
     except (TargetUnreachable, NoConvergence) as exc:
-        return "U" if isinstance(exc, TargetUnreachable) else "N", exc.report.iterations
+        code = "U" if isinstance(exc, TargetUnreachable) else "N"
+        return code, exc.report.iterations, len(singular)
+    finally:
+        tuner.solve = solve
 
 
 def row(name, kind, counts):
-    print(f"{name:<10} {kind:<15} {counts['C']:>3} {counts['U']:>3} {counts['N']:>3} {counts['solves']:>7}")
+    print(
+        f"{name:<10} {kind:<15} {counts['C']:>3} {counts['U']:>3} {counts['N']:>3} "
+        f"{counts['solves']:>7} {counts['S']:>4}"
+    )
 
 
 def main():
-    totals = {kind: dict.fromkeys("CUN", 0) | {"solves": 0} for kind in FSTAT_KINDS}
-    print(f"{'design':<10} {'kind':<15} {'C':>3} {'U':>3} {'N':>3} {'solves':>7}")
+    totals = {kind: dict.fromkeys("CUNS", 0) | {"solves": 0} for kind in FSTAT_KINDS}
+    print(f"{'design':<10} {'kind':<15} {'C':>3} {'U':>3} {'N':>3} {'solves':>7} {'S':>4}")
     for name, system in designs():
         for kind in FSTAT_KINDS:
-            counts = dict.fromkeys("CUN", 0) | {"solves": 0}
+            counts = dict.fromkeys("CUNS", 0) | {"solves": 0}
             for f_smv in TARGETS:
                 for f_smu in TARGETS:
-                    code, solves = outcome(system, SmoothnessTargets(f_smv, f_smu, 0.05, kind))
+                    targets = SmoothnessTargets(f_smv, f_smu, 0.05, kind)
+                    code, solves, singular = outcome(system, targets)
                     counts[code] += 1
                     counts["solves"] += solves
+                    counts["S"] += singular
             for key, value in counts.items():
                 totals[kind][key] += value
             row(name, kind, counts)
     for kind, counts in totals.items():
         row("total", kind, counts)
-    print(f"all solves: {sum(counts['solves'] for counts in totals.values())}")
+    print(
+        f"all solves: {sum(counts['solves'] for counts in totals.values())}, "
+        f"singular: {sum(counts['S'] for counts in totals.values())}"
+    )
 
 
 if __name__ == "__main__":
