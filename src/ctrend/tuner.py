@@ -5,11 +5,13 @@ with r their correlation: the fraction of variance not explained by the
 neighbor ("new information").  `tune` drives a summary statistic of the level
 indicators (by lambda1) and of the trend indicators (by lambda2) to its target:
 it solves g(lg) = log(statistics / targets) = 0 for lg = log10-lambda in
-[-8, 10]^2 by projected Newton steps on an exact (`selected-point`) or
-forward-difference Jacobian.  Where that Jacobian does not show each statistic
-falling mainly in its own weight, a step of each weight on its own statistic is
-tried first.  The iteration runs to a root tolerance far inside delta, so the
-lambdas depend on the design and the targets alone.
+[-8, 10]^2 by projected Newton steps.  Every solve gives dg/dlg from the
+pairs its statistics read: exact for `selected-point`, `median` and `min`, and
+for `mean` an estimate from MEAN_PAIRS pairs at evenly spaced ranks.  Where
+that Jacobian does not show each statistic falling mainly in its own
+weight, a step of each weight on its own statistic is tried first.  The
+iteration runs to a root tolerance far inside delta, so the lambdas depend on
+the design and the targets alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ LOG10_LO = -8.0
 LOG10_HI = 10.0
 LOG10_STEP = 2.0  # longest step, decades
 ROOT_TOL = 1e-8  # joint log error at which the iteration stops
-DIFF_STEP = 0.01  # forward-difference step of the whole-field Jacobian, decades
+MEAN_PAIRS = 9  # pairs at evenly spaced ranks whose slope estimates the mean's
 HALVINGS = 4  # probes per line search
 ARMIJO = 1e-4  # sufficient decrease of |g|^2 per unit step fraction
 MAX_SOLVES = 200
@@ -64,6 +66,14 @@ def _pair_indicator(cov: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> tuple[np
     return f, zero
 
 
+def _field_pairs(shape: tuple[int, int]) -> np.ndarray:
+    """The flat surface indices (k1, k2) of every pair, one row per pair in
+    `SmoothnessField.vector` order."""
+    grid = np.arange(shape[0] * shape[1]).reshape(shape)
+    k1 = np.r_[grid[:, :-1].ravel(), grid[:-1].ravel()]
+    return np.column_stack([k1, np.r_[grid[:, 1:].ravel(), grid[1:].ravel()]])
+
+
 def smoothness_field(cov: np.ndarray, shape: tuple[int, int]) -> SmoothnessField:
     """Indicators for all age- and year-adjacent pairs of a flattened surface.
 
@@ -74,23 +84,28 @@ def smoothness_field(cov: np.ndarray, shape: tuple[int, int]) -> SmoothnessField
     nrows, ncols = shape
     if cov.shape != (nrows * ncols, nrows * ncols):
         raise ValueError(f"covariance shape {cov.shape} does not match surface {shape}")
-    ii, jj = np.meshgrid(np.arange(nrows), np.arange(ncols - 1), indexing="ij")
-    k1 = (ii * ncols + jj).ravel()
-    f_age = _pair_indicator(cov, k1, k1 + 1)[0]
-    ii, jj = np.meshgrid(np.arange(nrows - 1), np.arange(ncols), indexing="ij")
-    k1 = (ii * ncols + jj).ravel()
-    f_year = _pair_indicator(cov, k1, k1 + ncols)[0]
-    return SmoothnessField(
-        age=f_age.reshape(nrows, ncols - 1),
-        year=f_year.reshape(nrows - 1, ncols),
-    )
+    f = _pair_indicator(cov, *_field_pairs(shape).T)[0]
+    n_age = nrows * (ncols - 1)
+    return SmoothnessField(f[:n_age].reshape(nrows, ncols - 1), f[n_age:].reshape(nrows - 1, ncols))
 
 
-def fstat(
-    field: SmoothnessField, kind: str, selected: tuple[int, int] | None = None
-) -> float:
+def _read_pairs(vector: np.ndarray, kind: str) -> np.ndarray:
+    """Positions in a field vector of the pairs a whole-field statistic reads:
+    the lowest for `min`, the middle one or two for `median`, and for `mean`
+    MEAN_PAIRS at evenly spaced ranks (the midpoints of equal rank blocks)."""
+    n = len(vector)
+    ranks = {
+        "min": [0],
+        "median": np.unique([(n - 1) // 2, n // 2]),
+        "mean": ((np.arange(MEAN_PAIRS) + 0.5) * n / MEAN_PAIRS).astype(int),
+    }[kind]
+    return np.argsort(vector, kind="stable")[ranks]
+
+
+def fstat(field: SmoothnessField, kind: str, selected: tuple[int, int] | None = None) -> float:
     """Summary statistic of a smoothness field.
 
+    `median` and `min` are the mean of the pairs they read (`_read_pairs`).
     For ``selected-point`` the 0-based (i, j) coordinates index the
     age-block pair grid.
     """
@@ -98,22 +113,20 @@ def fstat(
         raise IndexOutOfRange(f"fstat kind must be one of {FSTAT_KINDS}, got {kind!r}")
     if kind == "mean":
         return float(np.mean(field.vector))
-    if kind == "median":
-        return float(np.median(field.vector))
-    if kind == "min":
-        return float(np.min(field.vector))
+    if kind != "selected-point":
+        return float(np.mean(field.vector[_read_pairs(field.vector, kind)]))
     if selected is None:
         raise IndexOutOfRange("selected-point fstat needs a grid point")
-    i, j = selected
-    _check_age_pair((i, j), field.age.shape)
-    return float(field.age[i, j])
+    return float(field.vector[_age_pair(selected, field.age.shape)])
 
 
-def _check_age_pair(point: tuple[int, int], pairs: tuple[int, int]) -> None:
-    """IndexOutOfRange unless `point` lies on the `pairs`-shaped age-pair grid."""
+def _age_pair(point: tuple[int, int], pairs: tuple[int, int]) -> int:
+    """The field-vector position of `point` on the `pairs`-shaped age-pair
+    grid; IndexOutOfRange when it lies outside."""
     (i, j), (nrows, ncols) = point, pairs
     if not (0 <= i < nrows and 0 <= j < ncols):
         raise IndexOutOfRange(f"selected point ({i}, {j}) outside age-block grid {pairs}")
+    return i * ncols + j
 
 
 def default_selected_point_v(layout) -> tuple[int, int]:
@@ -167,7 +180,8 @@ class SmoothnessReport:
 @dataclass
 class _Probe:
     """One solve at lambdas 10**lg: g(lg) as `error`, -inf when the system
-    was singular (`fit` None), and dg/dlg for `selected-point` probes."""
+    was singular, and dg/dlg of every solvable probe (None when singular).
+    Each iteration drops `fit` unless the probe is its current or the best."""
 
     lg: tuple[float, float]
     error: np.ndarray
@@ -177,53 +191,56 @@ class _Probe:
     jacobian: np.ndarray | None = None
 
 
-def _selected_pairs(layout, targets: SmoothnessTargets) -> np.ndarray:
-    """dim x 4 map from the level surface onto v(k), v(k+1), u(t), u(t+1), the
-    two selected age pairs; IndexOutOfRange for a point outside its pair grid."""
-    point_v = targets.selected_point_v or default_selected_point_v(layout)
-    point_u = targets.selected_point_u or default_selected_point_u(layout)
-    flat = []
-    for (i, j), (nrows, ncols) in ((point_v, layout.level_shape), (point_u, layout.trend_shape)):
-        _check_age_pair((i, j), (nrows, ncols - 1))
-        flat.append(i * ncols + j)
-    k, t = flat
-    levels = np.zeros((layout.dim, 2))
-    levels[[k, k + 1], [0, 1]] = 1.0
-    return np.hstack([levels, build_v2u(layout)[[t, t + 1]].T.toarray()])
+def _pair_columns(layout, read: list[np.ndarray]) -> np.ndarray:
+    """dim x 2n map from the level surface onto the two entries of each of the
+    n pairs at field-vector positions `read` (level field, then trend field)."""
+    shapes = (layout.level_shape, layout.trend_shape)
+    level, trend = (_field_pairs(shape)[r].ravel() for r, shape in zip(read, shapes))
+    columns = np.zeros((layout.dim, len(level)))
+    columns[level, np.arange(len(level))] = 1.0
+    return np.hstack([columns, build_v2u(layout)[trend].T.toarray()])
 
 
-def _pair_sensitivity(cov: np.ndarray, dcovs: list[np.ndarray]) -> tuple[float, np.ndarray]:
-    """The indicator f = 1 - r^2 of the pair in a 2 x 2 covariance, and the
-    derivatives of log f along each change in `dcovs`: -(d r^2) / f, with
-    d r^2 = 2 c12 dc12 / (c11 c22) - r^2 (dc11 / c11 + dc22 / c22).  They are
-    zero where `_pair_indicator` pins f to 1, and where f is 0."""
-    f, zero = _pair_indicator(cov, 0, 1)
-    if zero or f <= 0.0:
-        return float(f), np.zeros(len(dcovs))
-    (c11, c12), (_, c22) = cov
-    dr2 = [
-        2 * c12 * d[0, 1] / (c11 * c22) - (1 - f) * (d[0, 0] / c11 + d[1, 1] / c22) for d in dcovs
-    ]
-    return float(f), -np.array(dr2) / f
+def _pair_sensitivity(cov: np.ndarray, dcovs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The indicator f = 1 - r^2 of each pair of columns (2p, 2p + 1) of a
+    covariance, and its change along each change in `dcovs` (one row each):
+    df = -d r^2 = -2 c12 dc12 / (v1 v2) + r^2 (dv1 / v1 + dv2 / v2).  It
+    is zero where `_pair_indicator` pins f to 1, and where f is 0."""
+    k1, k2 = np.arange(0, len(cov), 2), np.arange(1, len(cov), 2)
+    f, zero = _pair_indicator(cov, k1, k2)
+    v1, v2, c12, r2 = cov[k1, k1], cov[k2, k2], cov[k1, k2], 1 - f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dr2 = [2 * c12 * d[k1, k2] / (v1 * v2) - r2 * (d[k1, k1] / v1 + d[k2, k2] / v2) for d in dcovs]
+    return f, np.where(zero | (f <= 0.0), 0.0, -np.array(dr2))
 
 
 class _Evaluator:
     """Solves at given log10-lambdas and summarizes both smoothness statistics.
 
-    `probes` records every probe in solve order, singular ones included.
-    No probe forms a dense covariance.  `selected-point` solves M X = R for
-    the four columns R of its two pairs; C = R^T X, and dM/dlg_k =
-    lambda_k ln 10 P_k^T P_k (P_k the penalty of weight k) gives dC/dlg_k =
-    -lambda_k ln 10 (P_k X)^T (P_k X).  Whole-field statistics read the band.
+    `probes` records every probe in solve order, singular ones included;
+    `best` is the solvable one of least joint error.  No probe forms a dense
+    covariance: it solves M X = R for the columns R (`_pair_columns`) of the
+    pairs its statistics read, the selected pairs or those `_read_pairs` picks
+    from the band's fields.  C = R^T X, and dM/dlg_k = lambda_k ln 10 P_k^T P_k
+    (P_k the penalty of weight k) gives dC/dlg_k = -lambda_k ln 10 (P_k X)^T
+    (P_k X).  A statistic's row of dg/dlg is sum df / sum f over its pairs; its
+    value is its pair's f for `selected-point` and read off the band otherwise.
     """
 
     def __init__(self, system: LinearSystem, targets: SmoothnessTargets):
         self.system = system
         self.targets = targets
         self.log_targets = np.log([targets.f_smv, targets.f_smu])
-        selected = targets.fstat_kind == "selected-point"
-        self.pairs = _selected_pairs(system.layout, targets) if selected else None
+        layout = system.layout
+        self.read = self.columns = None
+        if targets.fstat_kind == "selected-point":
+            points = (targets.selected_point_v or default_selected_point_v(layout),
+                      targets.selected_point_u or default_selected_point_u(layout))
+            grids = [(rows, cols - 1) for rows, cols in (layout.level_shape, layout.trend_shape)]
+            self.read = [[_age_pair(point, grid)] for point, grid in zip(points, grids)]
+            self.columns = _pair_columns(layout, self.read)
         self.probes: list[_Probe] = []
+        self.best: _Probe | None = None
 
     def __call__(self, lg: tuple[float, float]) -> _Probe:
         """The probe at lambdas 10**lg, appended to `probes`."""
@@ -233,49 +250,41 @@ class _Evaluator:
             probe.fit = fit = solve(self.system, 10.0 ** lg[0], 10.0 ** lg[1])
         except SingularSystem:
             return probe
-        # Correlations are scale-free, so the unit covariance works even
-        # when sigma2 is unavailable or zero.
-        if self.pairs is not None:
-            x = fit.unit_cov_v_band.solve(self.pairs)
-            cov = self.pairs.T @ x
-            weights = ((fit.lambda1, self.system.penalty_v), (fit.lambda2, self.system.penalty_u))
-            dcovs = [-lam * math.log(10.0) * (p @ x).T @ (p @ x) for lam, p in weights]
-            (probe.stat_v, row_v), (probe.stat_u, row_u) = (
-                _pair_sensitivity(cov[b, b], [d[b, b] for d in dcovs])
-                for b in (slice(0, 2), slice(2, 4))
-            )
-            probe.jacobian = np.array([row_v, row_u])
-        else:
-            kind = self.targets.fstat_kind
-            probe.stat_v = fstat(smoothness_field(fit.unit_cov_v_band, fit.layout.level_shape), kind)
-            probe.stat_u = fstat(smoothness_field(fit.unit_cov_u_band, fit.layout.trend_shape), kind)
+        # Correlations are scale-free: the unit covariance serves without sigma2.
+        layout, kind = self.system.layout, self.targets.fstat_kind
+        read, columns, stats = self.read, self.columns, None
+        if read is None:
+            fields = [smoothness_field(fit.unit_cov_v_band, layout.level_shape),
+                      smoothness_field(fit.unit_cov_u_band, layout.trend_shape)]
+            stats = [fstat(field, kind) for field in fields]
+            read = [_read_pairs(field.vector, kind) for field in fields]
+            columns = _pair_columns(layout, read)
+        x = fit.unit_cov_v_band.solve(columns)
+        weights = ((fit.lambda1, self.system.penalty_v), (fit.lambda2, self.system.penalty_u))
+        dcovs = [-lam * math.log(10.0) * (p @ x).T @ (p @ x) for lam, p in weights]
+        f, df = _pair_sensitivity(columns.T @ x, dcovs)
+        sums = np.add.reduceat(np.vstack([f, df]), [0, len(read[0])], axis=1)  # by statistic
+        probe.jacobian = np.divide(sums[1:], sums[0], out=np.zeros((2, 2)), where=sums[0] > 0).T
+        probe.stat_v, probe.stat_u = stats or sums[0].tolist()  # one selected pair each
         with np.errstate(divide="ignore"):
             probe.error = np.log([probe.stat_v, probe.stat_u]) - self.log_targets
+        if self.best is None or self.joint_error(probe) < self.joint_error(self.best):
+            self.best = probe
         return probe
 
-    def jacobian(self, probe: _Probe, box: np.ndarray) -> np.ndarray:
-        """dg/dlg at `probe`: its exact Jacobian, or forward differences from
-        one probe per weight, DIFF_STEP decades into the weights' ranges `box`;
-        a column across a singular probe reads zero."""
-        if probe.jacobian is not None:
-            return probe.jacobian
-        steps = np.diag(np.where(np.array(probe.lg) < box[:, 1], DIFF_STEP, -DIFF_STEP))
-        columns = [(self(tuple(probe.lg + h)).error - probe.error) / h.sum() for h in steps]
-        return np.where(np.isfinite(columns), columns, 0.0).T
+    def release(self, current: _Probe) -> None:
+        """Drop the fits of every probe but `current` and `best`."""
+        for q in self.probes:
+            if q is not current and q is not self.best:
+                q.fit = None
 
     @staticmethod
     def joint_error(probe: _Probe) -> float:
         return float(np.max(np.abs(probe.error)))
 
     def report(self, probe: _Probe, converged: bool) -> SmoothnessReport:
-        return SmoothnessReport(
-            stat_v=probe.stat_v,
-            stat_u=probe.stat_u,
-            lambda1=probe.fit.lambda1,
-            lambda2=probe.fit.lambda2,
-            iterations=len(self.probes),
-            converged=converged,
-        )
+        return SmoothnessReport(stat_v=probe.stat_v, stat_u=probe.stat_u, lambda1=probe.fit.lambda1,
+                                lambda2=probe.fit.lambda2, iterations=len(self.probes), converged=converged)
 
 
 def _held(lg: np.ndarray, step: np.ndarray, box: np.ndarray) -> list[int]:
@@ -308,7 +317,7 @@ def _own_step(lg: np.ndarray, error: np.ndarray, jacobian: np.ndarray, box: np.n
     return np.where(np.isin([0, 1], free), step, 0.0), free
 
 
-def _line_search(evaluate, probe, jacobian, step, free, box, probed_ends) -> _Probe | None:
+def _line_search(evaluate, probe, step, free, box, probed_ends) -> _Probe | None:
     """The first probe along `step` (capped at LOG10_STEP decades, projected
     onto the weights' ranges, then halved) that lowers |g|^2 over the free
     weights sufficiently (Dennis & Schnabel 1983, A6.3.1), or None.
@@ -318,7 +327,7 @@ def _line_search(evaluate, probe, jacobian, step, free, box, probed_ends) -> _Pr
     one with the largest error first; that probe is taken while the
     statistic is still short of its target there.
     """
-    lg, error = np.array(probe.lg), probe.error
+    lg, error, jacobian = np.array(probe.lg), probe.error, probe.jacobian
     fraction = LOG10_STEP / max(LOG10_STEP, *np.abs(step))
     trial = np.clip(lg + fraction * step, box[:, 0], box[:, 1])
     ends = np.where(step > 0, box[:, 1], box[:, 0])
@@ -338,7 +347,7 @@ def _line_search(evaluate, probe, jacobian, step, free, box, probed_ends) -> _Pr
         if np.sum(q.error[free] ** 2) < (1 - 2 * ARMIJO * fraction) * merit:
             return q
         trial, fraction = 0.5 * (lg + trial), 0.5 * fraction
-        if q.fit is None:  # the range of each weight it moved ends at the next halving point
+        if q.jacobian is None:  # singular: each moved weight's range ends at the next halving point
             box[trial < lg, 0], box[trial > lg, 1] = trial[trial < lg], trial[trial > lg]
     return None
 
@@ -346,32 +355,32 @@ def _line_search(evaluate, probe, jacobian, step, free, box, probed_ends) -> _Pr
 def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, SmoothnessReport]:
     """Find lambdas meeting both smoothness targets within `targets.delta`.
 
-    From lg = (1, 1) each iteration tries two steps, each line-searched:
-    the projected Newton step on g (Dennis & Schnabel 1983, ch. 6), and the
-    step of each weight on its own statistic (`_own_step`).  Newton goes
-    first where the Jacobian shows each statistic falling mainly in its own
-    weight, or once the joint error is within delta; the own step goes first
-    elsewhere, so that a local slope does not lead the iteration into a
-    region where a weight stops mattering.  The iteration stops at the root
-    (ROOT_TOL); when a weight is held at an end of its range: a bound, or the
-    last solvable point before a singular probe, and every other weight is
-    within delta (TargetUnreachable, current fit, unless an earlier probe was
-    within delta); when neither step lowers the error; or after MAX_SOLVES
-    solves.  It returns the best probe if that is within delta, and else
-    raises NoConvergence with the best probe.
+    From lg = (1, 1) each iteration tries two steps on its probe's Jacobian,
+    each line-searched: the projected Newton step on g (Dennis & Schnabel
+    1983, ch. 6), and the step of each weight on its own statistic
+    (`_own_step`).  Newton goes first where the Jacobian shows each statistic
+    falling mainly in its own weight, or once the joint error is within delta;
+    the own step goes first elsewhere, so that a local slope does not lead the
+    iteration into a region where a weight stops mattering.  The iteration
+    stops at the root (ROOT_TOL); when a weight is held at an end of its
+    range: a bound, or the last solvable point before a singular probe, and
+    every other weight is within delta (TargetUnreachable, current fit,
+    unless an earlier probe was within delta); when neither step lowers the
+    error; or after MAX_SOLVES solves.  It returns the best probe if that is
+    within delta, and else raises NoConvergence with the best probe.
     """
     evaluate = _Evaluator(system, targets)
     probe = evaluate((1.0, 1.0))
-    if probe.fit is None:
+    if probe.jacobian is None:
         raise SingularSystem("system is singular at the starting lambdas")
     if math.isinf(targets.delta):
         return probe.fit, evaluate.report(probe, converged=True)
     box = np.array([[LOG10_LO, LOG10_HI]] * 2)  # the range of each weight's lg
-    jacobian = evaluate.jacobian(probe, box)
     probed_ends: set[tuple[int, float]] = set()
     held: list[int] = []
     while evaluate.joint_error(probe) > ROOT_TOL and len(evaluate.probes) < MAX_SOLVES:
-        lg, error = np.array(probe.lg), probe.error
+        evaluate.release(probe)
+        lg, error, jacobian = np.array(probe.lg), probe.error, probe.jacobian
         steps = [_newton_step(lg, error, jacobian, box), _own_step(lg, error, jacobian, box)]
         own_first = any(jacobian[k, k] >= -abs(jacobian[k, 1 - k]) for k in (0, 1))
         if own_first and evaluate.joint_error(probe) > targets.delta:
@@ -381,16 +390,16 @@ def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, S
             held = [k for k in (0, 1) if k not in free]
             break
         candidates = (
-            _line_search(evaluate, probe, jacobian, step, free, box, probed_ends)
+            _line_search(evaluate, probe, step, free, box, probed_ends)
             for step, free in steps
             if free
         )
         candidate = next((q for q in candidates if q is not None), None)
         if candidate is None:
             break
-        probe, jacobian = candidate, evaluate.jacobian(candidate, box)
+        probe = candidate
 
-    best = min((q for q in evaluate.probes if q.fit is not None), key=evaluate.joint_error)
+    best = evaluate.best
     if evaluate.joint_error(best) <= targets.delta:
         return best.fit, evaluate.report(best, converged=True)
     if held:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpocon
@@ -22,7 +22,7 @@ from ctrend.design import (
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import Measurement, aggregate
 from ctrend.solver import check_uniqueness, solve
-from ctrend.tuner import SmoothnessTargets, _Evaluator, fstat, smoothness_field, tune
+from ctrend.tuner import SmoothnessTargets, _Evaluator, _read_pairs, fstat, smoothness_field, tune
 from ctrend.synth import (
     SamplingPlan,
     TrueModel,
@@ -287,6 +287,26 @@ def test_whitened_selected_point_matches_band_route(
     assert abs(probe.stat_u - want_u) <= 1e-12 * want_u
 
 
+def read_pairs(probe, kind):
+    """The field-vector positions of the pairs each statistic of `probe` reads."""
+    fit, layout = probe.fit, probe.fit.layout
+    bands = ((fit.unit_cov_v_band, layout.level_shape), (fit.unit_cov_u_band, layout.trend_shape))
+    return [set(_read_pairs(smoothness_field(band, shape).vector, kind)) for band, shape in bands]
+
+
+def jacobian_and_central_differences(evaluate, lg, h=1e-4):
+    """The Jacobian of the probe at `lg`, whether the steps of h keep the pairs
+    its statistics read, and the central differences of its error."""
+    probe = evaluate(tuple(lg))
+    steps = [[evaluate(tuple(lg + sign * h * unit)) for sign in (1, -1)] for unit in np.eye(2)]
+    kind = evaluate.targets.fstat_kind
+    kept = kind == "selected-point" or all(
+        read_pairs(q, kind) == read_pairs(probe, kind) for pair in steps for q in pair
+    )
+    central = np.column_stack([(up.error - down.error) / (2 * h) for up, down in steps])
+    return probe.jacobian, kept, central
+
+
 @settings(max_examples=30)
 @given(
     lattice_spans,
@@ -297,28 +317,45 @@ def test_whitened_selected_point_matches_band_route(
     fractions,
     fractions,
     fractions,
+    st.sampled_from(["selected-point", "median", "min"]),
 )
-@example(3, 4, 0.0, 1.0, 0.0, 1.0, 0.5, 0.5)  # level pair holds the silent corner: pinned to 1
-@example(8, 8, 1e3, 1e-2, 0.5, 0.5, 0.5, 0.5)
+# the level pair holds the silent corner: pinned to 1
+@example(3, 4, 0.0, 1.0, 0.0, 1.0, 0.5, 0.5, "selected-point")
+@example(8, 8, 1e3, 1e-2, 0.5, 0.5, 0.5, 0.5, "selected-point")
+@example(8, 8, 1e3, 1e-2, 0.5, 0.5, 0.5, 0.5, "median")
+@example(8, 8, 1e3, 1e-2, 0.5, 0.5, 0.5, 0.5, "min")
 def test_selected_point_jacobian_matches_central_differences(
-    i_span, j_span, lambda1, lambda2, fvi, fvj, fui, fuj
+    i_span, j_span, lambda1, lambda2, fvi, fvj, fui, fuj, kind
 ):
+    # `median` and `min` differentiate the pairs they read, so they match
+    # wherever the steps leave those pairs in place
     system, _ = full_coverage_fit(i_span, j_span, lambda1, lambda2)
     layout = system.layout
     point_v = grid_point(fvi, fvj, *layout.level_shape)
     point_u = grid_point(fui, fuj, *layout.trend_shape)
-    evaluate = _Evaluator(system, SmoothnessTargets(selected_point_v=point_v, selected_point_u=point_u))
+    targets = SmoothnessTargets(fstat_kind=kind, selected_point_v=point_v, selected_point_u=point_u)
     lg = np.array([np.log10(lambda1) if lambda1 else -np.inf, np.log10(lambda2)])
-    jacobian = evaluate(tuple(lg)).jacobian
-    h = 1e-4
-    central = np.column_stack([
-        (evaluate(tuple(lg + h * unit)).error - evaluate(tuple(lg - h * unit)).error) / (2 * h)
-        for unit in np.eye(2)
-    ])
+    jacobian, kept, central = jacobian_and_central_differences(_Evaluator(system, targets), lg)
+    assume(kept)
     # relative to the largest entry: a pinned indicator's row is exactly zero
     assert np.max(np.abs(jacobian - central)) <= 1e-6 * np.max(np.abs(central))
     if lambda1 == 0.0:
         assert np.all(jacobian[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["median", "min"])
+@pytest.mark.parametrize("lg", [(0.0, 0.0), (1.0, 1.0), (3.0, 2.0)])
+def test_whole_field_jacobian_matches_central_differences_on_a_survey(kind, lg):
+    # Full coverage is symmetric, so the median's two middle pairs there are
+    # twins with one slope; on two survey waves each has its own.
+    frame = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
+    layout = ParameterLayout.from_frame(frame)
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
+    system = build_system_raw(frame, generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1))
+    evaluate = _Evaluator(system, SmoothnessTargets(fstat_kind=kind))
+    jacobian, kept, central = jacobian_and_central_differences(evaluate, np.array(lg))
+    assert kept
+    assert np.max(np.abs(jacobian - central)) <= 1e-6 * np.max(np.abs(central))
 
 
 def test_doubling_every_raw_row_doubles_the_tuned_lambdas():

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -279,9 +280,19 @@ class TestNewtonIteration:
         _, report = tune(two_wave_system, SmoothnessTargets(f_smv=0.05, f_smu=0.3))
         assert report.converged and report.iterations <= 8
 
-    def test_study_survey_design_in_six_solves(self, study_system):
-        _, report = tune(study_system, SmoothnessTargets(f_smv=0.2, f_smu=0.2, delta=0.05))
-        assert report.converged and report.iterations <= 6
+    @pytest.mark.parametrize(
+        "f_smv,f_smu,kind,solves",
+        [
+            (0.2, 0.2, "selected-point", 6),
+            (0.2, 0.2, "median", 10),
+            (0.2, 0.2, "mean", 12),
+            # the pair the median reads changes on the way to this root
+            (0.1, 0.3, "median", 12),
+        ],
+    )
+    def test_study_survey_design_in_few_solves(self, study_system, f_smv, f_smu, kind, solves):
+        _, report = tune(study_system, SmoothnessTargets(f_smv, f_smu, 0.05, kind))
+        assert report.converged and report.iterations <= solves
 
     @pytest.mark.parametrize(
         "f_smv,f_smu,kind",
@@ -354,6 +365,24 @@ class TestNewtonIteration:
 
 
 class TestProbeCost:
+    def test_fits_live_for_one_iteration(self, two_wave_system, monkeypatch):
+        # beyond the current and the best probe, only the trials of the
+        # iteration in progress keep their fits
+        refs, live = [], []
+
+        def tracked(*args):
+            fit = solve(*args)
+            refs.append(weakref.ref(fit))
+            live.append(sum(ref() is not None for ref in refs))
+            return fit
+
+        monkeypatch.setattr(tuner, "solve", tracked)
+        with pytest.raises((NoConvergence, TargetUnreachable)):
+            tune(two_wave_system, SmoothnessTargets(0.3, 0.5, 0.05, "min"))
+        bound = 2 * (tuner.HALVINGS + 1) + 2
+        assert len(refs) > bound
+        assert max(live) <= bound
+
     def test_selected_point_probes_skip_the_band(self, small_noisefree_system, band_calls):
         _, report = tune(small_noisefree_system, SmoothnessTargets(f_smv=0.5, f_smu=0.5))
         assert report.converged and report.iterations > 1
