@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate, aggregate, and analyze.
 
 `analyze` runs ingestion, optional lambda tuning, the penalized fit, and
-cluster inference, then writes five artifacts into the output directory:
-levels.csv, ctrends.csv, clusters.csv, comparisons.csv, and run.json
-(plus observed_means.csv when a display cell-count filter is given).
+cluster inference and returns them without writing a file; the `analyze`
+command then writes five artifacts into the output directory: levels.csv,
+ctrends.csv, clusters.csv, comparisons.csv, and run.json (plus
+observed_means.csv when a display cell-count filter is given).
 Outputs are byte-identical across runs for identical inputs: floats are
 written with 12 significant digits, JSON keys are sorted, and nothing
 time- or environment-dependent is recorded.
@@ -33,9 +34,9 @@ from . import __version__
 from .design import build_system_aggregated, build_system_raw
 from .errors import ConfigError, CtrendError, NoObservations, SpecMismatch
 from .grid import Frame
-from .ingest import SCHEMAS, aggregate, load_measurements
-from .inference import cluster_means, compare_adjacent
-from .solver import solve
+from .ingest import SCHEMAS, AggregatedCell, ValidationReport, aggregate, load_measurements
+from .inference import ClusterGrid, ComparisonResult, cluster_means, compare_adjacent
+from .solver import FitResult, solve
 from .synth import SamplingPlan, TrueModel, full_coverage_plan, generate, survey_plan
 from .tuner import FSTAT_KINDS, SmoothnessReport, SmoothnessTargets, tune
 
@@ -193,20 +194,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_surface_csv(path: Path, frame: Frame, estimate, stderr, ci_half) -> None:
-    header = ["year", "age", "estimate", "stderr", "ci_lo", "ci_hi"]
-    rows = []
-    nrows, ncols = estimate.shape
-    for i in range(nrows):
-        for j in range(ncols):
-            e = estimate[i, j]
-            se = None if stderr is None else stderr[i, j]
-            lo = None if se is None else e - ci_half[i, j]
-            hi = None if se is None else e + ci_half[i, j]
-            rows.append(
-                [frame.i_min + i, frame.j_min + j, _fmt(e), _fmt(se), _fmt(lo), _fmt(hi)]
-            )
-    _write_csv(path, header, rows)
+def _write_surfaces(out_dir: Path, frame: Frame, fit: FitResult) -> None:
+    """levels.csv and ctrends.csv (`cluster_means` has required sigma2, so stderrs exist)."""
+    for name, estimate, stderr in (
+        ("levels.csv", fit.v_hat, fit.level_stderr()),
+        ("ctrends.csv", fit.u_hat, fit.trend_stderr()),
+    ):
+        half = fit.ci_halfwidth(stderr)
+        rows = [
+            [frame.i_min + i, frame.j_min + j,
+             *map(_fmt, (e, stderr[i, j], e - half[i, j], e + half[i, j]))]
+            for (i, j), e in np.ndenumerate(estimate)
+        ]
+        _write_csv(out_dir / name, ["year", "age", "estimate", "stderr", "ci_lo", "ci_hi"], rows)
 
 
 def _write_json(path: Path, value) -> None:
@@ -226,46 +226,45 @@ def _load(config: RunConfig, frame: Frame):
     return measurements, report, aggregate(measurements, frame)
 
 
-def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
+@dataclass(frozen=True)
+class Analysis:
+    """One `analyze` run's results; `smoothness` is None at fixed lambdas."""
+
+    cells: list[AggregatedCell]
+    report: ValidationReport
+    fit: FitResult
+    smoothness: SmoothnessReport | None
+    grid: ClusterGrid
+    comparisons: list[ComparisonResult]
+
+
+def analyze(config: RunConfig, frame: Frame) -> Analysis:
+    """Fit (tuned unless both weights are fixed) and adjacent-cluster tests; writes no file."""
     measurements, report, cells = _load(config, frame)
     if config.mode == "raw":
         system = build_system_raw(frame, measurements)
     else:
         system = build_system_aggregated(frame, cells)
-
     if config.lambda1 is not None:
-        fit = solve(system, config.lambda1, config.lambda2)
-        tuner_status = "skipped"
-        smoothness: SmoothnessReport | None = None
+        fit, smoothness = solve(system, config.lambda1, config.lambda2), None
     else:
         fit, smoothness = tune(system, config.targets())
-        tuner_status = "converged"
-
     grid = cluster_means(fit, config.cluster_age, config.cluster_year)
-    comparisons = compare_adjacent(grid)
+    return Analysis(cells, report, fit, smoothness, grid, compare_adjacent(grid))
 
-    level_se = fit.level_stderr()
-    trend_se = fit.trend_stderr()
-    _write_surface_csv(
-        out_dir / "levels.csv", frame, fit.v_hat, level_se,
-        None if level_se is None else fit.ci_halfwidth(level_se),
-    )
-    _write_surface_csv(
-        out_dir / "ctrends.csv", frame, fit.u_hat, trend_se,
-        None if trend_se is None else fit.ci_halfwidth(trend_se),
-    )
 
-    cluster_rows = []
-    for p, (ylo, yhi) in enumerate(grid.year_bands):
-        for q, (alo, ahi) in enumerate(grid.age_bands):
-            k = grid.flat(p, q)
-            cluster_rows.append([
-                frame.i_min + ylo, frame.i_min + yhi,
-                frame.j_min + alo, frame.j_min + ahi,
-                (yhi - ylo + 1) * (ahi - alo + 1),
-                _fmt(grid.means[p, q]),
-                _fmt(math.sqrt(max(grid.cov[k, k], 0.0))),
-            ])
+def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
+    analysis = analyze(config, frame)
+    fit, grid, smoothness = analysis.fit, analysis.grid, analysis.smoothness
+    _write_surfaces(out_dir, frame, fit)
+
+    stderr = np.sqrt(np.maximum(np.diag(grid.cov), 0.0)).reshape(grid.shape)
+    cluster_rows = [
+        [frame.i_min + ylo, frame.i_min + yhi, frame.j_min + alo, frame.j_min + ahi,
+         (yhi - ylo + 1) * (ahi - alo + 1), _fmt(grid.means[p, q]), _fmt(stderr[p, q])]
+        for p, (ylo, yhi) in enumerate(grid.year_bands)
+        for q, (alo, ahi) in enumerate(grid.age_bands)
+    ]
     _write_csv(
         out_dir / "clusters.csv",
         ["year_lo", "year_hi", "age_lo", "age_hi", "n_cells", "estimate", "stderr"],
@@ -273,12 +272,9 @@ def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
     )
 
     comparison_rows = [
-        [
-            c.direction,
-            c.cluster_a[0], c.cluster_a[1], c.cluster_b[0], c.cluster_b[1],
-            _fmt(c.diff), _fmt(c.f_value), _fmt(c.p_value), _fmt(c.testable),
-        ]
-        for c in comparisons
+        [c.direction, *c.cluster_a, *c.cluster_b,
+         *map(_fmt, (c.diff, c.f_value, c.p_value, c.testable))]
+        for c in analysis.comparisons
     ]
     _write_csv(
         out_dir / "comparisons.csv",
@@ -290,7 +286,7 @@ def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
     if config.min_cell_count is not None:
         observed = [
             [frame.i_min + c.cell.i, frame.j_min + c.cell.j, _fmt(c.x_bar), c.n]
-            for c in cells
+            for c in analysis.cells
             if c.n > config.min_cell_count
         ]
         _write_csv(out_dir / "observed_means.csv", ["year", "age", "mean", "n"], observed)
@@ -304,7 +300,7 @@ def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
             "i_span": frame.i_span, "j_span": frame.j_span,
         },
         "n_obs": fit.n_obs,
-        "n_cells": len(cells),
+        "n_cells": len(analysis.cells),
         "lambda1": fit.lambda1,
         "lambda2": fit.lambda2,
         "sigma2": fit.sigma2_hat,
@@ -315,7 +311,7 @@ def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
         "s0": fit.s0,
         "s1": fit.s1,
         "s2": fit.s2,
-        "tuner": tuner_status,
+        "tuner": "skipped" if smoothness is None else "converged",
         "converged": True if smoothness is None else smoothness.converged,
         "iterations": 1 if smoothness is None else smoothness.iterations,
         "smoothness": None if smoothness is None else {
@@ -325,7 +321,7 @@ def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
             "target_u": config.f_smu,
             "delta": config.delta,
         },
-        "validation": report.as_dict(),
+        "validation": analysis.report.as_dict(),
     }
     _write_json(out_dir / "run.json", run_info)
     return 0

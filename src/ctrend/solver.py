@@ -34,6 +34,7 @@ An unreached level on any other diagonal makes the system singular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -363,9 +364,10 @@ COLLINEARITY_TOL = 1e-9
 RANK_TOL = 1e-10
 
 
-def _collinear(p: tuple[float, float], q: tuple[float, float], r: tuple[float, float]) -> bool:
+def _collinear(p, q, r, spread: float) -> bool:
+    """Whether pqr's smallest height, |cross| / longest side, is <= COLLINEARITY_TOL * spread."""
     cross = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    return abs(cross) <= COLLINEARITY_TOL
+    return abs(cross) <= COLLINEARITY_TOL * spread * max(map(math.dist, (p, p, q), (q, r, r)))
 
 
 def _general_position(distinct: list[tuple[float, float]]) -> tuple[bool, str]:
@@ -379,11 +381,13 @@ def _general_position(distinct: list[tuple[float, float]]) -> tuple[bool, str]:
     of any three points, so the three lines through pairs of the first two
     points and the first point c off their line are enough.
     """
+    spread = float(np.max(np.ptp(distinct, axis=0)))
     a, b = distinct[:2]
-    c = next((p for p in distinct if not _collinear(a, b, p)), None)
+    c = next((p for p in distinct if not _collinear(a, b, p, spread)), None)
     if c is None:
         return False, "all points collinear"
-    fullest = max(sum(_collinear(p, q, r) for r in distinct) for p, q in ((a, b), (a, c), (b, c)))
+    lines = ((a, b), (a, c), (b, c))
+    fullest = max(sum(_collinear(p, q, r, spread) for r in distinct) for p, q in lines)
     if fullest >= len(distinct) - 1:
         return False, "all but at most one point share a line"
     return True, "found 4 points in general position"

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 
 from ctrend import cli, tuner
 from ctrend.errors import TuningFailure
-from ctrend.grid import Frame, ParameterLayout
+from ctrend.grid import Frame, ParameterLayout, _absolute_cell
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
 from ingest_reference import measurements_to_csv
 
@@ -442,6 +443,131 @@ class TestAnalyze:
         rows = read_rows(out2 / "observed_means.csv")
         assert len(rows) == 5 * 7
         assert all(int(r["n"]) == 6 for r in rows)
+
+
+FIXED = ["--lambda1", "2.5", "--lambda2", "0.5"]
+TUNED = ["--f-smv", "0.5", "--f-smu", "0.5", "--delta", "0.1"]
+
+
+def analysis(*argv):
+    """`cli.analyze` on the settings of `ctrend analyze <frame> argv`."""
+    config = cli._build_config(cli.build_parser().parse_args(["analyze", *FRAME_FLAGS, *argv]))
+    return cli.analyze(config, config.frame())
+
+
+def scalars(value, key=""):
+    """(path, leaf) of every leaf of a JSON value."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from scalars(v, f"{key}/{k}")
+    else:
+        yield key, value
+
+
+class TestAnalyzeFunction:
+    @pytest.mark.parametrize("weights", [FIXED, TUNED], ids=["fixed", "tuned"])
+    def test_results_are_what_the_command_writes(self, dataset, tmp_path, weights):
+        base, _ = dataset
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["--input", str(base / "dataset.csv"), *weights,
+                "--cluster-age", "2", "--cluster-year", "2", "--out", str(out)]
+        result = analysis(*argv)
+        assert list(out.iterdir()) == []
+        assert (result.smoothness is None) == (weights is FIXED)
+        assert cli.main(["analyze", *FRAME_FLAGS, *argv]) == 0
+        run = json.loads((out / "run.json").read_text())
+        fit = result.fit
+        assert (run["lambda1"], run["lambda2"], run["sigma2"], run["edf"]) == (
+            fit.lambda1, fit.lambda2, fit.sigma2_hat, fit.edf
+        )
+        estimates = [row["estimate"] for row in read_rows(out / "clusters.csv")]
+        assert estimates == [format(m, ".12g") for m in result.grid.means.ravel()]
+
+    # x -> c x + alpha + beta Y + gamma A, with (Y, A) = (i + t, j + t) the
+    # measurement's place on its cohort line: the penalties vanish on the
+    # added linear surface and each observation reads it exactly.
+    @pytest.mark.parametrize("c,alpha,beta,gamma", [(-2.5, 30.0, 0.1, -0.3), (1e3, -5.0, 2.0, 0.7),
+                                                   (1e-3, 0.0, 0.0, 1.0)])
+    def test_affine_map_of_the_measurements(self, dataset, tmp_path, c, alpha, beta, gamma):
+        base, _ = dataset
+        rows = read_rows(base / "dataset.csv")
+        lines = ["x,year,age\n"]
+        for row in rows:
+            i, j, t = _absolute_cell(float(row["year"]), float(row["age"]))
+            x = c * float(row["x"]) + alpha + beta * (i + t) + gamma * (j + t)
+            lines.append(f"{x!r},{row['year']},{row['age']}\n")
+        moved = tmp_path / "moved.csv"
+        moved.write_text("".join(lines), encoding="utf-8")
+        # every quantity in data units, to 1e-11 of the data's magnitude
+        # (measured: below 1e-13)
+        tol = 1e-11 * max(abs(float(line.split(",")[0])) for line in lines[1:])
+        frame = Frame.from_bounds(2000.0, 2004.9, 10.0, 16.0)
+        for mode in ("raw", "aggregated"):
+            flags = ["--mode", mode, *TUNED, "--cluster-age", "2", "--cluster-year", "2"]
+            was = analysis("--input", str(base / "dataset.csv"), *flags)
+            now = analysis("--input", str(moved), *flags)
+            assert (now.fit.lambda1, now.fit.lambda2) == (was.fit.lambda1, was.fit.lambda2)
+            i, j = np.indices(was.fit.v_hat.shape)
+            want = c * was.fit.v_hat + alpha + beta * (frame.i_min + i) + gamma * (frame.j_min + j)
+            assert np.max(np.abs(now.fit.v_hat - want)) <= tol
+            if mode == "aggregated":
+                # the within-cell sums of squares take the linear surface too
+                continue
+            sd_now, sd_was = np.sqrt(now.fit.sigma2_hat), np.sqrt(was.fit.sigma2_hat)
+            assert abs(sd_now - abs(c) * sd_was) <= tol
+            for a, b in zip(now.comparisons, was.comparisons):
+                assert abs(a.diff - c * b.diff) <= tol
+                assert abs(diff_sd(now.grid, a) - abs(c) * diff_sd(was.grid, b)) <= tol
+
+    @pytest.mark.parametrize("mode,weights", [("raw", FIXED), ("aggregated", TUNED)])
+    def test_row_order_does_not_matter(self, dataset, tmp_path, mode, weights):
+        base, _ = dataset
+        header, *body = (base / "dataset.csv").read_text().splitlines(keepends=True)
+        random.Random(5).shuffle(body)
+        (tmp_path / "permuted.csv").write_text(header + "".join(body), encoding="utf-8")
+        outs = []
+        for source in (base / "dataset.csv", tmp_path / "permuted.csv"):
+            outs.append(tmp_path / source.stem)
+            argv = ["--input", str(source), "--mode", mode, *weights,
+                    "--cluster-age", "2", "--cluster-year", "2", "--out", str(outs[-1])]
+            assert cli.main(["analyze", *FRAME_FLAGS, *argv]) == 0
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        for name in names:
+            if name == "run.json":
+                was, now = (dict(scalars(json.loads((out / name).read_text()))) for out in outs)
+                assert was.keys() == now.keys()
+                columns = [([was[key]], [now[key]]) for key in was]
+                assert {k: v for k, v in was.items() if k.startswith("/validation")} == {
+                    k: v for k, v in now.items() if k.startswith("/validation")
+                }
+            else:
+                was, now = (read_rows(out / name) for out in outs)
+                assert len(was) == len(now) > 0
+                columns = [([row[key] for row in was], [row[key] for row in now]) for key in was[0]]
+            for a, b in columns:
+                assert_same_numbers(a, b)
+
+
+def diff_sd(grid, comparison):
+    """Standard deviation of a comparison's cluster difference."""
+    ka, kb = grid.flat(*comparison.cluster_a), grid.flat(*comparison.cluster_b)
+    return np.sqrt(grid.cov[ka, ka] - 2 * grid.cov[ka, kb] + grid.cov[kb, kb])
+
+
+def assert_same_numbers(was, now):
+    """One artifact column of two runs: equal texts, numbers within a relative
+    1e-9 of the column's largest magnitude (ci_lo can nearly cancel)."""
+    numbers = []
+    for a, b in zip(was, now, strict=True):
+        try:
+            numbers.append((float(a), float(b)))
+        except (TypeError, ValueError):
+            assert a == b
+    if numbers:
+        a, b = np.array(numbers).T
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(a))
 
 
 class TestAggregateCommand:

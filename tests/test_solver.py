@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import permutations
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from ctrend.errors import SingularSystem
 from ctrend.grid import Frame
 from ctrend.ingest import Measurement, aggregate
 from ctrend.design import build_system_aggregated
-from ctrend.solver import check_uniqueness, solve
+from ctrend.solver import COLLINEARITY_TOL, _collinear, check_uniqueness, solve
 from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
 from solver_reference import normal_equations, normal_residual
 
@@ -233,6 +234,25 @@ class TestCheckUniqueness:
     def test_unit_square(self):
         ok, _ = check_uniqueness([(0, 0), (0, 1), (1, 0), (1, 1)])
         assert ok
+
+    def test_collinear_reads_the_smallest_height_against_the_spread(self):
+        # (1 + 2e-10, 1) lies 2e-10 / sqrt(2) from the line through (0, 0) and
+        # (1, 1), and 2e-10 from the line through (1, 1) and (1, 5); whichever
+        # two points define the line, that height decides
+        r = (1 + 2e-10, 1.0)
+        for p, q, height in (((0.0, 0.0), (1.0, 1.0), 2e-10 / math.sqrt(2)),
+                             ((1.0, 1.0), (1.0, 5.0), 2e-10)):
+            for factor, collinear in ((0.9, False), (1.1, True)):
+                spread = factor * height / COLLINEARITY_TOL
+                for triple in permutations((p, q, r)):
+                    assert _collinear(*triple, spread) is collinear
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_near_collinear_verdict_does_not_depend_on_the_units(self, scale):
+        # (0.5, 0.5 + 5e-10) lies 3.5e-10 from the line through (0, 0) and (1, 1)
+        points = [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5 + 5e-10), (0.0, 1.0)]
+        ok, why = check_uniqueness([(scale * y, scale * a) for y, a in points])
+        assert not ok and why == "all but at most one point share a line"
 
     def test_three_collinear_among_four(self):
         ok, _ = check_uniqueness([(0, 0), (1, 1), (2, 2), (0, 1)])
