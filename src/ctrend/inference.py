@@ -82,14 +82,12 @@ def cluster_means(fit: FitResult, delta_a: int, delta_y: int) -> ClusterGrid:
     (`FitResult.trend_unit_cov`, `BandedInverse.quadratic`), without the
     dense trend covariance.  Silent levels enter with zero covariance.
     """
-    if delta_a < 1 or delta_y < 1:
-        raise InvalidClusterSize(f"cluster sizes must be >= 1, got ({delta_a}, {delta_y})")
+    a = build_u2uc(fit.layout, delta_a, delta_y)
     if fit.sigma2_hat is None:
         raise InsufficientDof(
             "cluster inference needs an error-variance estimate "
             f"(n_obs={fit.n_obs}, dim={fit.layout.dim})"
         )
-    a = build_u2uc(fit.layout, delta_a, delta_y)
     nrows, ncols = fit.layout.trend_shape
     year_bands = tuple((b.start, b.stop - 1) for b in cluster_bands(nrows, delta_y))
     age_bands = tuple((b.start, b.stop - 1) for b in cluster_bands(ncols, delta_a))

@@ -231,7 +231,7 @@ class FitResult:
         of G0 * M^-1 over G0's nonzeros, which all lie in the band."""
         d, k = np.nonzero(self.gram_data)
         inverse = self.unit_cov_v_band
-        cov = inverse.band[d, k] * inverse.scale[k + d] * inverse.scale[k]
+        cov = inverse[inverse.order[k + d], inverse.order[k]]
         return float(np.sum(np.where(d > 0, 2.0, 1.0) * self.gram_data[d, k] * cov))
 
     @cached_property

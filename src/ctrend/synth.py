@@ -113,6 +113,8 @@ def generate(model: TrueModel, plan: SamplingPlan, seed: int) -> list[Measuremen
     """
     frame = model.frame
     layout = model.layout
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = []
     for i, j, t in plan.entries:
         if not (0 <= i <= layout.i_span and 0 <= j <= layout.j_span):
             raise PlanOutOfFrame(f"plan cell ({i}, {j}) outside the trend lattice")
@@ -125,15 +127,10 @@ def generate(model: TrueModel, plan: SamplingPlan, seed: int) -> list[Measuremen
                 f"plan entry ({i}, {j}, {t}) places a measurement at "
                 f"(y={y}, a={a}) outside the frame"
             )
-    rng = np.random.Generator(np.random.Philox(seed))
-    out = []
-    for i, j, t in plan.entries:
         x = true_level(model, CellIndex(i, j), t)
         if model.noise_sd > 0:
             x += rng.normal(0.0, model.noise_sd)
-        out.append(
-            Measurement(x=float(x), y=float(frame.i_min + i + t), a=float(frame.j_min + j))
-        )
+        out.append(Measurement(x=float(x), y=float(y), a=float(a)))
     return out
 
 

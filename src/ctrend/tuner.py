@@ -7,11 +7,11 @@ indicators (by lambda1) and of the trend indicators (by lambda2) to its target:
 it solves g(lg) = log(statistics / targets) = 0 for lg = log10-lambda in
 [-8, 10]^2 by projected Newton steps.  Every solve gives dg/dlg from the
 pairs its statistics read: exact for `selected-point`, `median` and `min`, and
-for `mean` an estimate from MEAN_PAIRS pairs at evenly spaced ranks.  Where
-that Jacobian does not show each statistic falling mainly in its own
-weight, a step of each weight on its own statistic is tried first.  The
-iteration runs to a root tolerance far inside delta, so the lambdas depend on
-the design and the targets alone.
+for `mean` an estimate from MEAN_PAIRS pairs at evenly spaced ranks.  The
+Newton step is taken on that Jacobian and on its floored diagonal, which
+moves each weight on its own statistic (`tune`).  The iteration runs to a
+root tolerance far inside delta, so the lambdas depend on the design and the
+targets alone.
 """
 
 from __future__ import annotations
@@ -287,34 +287,19 @@ class _Evaluator:
                                 lambda2=probe.fit.lambda2, iterations=len(self.probes), converged=converged)
 
 
-def _held(lg: np.ndarray, step: np.ndarray, box: np.ndarray) -> list[int]:
-    """The weights that sit at an end of their range with their step pointing past it."""
-    return [k for k in (0, 1) if step[k] != 0 and lg[k] == box[k, int(step[k] > 0)]]
-
-
 def _newton_step(lg: np.ndarray, error: np.ndarray, jacobian: np.ndarray, box: np.ndarray) -> tuple:
-    """The Newton step on g and the weights it moves.  A held weight stays,
-    and the step is taken again for the others, each on its own statistic."""
+    """The projected Newton step on g by `jacobian` and the weights it moves:
+    a weight at an end of its range whose step points past it is held there,
+    and the step is taken again for the others."""
     free = [0, 1]
     while free:
         step = np.zeros(2)
         step[free] = np.linalg.lstsq(jacobian[np.ix_(free, free)], -error[free], rcond=None)[0]
-        held = _held(lg, step, box)
+        held = [k for k in free if step[k] != 0 and lg[k] == box[k, int(step[k] > 0)]]
         if not held:
             return step, free
         free.remove(held[0])
     return np.zeros(2), free
-
-
-def _own_step(lg: np.ndarray, error: np.ndarray, jacobian: np.ndarray, box: np.ndarray) -> tuple:
-    """Each weight on its own statistic alone, taken to fall in its weight:
-    the Newton step on the diagonal of the Jacobian where that slope is
-    negative and reaches the target within LOG10_STEP, else LOG10_STEP
-    toward the target.  Held weights stay."""
-    slope = np.maximum(-np.diag(jacobian), np.abs(error) / LOG10_STEP)
-    step = np.divide(error, slope, out=np.zeros(2), where=slope > 0)
-    free = [k for k in (0, 1) if k not in _held(lg, step, box)]
-    return np.where(np.isin([0, 1], free), step, 0.0), free
 
 
 def _line_search(evaluate, probe, step, free, box, probed_ends) -> _Probe | None:
@@ -355,19 +340,20 @@ def _line_search(evaluate, probe, step, free, box, probed_ends) -> _Probe | None
 def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, SmoothnessReport]:
     """Find lambdas meeting both smoothness targets within `targets.delta`.
 
-    From lg = (1, 1) each iteration tries two steps on its probe's Jacobian,
-    each line-searched: the projected Newton step on g (Dennis & Schnabel
-    1983, ch. 6), and the step of each weight on its own statistic
-    (`_own_step`).  Newton goes first where the Jacobian shows each statistic
-    falling mainly in its own weight, or once the joint error is within delta;
-    the own step goes first elsewhere, so that a local slope does not lead the
-    iteration into a region where a weight stops mattering.  The iteration
-    stops at the root (ROOT_TOL); when a weight is held at an end of its
-    range: a bound, or the last solvable point before a singular probe, and
-    every other weight is within delta (TargetUnreachable, current fit,
-    unless an earlier probe was within delta); when neither step lowers the
-    error; or after MAX_SOLVES solves.  It returns the best probe if that is
-    within delta, and else raises NoConvergence with the best probe.
+    From lg = (1, 1) each iteration line-searches the projected Newton step on
+    g (Dennis & Schnabel 1983, ch. 6) on two Jacobians: the probe's, and its
+    diagonal with slope k floored at -|g_k| / LOG10_STEP, which moves each
+    weight on its own statistic.  The probe's goes first where it shows each
+    statistic falling mainly in its own weight, or once the joint error is
+    within delta; the diagonal goes first elsewhere, so that a local slope
+    does not lead the iteration into a region where a weight stops mattering.
+    The iteration stops at the root (ROOT_TOL); when the first step holds a
+    weight at an end of its range: a bound, or the last solvable point before
+    a singular probe, and every other weight is within delta
+    (TargetUnreachable, current fit, unless an earlier probe was within
+    delta); when neither step lowers the error; or after MAX_SOLVES solves.
+    It returns the best probe if that is within delta, and else raises
+    NoConvergence with the best probe.
     """
     evaluate = _Evaluator(system, targets)
     probe = evaluate((1.0, 1.0))
@@ -381,10 +367,11 @@ def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, S
     while evaluate.joint_error(probe) > ROOT_TOL and len(evaluate.probes) < MAX_SOLVES:
         evaluate.release(probe)
         lg, error, jacobian = np.array(probe.lg), probe.error, probe.jacobian
-        steps = [_newton_step(lg, error, jacobian, box), _own_step(lg, error, jacobian, box)]
+        jacobians = [jacobian, np.diag(np.minimum(np.diag(jacobian), -np.abs(error) / LOG10_STEP))]
         own_first = any(jacobian[k, k] >= -abs(jacobian[k, 1 - k]) for k in (0, 1))
         if own_first and evaluate.joint_error(probe) > targets.delta:
-            steps.reverse()
+            jacobians.reverse()
+        steps = [_newton_step(lg, error, j, box) for j in jacobians]
         free = steps[0][1]
         if len(free) < 2 and np.all(np.abs(error[free]) <= targets.delta):
             held = [k for k in (0, 1) if k not in free]

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ctrend import tuner
 from ctrend.design import build_system_aggregated, build_system_raw
@@ -12,7 +14,11 @@ from ctrend.ingest import aggregate
 from ctrend.solver import solve
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
 from ctrend.tuner import (
+    LOG10_HI,
+    LOG10_LO,
+    LOG10_STEP,
     SmoothnessTargets,
+    _newton_step,
     default_selected_point_u,
     default_selected_point_v,
     fstat,
@@ -362,6 +368,46 @@ class TestNewtonIteration:
         report = caught.value.report
         assert not report.converged
         assert (report.lambda1, report.lambda2) == (caught.value.fit.lambda1, caught.value.fit.lambda2)
+
+
+def own_step(lg, error, jacobian, box):
+    """Each weight on its own statistic, by the slope -jacobian[k, k] raised
+    to reach the target within LOG10_STEP; a weight at an end of its range
+    whose step points past it stays."""
+    slope = np.maximum(-np.diag(jacobian), np.abs(error) / LOG10_STEP)
+    step = np.divide(error, slope, out=np.zeros(2), where=slope > 0)
+    held = [k for k in (0, 1) if step[k] != 0 and lg[k] == box[k, int(step[k] > 0)]]
+    free = [k for k in (0, 1) if k not in held]
+    return np.where(np.isin([0, 1], free), step, 0.0), free
+
+
+@st.composite
+def step_problems(draw):
+    """(lg, error, jacobian, box) with each lg inside its range or at one of its ends."""
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    ends = st.lists(st.floats(LOG10_LO, LOG10_HI), min_size=2, max_size=2, unique=True)
+    box = np.array([sorted(draw(ends)) for _ in range(2)])
+    lg = np.array([draw(st.sampled_from(list(end)) | st.floats(*end)) for end in box])
+    error = np.array([draw(finite) for _ in range(2)])
+    jacobian = np.array([draw(st.just(0.0) | finite) for _ in range(4)]).reshape(2, 2)
+    return lg, error, jacobian, box
+
+
+class TestNewtonStep:
+    @settings(max_examples=300)
+    @given(step_problems())
+    def test_floored_diagonal_gives_each_weight_its_own_step(self, problem):
+        lg, error, jacobian, box = problem
+        slope = np.maximum(-np.diag(jacobian), np.abs(error) / LOG10_STEP)
+        # past a ratio of 1e12 lstsq's rcond cutoff zeroes the smaller slope
+        assume(slope.min() == 0 or slope.max() <= 1e12 * slope.min())
+        diagonal = np.diag(np.minimum(np.diag(jacobian), -np.abs(error) / LOG10_STEP))
+        step, free = _newton_step(lg, error, diagonal, box)
+        expected, expected_free = own_step(lg, error, jacobian, box)
+        assert free == expected_free
+        np.testing.assert_allclose(step, expected, rtol=1e-12, atol=0)
+        # lstsq's rounding: at error (0, 1e-9) the floored step reads 2.0000000000000004
+        assert np.all(np.abs(step) <= LOG10_STEP * (1 + 1e-12))
 
 
 class TestProbeCost:

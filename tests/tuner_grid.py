@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/tuner_grid.py
+    PYTHONPATH=src python tests/tuner_grid.py [--tunes]
 
 The targets are (f_smv, f_smu) in {0.05, 0.1, 0.2, 0.3, 0.5}^2 at delta =
 0.05, for each of the four statistic kinds.  The designs are those of the
@@ -11,9 +11,17 @@ the small noise-free full-coverage design of `conftest.py`.  For each design
 and kind it prints how many tunes converged (C), raised TargetUnreachable
 (U) or raised NoConvergence (N), the solves they used, and how many of those
 solves were singular (S); then the totals per kind and overall.  A change to
-the tuner shows here as a lost converged tune or a change of solves.  pytest
-does not collect this file.
+the tuner shows here as a lost converged tune or a change of solves.
+
+With --tunes it prints one JSON line per tune instead: design, kind, targets,
+outcome, solves, singular solves, and the repr of lambda1, lambda2, stat_v and
+stat_u, so that the listings of two trees compare with `diff`.  pytest does
+not collect this file.
 """
+
+import json
+import sys
+from itertools import groupby
 
 from ctrend import tuner
 from ctrend.design import build_system_aggregated, build_system_raw
@@ -46,7 +54,7 @@ def designs():
 
 
 def outcome(system, targets):
-    """("C", "U" or "N", solves, singular solves) of one tune."""
+    """("C", "U" or "N", solves, singular solves, report) of one tune."""
     singular = []
 
     def counted(*args):
@@ -58,10 +66,11 @@ def outcome(system, targets):
 
     tuner.solve = counted
     try:
-        return "C", tune(system, targets)[1].iterations, len(singular)
+        report = tune(system, targets)[1]
+        return "C", report.iterations, len(singular), report
     except (TargetUnreachable, NoConvergence) as exc:
         code = "U" if isinstance(exc, TargetUnreachable) else "N"
-        return code, exc.report.iterations, len(singular)
+        return code, exc.report.iterations, len(singular), exc.report
     finally:
         tuner.solve = solve
 
@@ -73,22 +82,36 @@ def row(name, kind, counts):
     )
 
 
-def main():
-    totals = {kind: dict.fromkeys("CUNS", 0) | {"solves": 0} for kind in FSTAT_KINDS}
-    print(f"{'design':<10} {'kind':<15} {'C':>3} {'U':>3} {'N':>3} {'solves':>7} {'S':>4}")
+def tunes():
+    """(design, kind, f_smv, f_smu, outcome) of every tune, in table order."""
     for name, system in designs():
         for kind in FSTAT_KINDS:
-            counts = dict.fromkeys("CUNS", 0) | {"solves": 0}
             for f_smv in TARGETS:
                 for f_smu in TARGETS:
                     targets = SmoothnessTargets(f_smv, f_smu, 0.05, kind)
-                    code, solves, singular = outcome(system, targets)
-                    counts[code] += 1
-                    counts["solves"] += solves
-                    counts["S"] += singular
-            for key, value in counts.items():
-                totals[kind][key] += value
-            row(name, kind, counts)
+                    yield name, kind, f_smv, f_smu, outcome(system, targets)
+
+
+def list_tunes():
+    fields = ("lambda1", "lambda2", "stat_v", "stat_u")
+    for name, kind, f_smv, f_smu, (code, solves, singular, report) in tunes():
+        line = {"design": name, "kind": kind, "f_smv": f_smv, "f_smu": f_smu, "outcome": code,
+                "solves": solves, "singular": singular}
+        print(json.dumps(line | {field: repr(float(getattr(report, field))) for field in fields}))
+
+
+def main():
+    totals = {kind: dict.fromkeys("CUNS", 0) | {"solves": 0} for kind in FSTAT_KINDS}
+    print(f"{'design':<10} {'kind':<15} {'C':>3} {'U':>3} {'N':>3} {'solves':>7} {'S':>4}")
+    for (name, kind), group in groupby(tunes(), key=lambda entry: entry[:2]):
+        counts = dict.fromkeys("CUNS", 0) | {"solves": 0}
+        for *_, (code, solves, singular, _) in group:
+            counts[code] += 1
+            counts["solves"] += solves
+            counts["S"] += singular
+        for key, value in counts.items():
+            totals[kind][key] += value
+        row(name, kind, counts)
     for kind, counts in totals.items():
         row("total", kind, counts)
     print(
@@ -98,4 +121,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    list_tunes() if sys.argv[1:] == ["--tunes"] else main()
