@@ -7,8 +7,8 @@ F statistic
 
     F = (m_a - m_b)^2 / (c_aa - 2 c_ab + c_bb),    p = P(F(1, dof) > F),
 
-with the upper tail taken directly (`scipy.special.fdtrc`), not as
-1 - F_cdf, which cancels to 0 for large F.
+with the upper tail taken directly by one `scipy.special.fdtrc` call per
+grid, not as 1 - F_cdf, which cancels to 0 for large F.
 
 Comparisons whose difference variance degenerates are kept in the output,
 flagged untestable, so the report shape depends only on the grid.
@@ -32,16 +32,12 @@ YEAR_ADJACENT = "year-adjacent"
 
 
 def f_cdf(x: float, d1: int, d2: int) -> float:
-    """F-distribution CDF via the regularized incomplete beta function."""
+    """F-distribution CDF (`scipy.special.fdtr`): 0 at x = 0, 1 at x = inf."""
     if d1 < 1 or d2 < 1:
         raise InvalidDof(f"degrees of freedom must be positive, got ({d1}, {d2})")
     if not x >= 0:
         raise InvalidDof(f"F statistic must be >= 0, got {x}")
-    if x == 0:
-        return 0.0
-    if x == np.inf:
-        return 1.0
-    return float(special.betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2)))
+    return float(special.fdtr(d1, d2, x))
 
 
 @dataclass(frozen=True)
@@ -102,31 +98,33 @@ def cluster_means(fit: FitResult, delta_a: int, delta_y: int) -> ClusterGrid:
     )
 
 
-def _compare(grid: ClusterGrid, a: tuple[int, int], b: tuple[int, int], direction: str) -> ComparisonResult:
-    ka, kb = grid.flat(*a), grid.flat(*b)
-    diff = float(grid.means[a] - grid.means[b])
-    c_aa = float(grid.cov[ka, ka])
-    c_bb = float(grid.cov[kb, kb])
-    var_diff = c_aa - 2.0 * float(grid.cov[ka, kb]) + c_bb
-    if var_diff <= _DEGENERATE_REL_TOL * max(c_aa + c_bb, np.finfo(float).tiny):
-        return ComparisonResult(a, b, direction, diff, None, None, testable=False)
-    f_value = diff**2 / var_diff
-    p_value = float(special.fdtrc(1, grid.dof, f_value))
-    return ComparisonResult(a, b, direction, diff, f_value, p_value, testable=True)
-
-
 def compare_adjacent(grid: ClusterGrid) -> list[ComparisonResult]:
-    """All age-adjacent and year-adjacent cluster comparisons, row-major."""
+    """All age- and year-adjacent cluster comparisons, row-major with each
+    cluster's age neighbor first, their upper tails from one `fdtrc` call.
+
+    A pair is untestable when its difference variance is at most
+    _DEGENERATE_REL_TOL (c_aa + c_bb), the sum floored at the least normal
+    float; a NaN variance stays testable, with F and p NaN.
+    """
     if grid.means.size < 2:
         raise InvalidClusterSize("need at least two clusters to compare")
     if grid.dof < 1:
         raise InsufficientDof(f"comparison tests need dof >= 1, got {grid.dof}")
-    out = []
     np_, nq = grid.shape
-    for p in range(np_):
-        for q in range(nq):
-            if q + 1 < nq:
-                out.append(_compare(grid, (p, q), (p, q + 1), AGE_ADJACENT))
-            if p + 1 < np_:
-                out.append(_compare(grid, (p, q), (p + 1, q), YEAR_ADJACENT))
-    return out
+    p, q = np.divmod(np.arange(grid.means.size), nq)
+    a, side = np.nonzero(np.column_stack([q + 1 < nq, p + 1 < np_]))  # side 0: age, 1: year
+    b = a + np.where(side, nq, 1)
+    means, cov = grid.means.ravel(), grid.cov
+    diff = means[a] - means[b]
+    c_aa, c_bb = cov[a, a], cov[b, b]
+    var_diff = c_aa - 2.0 * cov[a, b] + c_bb
+    testable = ~(var_diff <= _DEGENERATE_REL_TOL * np.maximum(c_aa + c_bb, np.finfo(float).tiny))
+    f_value, p_value = np.full((2, len(a)), None, dtype=object)
+    f = np.square(diff[testable]) / var_diff[testable]
+    f_value[testable], p_value[testable] = f, special.fdtrc(1, grid.dof, f)
+    direction = np.array([AGE_ADJACENT, YEAR_ADJACENT])[side]
+    columns = (a, b, direction, diff, f_value, p_value, testable)
+    return [
+        ComparisonResult(divmod(ka, nq), divmod(kb, nq), *rest)
+        for ka, kb, *rest in zip(*(column.tolist() for column in columns))
+    ]

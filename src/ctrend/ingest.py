@@ -137,9 +137,8 @@ class ValidationReport:
 
     def reject(self, rows: np.ndarray, reasons: np.ndarray) -> None:
         """Count rejected rows, given in file order with their reasons."""
-        kinds, first, counts = np.unique(reasons, return_index=True, return_counts=True)
-        for k in np.argsort(first):
-            self.reasons[kinds[k]] = self.reasons.get(kinds[k], 0) + int(counts[k])
+        for kind, count in zip(*np.unique(reasons, return_counts=True)):
+            self.reasons[kind] = self.reasons.get(kind, 0) + int(count)
         room = _MAX_REJECT_DETAILS - len(self.details)
         self.details.extend(zip(rows[:room].tolist(), reasons[:room].tolist()))
 

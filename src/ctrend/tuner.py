@@ -332,8 +332,9 @@ def _line_search(evaluate, probe, step, free, box, probed_ends) -> _Probe | None
         if np.sum(q.error[free] ** 2) < (1 - 2 * ARMIJO * fraction) * merit:
             return q
         trial, fraction = 0.5 * (lg + trial), 0.5 * fraction
-        if q.jacobian is None:  # singular: each moved weight's range ends at the next halving point
-            box[trial < lg, 0], box[trial > lg, 1] = trial[trial < lg], trial[trial > lg]
+        if q.jacobian is None:  # singular: the furthest-moved weight's range ends at the next halving point
+            far = np.flatnonzero(np.abs(trial - lg) == np.max(np.abs(trial - lg)))  # both on a tie
+            box[far, (trial > lg)[far].astype(int)] = trial[far]
     return None
 
 

@@ -154,6 +154,13 @@ class TestCompareAdjacent:
         assert comp.f_value is None and comp.p_value is None
         assert comp.diff == -1.0
 
+    def test_nan_variance_stays_testable(self):
+        cov = np.eye(2)
+        cov[0, 0] = np.nan
+        (comp,) = compare_adjacent(make_grid([[1.0, 0.0]], cov))
+        assert comp.testable
+        assert math.isnan(comp.f_value) and math.isnan(comp.p_value)
+
     def test_p_monotone_in_f(self):
         ps = []
         for diff in (0.5, 1.0, 2.0, 4.0):

@@ -1,4 +1,5 @@
-"""Property-based checks of the level-surface algebra, the solver and the tuner."""
+"""Property-based checks of the level-surface algebra, the solver, the tuner and
+the adjacent-cluster comparisons."""
 
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpocon
 
@@ -20,6 +22,14 @@ from ctrend.design import (
     second_differences,
 )
 from ctrend.grid import Frame, ParameterLayout
+from ctrend.inference import (
+    _DEGENERATE_REL_TOL,
+    AGE_ADJACENT,
+    YEAR_ADJACENT,
+    ClusterGrid,
+    ComparisonResult,
+    compare_adjacent,
+)
 from ctrend.ingest import Measurement, aggregate
 from ctrend.solver import check_uniqueness, solve
 from ctrend.tuner import SmoothnessTargets, _Evaluator, _read_pairs, fstat, smoothness_field, tune
@@ -510,3 +520,64 @@ def test_general_position_matches_quadruple_search(points):
     assert (why in collinear_reasons) == (not free_quadruple)
     one_line = all(on_one_line(points[0], points[1], r) for r in points)
     assert (why == "all points collinear") == one_line
+
+
+def comparison_reference(grid, a, b, direction):
+    """One pair by the documented formula: F = diff^2 / var_diff, its upper
+    tail p, or untestable where var_diff <= tol (c_aa + c_bb), the sum
+    floored at the least normal float.  diff * diff is the correctly rounded
+    square; float ** 2 goes through pow and can be an ulp off."""
+    ka, kb = grid.flat(*a), grid.flat(*b)
+    diff = float(grid.means[a] - grid.means[b])
+    c_aa, c_bb, c_ab = (float(grid.cov[i, j]) for i, j in ((ka, ka), (kb, kb), (ka, kb)))
+    var_diff = c_aa - 2.0 * c_ab + c_bb
+    if var_diff <= _DEGENERATE_REL_TOL * max(c_aa + c_bb, np.finfo(float).tiny):
+        return ComparisonResult(a, b, direction, diff, None, None, testable=False)
+    f_value = diff * diff / var_diff
+    return ComparisonResult(a, b, direction, diff, f_value, float(special.fdtrc(1, grid.dof, f_value)), True)
+
+
+@st.composite
+def cluster_grids(draw):
+    """A grid of at least two clusters with a random PSD covariance H H^T, in
+    which some clusters copy the row of H of their age or year predecessor,
+    plus eps times noise.  The difference variance of such a pair is near
+    eps^2 / 2 of c_aa + c_bb, on either side of the untestable bound; at
+    eps = 0 the covariance rows and columns are copied too, so it is 0."""
+    nrows, ncols = draw(st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda s: s[0] * s[1] >= 2))
+    n = nrows * ncols
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = rng.normal(size=(n, draw(st.integers(1, n + 2)))) * 10.0 ** draw(st.floats(-6, 6))
+    means = rng.normal(size=n) * 10.0 ** draw(st.floats(-6, 6))
+    exact = []
+    for k in draw(st.lists(st.integers(1, n - 1), max_size=n, unique=True)):
+        source = draw(st.sampled_from([k - 1, k - ncols] if k >= ncols else [k - 1]))
+        eps = draw(st.just(0.0) | st.floats(-7, -3).map(lambda e: 10.0**e))
+        half[k] = half[source] + eps * np.abs(half).max() * rng.normal(size=half.shape[1])
+        means[k] = draw(st.sampled_from([means[k], means[source]]))
+        if eps == 0.0:
+            exact.append((k, source))
+    cov = half @ half.T
+    for k, source in exact:
+        cov[k], cov[:, k] = cov[source], cov[:, source]
+    return ClusterGrid(
+        means=means.reshape(nrows, ncols),
+        cov=cov,
+        dof=draw(st.integers(1, 200_000)),
+        year_bands=tuple((p, p) for p in range(nrows)),
+        age_bands=tuple((q, q) for q in range(ncols)),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(cluster_grids())
+def test_compare_adjacent_matches_the_per_pair_formula(grid):
+    nrows, ncols = grid.shape
+    want = []
+    for p in range(nrows):
+        for q in range(ncols):
+            if q + 1 < ncols:
+                want.append(comparison_reference(grid, (p, q), (p, q + 1), AGE_ADJACENT))
+            if p + 1 < nrows:
+                want.append(comparison_reference(grid, (p, q), (p + 1, q), YEAR_ADJACENT))
+    assert compare_adjacent(grid) == want

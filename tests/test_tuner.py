@@ -325,6 +325,13 @@ class TestNewtonIteration:
         with pytest.raises(TargetUnreachable, match="^trend smoothness stays above target 0.05"):
             tune(two_wave_system, SmoothnessTargets(f_smv=0.2, f_smu=0.05))
 
+    def test_singular_trial_ends_the_range_of_the_furthest_moved_weight(self, two_wave_system):
+        # a trial step of (-0.055, +2) decades is singular by lambda2 alone:
+        # lambda1's range stays whole, so the stop names the trend weight only
+        with pytest.raises(TargetUnreachable) as caught:
+            tune(two_wave_system, SmoothnessTargets(f_smv=0.1, f_smu=0.05))
+        assert str(caught.value) == "trend smoothness stays above target 0.05 at lambda=1e9"
+
     @pytest.mark.parametrize(
         "f_smv,f_smu,solves_below",
         # solves taken when each line search sought the singular edge anew
