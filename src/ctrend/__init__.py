@@ -11,13 +11,9 @@ __version__ = "0.1.0"
 
 from .design import (
     LinearSystem,
-    SparseRow,
-    build_penalty_u,
-    build_penalty_v,
     build_system_aggregated,
     build_system_raw,
     build_u2uc,
-    build_z2u,
     build_z2v,
 )
 from .errors import CtrendError
@@ -52,16 +48,12 @@ __all__ = [
     "SamplingPlan",
     "SmoothnessReport",
     "SmoothnessTargets",
-    "SparseRow",
     "TrueModel",
     "ValidationReport",
     "aggregate",
-    "build_penalty_u",
-    "build_penalty_v",
     "build_system_aggregated",
     "build_system_raw",
     "build_u2uc",
-    "build_z2u",
     "build_z2v",
     "check_uniqueness",
     "cluster_means",

@@ -5,18 +5,16 @@ lattice, which has exactly `layout.dim` entries.  The dynamic model
 v(i+1, j+1) = v(i, j) + u(i, j) makes a measurement at year fraction t in
 cell (i, j) read (1-t)*v(i,j) + t*v(i+1,j+1), so the data operator of a
 `LinearSystem` has two nonzeros per row.  Both penalties are (+1, -2, +1)
-second-difference stencils (`second_differences`): on v itself, and on the
-trend surface u = `build_v2u` @ v.  Penalty operators are stored unscaled;
-the regularization weights live in the solver, so the same system serves
-every lambda probe, which sums the three terms' Grams, built once (`lower_band`).
+second-difference stencils, and `second_differences` is their one
+construction: on v itself, and on the trend surface u = `build_v2u` @ v.
+Penalty operators are stored unscaled; the regularization weights live in
+the solver, so the same system serves every lambda probe, which sums the
+three terms' Grams, built once (`lower_band`).
 
 The parameter vector z of `ParameterLayout` (boundary levels plus the trend
 field) is a linear bijection of v: `build_z2v` maps z to v, `build_v2z`
-maps back.  The fit never works in z.  What stays here in z is what the
-acceptance criteria read: `FitResult.z_hat` for criteria 1 and 2, and for
-criterion 8 the penalty rows `build_penalty_*` with `build_z2u` and
-`rows_to_matrix`.  The z observation rows of the dense test oracle live in
-`tests/zref.py`.
+maps back.  The fit never works in z; the bijection stays for
+`FitResult.z_hat` and the covariances read through it.
 """
 
 from __future__ import annotations
@@ -31,24 +29,6 @@ from scipy import sparse
 from .errors import InvalidClusterSize, OutOfFrame
 from .grid import Frame, ParameterLayout
 from .ingest import AggregatedCell, Measurement, MeasurementColumns, as_columns
-
-
-@dataclass(frozen=True)
-class SparseRow:
-    """One row of a design or penalty matrix, with strictly increasing indices."""
-
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-    rhs: float = 0.0
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values length mismatch")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("indices must be strictly increasing")
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(zip(self.indices, self.values))
 
 
 def second_differences(nrows: int, ncols: int) -> sparse.csr_matrix:
@@ -69,33 +49,6 @@ def second_differences(nrows: int, ncols: int) -> sparse.csr_matrix:
     return sparse.vstack([age, year[column_major]], format="csr")
 
 
-def _penalty_rows(operator: sparse.spmatrix, to_surface: np.ndarray) -> list[SparseRow]:
-    rows = []
-    for r in np.asarray(operator @ to_surface):
-        nz = np.flatnonzero(r)
-        rows.append(SparseRow(tuple(nz.tolist()), tuple(r[nz].tolist())))
-    return rows
-
-
-def build_penalty_v(layout: ParameterLayout) -> list[SparseRow]:
-    """Second-difference rows of the level surface, expanded onto parameters.
-
-    Age direction runs over rows i in [0, I+1], centers j in [1, J]; year
-    direction over columns j in [0, J+1], centers i in [1, I].  Row count is
-    (I+2)*J + (J+2)*I.
-    """
-    return _penalty_rows(second_differences(*layout.level_shape), build_z2v(layout))
-
-
-def build_penalty_u(layout: ParameterLayout) -> list[SparseRow]:
-    """Second-difference rows of the trend surface, directly on parameters.
-
-    Age direction: i in [0, I], centers j in [1, J-1]; year direction:
-    j in [0, J], centers i in [1, I-1].  Either sum may be empty.
-    """
-    return _penalty_rows(second_differences(*layout.trend_shape), build_z2u(layout))
-
-
 def build_z2v(layout: ParameterLayout) -> np.ndarray:
     """Map from parameters to the flattened level surface (row-major).
 
@@ -111,11 +64,6 @@ def build_z2v(layout: ParameterLayout) -> np.ndarray:
         a[i + 1, 1:] = a[i, :-1]
         a[i + 1, np.arange(1, ncols), trend[i]] += 1.0
     return a.reshape(nrows * ncols, layout.dim)
-
-
-def build_z2u(layout: ParameterLayout) -> np.ndarray:
-    """Selector of the trend block, in row-major trend order."""
-    return np.eye(layout.n_trend, layout.dim, k=layout.n_boundary)
 
 
 def diagonal_pairs(layout: ParameterLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -207,14 +155,6 @@ def build_u2uc(layout: ParameterLayout, delta_a: int, delta_y: int) -> np.ndarra
     a = np.zeros((len(size), layout.n_trend))
     a[cluster, np.arange(layout.n_trend)] = 1.0 / size[cluster]
     return a
-
-
-def rows_to_matrix(rows: list[SparseRow], dim: int) -> np.ndarray:
-    """Dense matrix view of sparse rows (dimensions here are modest)."""
-    b = np.zeros((len(rows), dim))
-    for r, row in enumerate(rows):
-        b[r, list(row.indices)] = row.values
-    return b
 
 
 @dataclass(frozen=True)

@@ -292,7 +292,10 @@ def solve(system: LinearSystem, lambda1: float, lambda2: float) -> FitResult:
         raise SingularSystem("no data rows")
 
     layout = system.layout
-    band = system.gram_data + lambda1 * system.gram_v + lambda2 * system.gram_u
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = system.gram_data + lambda1 * system.gram_v + lambda2 * system.gram_u
+    if not np.isfinite(band).all():
+        raise SingularSystem("normal matrix overflows at these regularization weights")
     order = band_order(layout)
     reached = band[0] > 0.0
     # An unreached level is silent only together with its whole cohort

@@ -15,21 +15,12 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from ctrend.design import (
-    build_penalty_u,
-    build_penalty_v,
-    build_system_aggregated,
-    build_system_raw,
-    build_z2u,
-    build_z2v,
-    rows_to_matrix,
-)
+from ctrend.design import build_system_aggregated, build_system_raw, build_z2v
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.inference import YEAR_ADJACENT, cluster_means, compare_adjacent, f_cdf
 from ctrend.solver import check_uniqueness, solve
 from ctrend.synth import (
-    SamplingPlan,
     TrueModel,
     full_coverage_plan,
     generate,
@@ -245,29 +236,30 @@ def test_criterion_7_step_decrease_detected():
 
 
 def test_criterion_8_penalty_construction_cross_check():
-    layout = ParameterLayout(10, 39)
-    b1 = rows_to_matrix(build_penalty_v(layout), layout.dim)
-    b2 = rows_to_matrix(build_penalty_u(layout), layout.dim)
+    # the operators `solve` factors, applied to the level surface of z
+    system = build_system_raw(study_frame(), [])
+    layout = system.layout
+    assert (layout.i_span, layout.j_span) == (10, 39)
     a_z2v = build_z2v(layout)
-    a_z2u = build_z2u(layout)
     rng = np.random.default_rng(88)
     for _ in range(100):
         z = rng.normal(size=layout.dim)
-        v = (a_z2v @ z).reshape(layout.level_shape)
+        v = a_z2v @ z
+        level = v.reshape(layout.level_shape)
         s1_direct = float(
-            np.sum((v[:, :-2] - 2 * v[:, 1:-1] + v[:, 2:]) ** 2)
-            + np.sum((v[:-2, :] - 2 * v[1:-1, :] + v[2:, :]) ** 2)
+            np.sum((level[:, :-2] - 2 * level[:, 1:-1] + level[:, 2:]) ** 2)
+            + np.sum((level[:-2, :] - 2 * level[1:-1, :] + level[2:, :]) ** 2)
         )
-        s1_rows = float(np.sum((b1 @ z) ** 2))
-        assert s1_rows == pytest.approx(s1_direct, rel=1e-10)
-        u = (a_z2u @ z).reshape(layout.trend_shape)
+        s1_operator = float(np.sum((system.penalty_v @ v) ** 2))
+        assert s1_operator == pytest.approx(s1_direct, rel=1e-10)
+        u = z[layout.n_boundary:].reshape(layout.trend_shape)
         s2_direct = float(
             np.sum((u[:, :-2] - 2 * u[:, 1:-1] + u[:, 2:]) ** 2)
             + np.sum((u[:-2, :] - 2 * u[1:-1, :] + u[2:, :]) ** 2)
         )
-        s2_rows = float(np.sum((b2 @ z) ** 2))
-        assert s2_rows == pytest.approx(s2_direct, rel=1e-10)
-    report("criterion 8: penalty rows equal direct second-difference sums (100 draws)")
+        s2_operator = float(np.sum((system.penalty_u @ v) ** 2))
+        assert s2_operator == pytest.approx(s2_direct, rel=1e-10)
+    report("criterion 8: the fit's penalty operators equal direct second-difference sums (100 draws)")
 
 
 def test_criterion_9_cli_determinism_and_schema(tmp_path):

@@ -360,6 +360,19 @@ class TestAnalyze:
         )
         assert json.loads(proc.stderr)["error"] == "malformed-file"
 
+    @pytest.mark.parametrize("lambdas", [("5e307", "1"), ("1", "5e307")])
+    def test_overflowing_weights_exit_4(self, dataset, tmp_path, lambdas):
+        base, _ = dataset
+        out = tmp_path / "out"
+        proc = run_cli(
+            "analyze", *FRAME_FLAGS, "--input", str(base / "dataset.csv"),
+            "--lambda1", lambdas[0], "--lambda2", lambdas[1], "--out", str(out),
+            expect=4,
+        )
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "singular-system"
+        assert not (out / "run.json").exists()
+
     def test_tuner_out_of_budget_exit_4(self, tmp_path, capsys, monkeypatch):
         # three solves cannot meet delta = 1e-6 on two survey waves six years apart
         monkeypatch.setattr(tuner, "MAX_SOLVES", 3)

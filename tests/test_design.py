@@ -2,22 +2,17 @@ import numpy as np
 import pytest
 
 from ctrend.design import (
-    LinearSystem,
-    SparseRow,
-    build_penalty_u,
-    build_penalty_v,
     build_system_aggregated,
     build_system_raw,
     build_u2uc,
-    build_z2u,
+    build_v2u,
     build_z2v,
-    rows_to_matrix,
 )
 from ctrend.errors import InvalidClusterSize, OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
 from ctrend.ingest import AggregatedCell, Measurement, aggregate
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
-from zref import build_b0_aggregated, build_b0_raw, observation_row, year_fraction
+from zref import build_b0_aggregated, build_b0_raw, observation_row, penalties_z, year_fraction
 
 
 def level_surface_by_recurrence(layout, z):
@@ -60,16 +55,6 @@ def layout(frame):
     return ParameterLayout.from_frame(frame)
 
 
-class TestSparseRow:
-    def test_orders_and_drops_zeros(self):
-        row = SparseRow(indices=(1, 4), values=(2.0, -1.0), rhs=3.0)
-        assert row.as_dict() == {1: 2.0, 4: -1.0}
-
-    def test_rejects_unordered(self):
-        with pytest.raises(ValueError):
-            SparseRow(indices=(4, 1), values=(1.0, 1.0))
-
-
 class TestObservationRow:
     def test_interior_cell(self, frame, layout):
         # relative cell (2, 5), year fraction 0.3
@@ -81,12 +66,12 @@ class TestObservationRow:
             layout.trend_index(0, 3): 1.0,
             layout.trend_index(2, 5): year_fraction(1984.3),
         }
-        assert row.as_dict() == expected
-        assert row.as_dict()[layout.trend_index(2, 5)] == pytest.approx(0.3, rel=1e-12)
+        assert row.coeffs == expected
+        assert row.coeffs[layout.trend_index(2, 5)] == pytest.approx(0.3, rel=1e-12)
 
     def test_origin_cell_zero_fraction(self, frame, layout):
         row = observation_row(layout, frame, 1982.0, 25.0)
-        assert row.as_dict() == {layout.boundary_index(0, 0): 1.0}
+        assert row.coeffs == {layout.boundary_index(0, 0): 1.0}
 
     def test_first_row_top_age(self, frame, layout):
         # relative cell (0, J), fraction 0.5
@@ -96,7 +81,7 @@ class TestObservationRow:
             layout.boundary_index(0, 39): 1.0,
             layout.trend_index(0, 39): 0.5,
         }
-        assert row.as_dict() == pytest.approx(expected)
+        assert row.coeffs == pytest.approx(expected)
 
     def test_coefficient_sums(self, frame, layout):
         rng = np.random.default_rng(3)
@@ -106,7 +91,7 @@ class TestObservationRow:
             cell = frame.locate(y, a)
             t = year_fraction(y)
             row = observation_row(layout, frame, y, a)
-            d = dict(zip(row.indices, row.values))
+            d = row.coeffs
             u_sum = sum(v for k, v in d.items() if k >= layout.n_boundary)
             v_coeffs = [v for k, v in d.items() if k < layout.n_boundary]
             assert v_coeffs == [1.0]
@@ -143,8 +128,7 @@ class TestDataRows:
         ms = [Measurement(23.0, 1984.5, 30.0), Measurement(25.0, 1984.5, 30.0)]
         raw = build_b0_raw(layout, frame, ms)
         rows, weights, _ = build_b0_aggregated(layout, frame, aggregate(ms, frame))
-        assert rows[0].indices == raw[0].indices == raw[1].indices
-        assert rows[0].values == raw[0].values
+        assert rows[0].coeffs == raw[0].coeffs == raw[1].coeffs
         assert rows[0].rhs == 24.0 and weights.tolist() == [2.0]
 
     def test_study_shape_aggregated_row_count(self, frame, layout):
@@ -155,37 +139,47 @@ class TestDataRows:
         assert weights.sum() == len(ms)
 
 
+def nonzeros(row):
+    """Nonzero coefficients of one dense row, as {column: value}."""
+    nz = np.flatnonzero(row)
+    return dict(zip(nz.tolist(), row[nz].tolist()))
+
+
 class TestPenaltyRows:
+    """The fit's penalty operators pulled back to parameters (`penalties_z`)."""
+
     def test_counts_study_scale(self, layout):
-        assert len(build_penalty_v(layout)) == 12 * 39 + 41 * 10  # 878
-        assert len(build_penalty_u(layout)) == 11 * 38 + 40 * 9   # 778
+        b1, b2 = penalties_z(layout)
+        assert b1.shape[0] == 12 * 39 + 41 * 10  # 878
+        assert b2.shape[0] == 11 * 38 + 40 * 9   # 778
 
     def test_counts_formula(self):
         for i_span, j_span in ((1, 1), (2, 3), (5, 4)):
             layout = ParameterLayout(i_span, j_span)
             n1 = (i_span + 2) * j_span + (j_span + 2) * i_span
             n2 = (i_span + 1) * (j_span - 1) + (j_span + 1) * (i_span - 1)
-            assert len(build_penalty_v(layout)) == n1
-            assert len(build_penalty_u(layout)) == n2
+            b1, b2 = penalties_z(layout)
+            assert b1.shape == (n1, layout.dim)
+            assert b2.shape == (n2, layout.dim)
 
     def test_unit_spans_have_no_trend_rows(self):
-        assert build_penalty_u(ParameterLayout(1, 1)) == []
+        assert penalties_z(ParameterLayout(1, 1))[1].shape[0] == 0
 
     def test_boundary_level_row(self, layout):
         # age-direction stencil at (0, 1): pure boundary points
-        rows = build_penalty_v(layout)
+        b1, _ = penalties_z(layout)
         expected = {
             layout.boundary_index(0, 0): 1.0,
             layout.boundary_index(0, 1): -2.0,
             layout.boundary_index(0, 2): 1.0,
         }
-        assert rows[0].as_dict() == expected
+        assert nonzeros(b1[0]) == expected
 
     def test_expanded_level_row(self, layout):
         # age-direction stencil at (1, 1): hand expansion via the cohort path
         #   v(1,0) = b(1,0); v(1,1) = b(0,0) + u(0,0); v(1,2) = b(0,1) + u(0,1)
-        rows = build_penalty_v(layout)
-        row = rows[1 * layout.j_span + 0]     # i=1 block, center j=1
+        b1, _ = penalties_z(layout)
+        row = b1[1 * layout.j_span + 0]     # i=1 block, center j=1
         expected = {
             layout.boundary_index(1, 0): 1.0,
             layout.boundary_index(0, 0): -2.0,
@@ -193,26 +187,21 @@ class TestPenaltyRows:
             layout.boundary_index(0, 1): 1.0,
             layout.trend_index(0, 1): 1.0,
         }
-        assert row.as_dict() == expected
+        assert nonzeros(row) == expected
 
     def test_trend_row_stencil(self, layout):
-        rows = build_penalty_u(layout)
+        _, b2 = penalties_z(layout)
         expected = {
             layout.trend_index(0, 0): 1.0,
             layout.trend_index(0, 1): -2.0,
             layout.trend_index(0, 2): 1.0,
         }
-        assert rows[0].as_dict() == expected
-
-    def test_all_rows_zero_rhs(self, layout):
-        assert all(r.rhs == 0.0 for r in build_penalty_v(layout))
-        assert all(r.rhs == 0.0 for r in build_penalty_u(layout))
+        assert nonzeros(b2[0]) == expected
 
     def test_penalty_matches_direct_evaluation(self):
-        # the rows and the surface-level formulas must compute the same sums
+        # the operators and the surface-level formulas must compute the same sums
         layout = ParameterLayout(4, 6)
-        b1 = rows_to_matrix(build_penalty_v(layout), layout.dim)
-        b2 = rows_to_matrix(build_penalty_u(layout), layout.dim)
+        b1, b2 = penalties_z(layout)
         a_z2v = build_z2v(layout)
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -228,10 +217,9 @@ class TestPenaltyRows:
 
     def test_every_parameter_penalized(self):
         layout = ParameterLayout(3, 4)
-        touched = set()
-        for row in build_penalty_v(layout) + build_penalty_u(layout):
-            touched.update(row.indices)
-        assert touched == set(range(layout.dim))
+        b1, b2 = penalties_z(layout)
+        touched = np.flatnonzero(np.any(b1 != 0.0, axis=0) | np.any(b2 != 0.0, axis=0))
+        assert touched.tolist() == list(range(layout.dim))
 
 
 class TestReconstructionMaps:
@@ -270,7 +258,7 @@ class TestReconstructionMaps:
                 assert v[i, j] == v[i - 1, j - 1]
 
     def test_z2u_selects_trend_block(self, layout):
-        a = build_z2u(layout)
+        a = build_v2u(layout) @ build_z2v(layout)
         assert a.shape == (layout.n_trend, layout.dim)
         assert np.all(a.sum(axis=1) == 1.0)
         assert np.all((a == 0.0) | (a == 1.0))

@@ -1,0 +1,57 @@
+"""Every imported name is read in its module.
+
+A stdlib-only stand-in for a linter's unused-import rule: each module of
+`src/ctrend` and `tests` is parsed with `ast`, and every name an import
+binds must be loaded somewhere in that module or listed in its `__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted([*(ROOT / "src" / "ctrend").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name bound by an import, with the line of its first binding."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names if a.name != "*"]
+        else:
+            continue
+        for name in names:
+            bound.setdefault(name, node.lineno)
+    return bound
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere in the module, plus the strings of its `__all__`."""
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return read
+
+
+def unread_imports(tree: ast.Module) -> dict[str, int]:
+    read = read_names(tree)
+    return {name: line for name, line in imported_names(tree).items() if name not in read}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = unread_imports(tree)
+    assert unread == {}, f"{path.relative_to(ROOT)}: imported and never read: {unread}"
+
+
+def test_an_unread_import_is_found():
+    tree = ast.parse("import os\nfrom a.b import c as d, e\nimport x.y\nprint(e, x)\n")
+    assert unread_imports(tree) == {"os": 1, "d": 2}

@@ -1,8 +1,9 @@
 """The level-surface solve against a dense solve in parameter coordinates.
 
-The oracle builds the z-coordinate normal equations from the reference
-builders (`build_b0_*`, `build_penalty_*`, `rows_to_matrix`) and solves
-them densely; `solve` works on the level surface v.  The two are related by
+The oracle builds the z-coordinate normal equations from the observation
+rows of `zref` (`build_b0_*`, stacked by `dense`) and the fit's penalty
+operators pulled back to z (`penalties_z`), and solves them densely;
+`solve` works on the level surface v.  The two are related by
 the bijection `build_z2v`, so every estimate and covariance must agree.
 """
 
@@ -10,20 +11,12 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from ctrend.design import (
-    build_penalty_u,
-    build_penalty_v,
-    build_system_aggregated,
-    build_system_raw,
-    build_z2u,
-    build_z2v,
-    rows_to_matrix,
-)
+from ctrend.design import build_system_aggregated, build_system_raw, build_v2u, build_z2v
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
-from zref import build_b0_aggregated, build_b0_raw
+from zref import build_b0_aggregated, build_b0_raw, dense, penalties_z
 
 RTOL = 1e-9
 
@@ -34,10 +27,9 @@ def dense_z_fit(frame, layout, measurements, mode, lambda1, lambda2):
         w, css = np.ones(len(rows)), 0.0
     else:
         rows, w, css = build_b0_aggregated(layout, frame, aggregate(measurements, frame))
-    b0 = rows_to_matrix(rows, layout.dim)
+    b0 = dense(rows, layout.dim)
     x = np.array([r.rhs for r in rows])
-    b1 = rows_to_matrix(build_penalty_v(layout), layout.dim)
-    b2 = rows_to_matrix(build_penalty_u(layout), layout.dim)
+    b1, b2 = penalties_z(layout)
     m = b0.T @ (w[:, None] * b0) + lambda1 * b1.T @ b1 + lambda2 * b2.T @ b2
     # parameters that no row reaches (with lambda1 = 0, the two corner
     # boundary levels) are zero with zero covariance
@@ -47,7 +39,8 @@ def dense_z_fit(frame, layout, measurements, mode, lambda1, lambda2):
     z[keep] = linalg.cho_solve(factor, (b0.T @ (w * x))[keep])
     cov_z = np.zeros((layout.dim, layout.dim))
     cov_z[np.ix_(keep, keep)] = linalg.cho_solve(factor, np.eye(len(keep)))
-    z2v, z2u = build_z2v(layout), build_z2u(layout)
+    z2v = build_z2v(layout)
+    z2u = build_v2u(layout) @ z2v
     s0 = float(np.sum(w * (b0 @ z - x) ** 2))
     dof = int(round(w.sum())) - layout.dim
     return {

@@ -86,6 +86,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="finite and non-negative"):
             solve(small_noisefree_system, *lambdas)
 
+    @pytest.mark.parametrize("lambdas", [(5e307, 1.0), (1.0, 5e307), (1e308, 1e308)])
+    def test_overflowing_weights_singular(self, small_noisefree_system, lambdas):
+        # a weight times its penalty Gram overflows to inf: no finite band to factor
+        with pytest.raises(SingularSystem, match="overflows"):
+            solve(small_noisefree_system, *lambdas)
+
     def test_parameters_formed_once_on_first_read(self, small_noisefree_system, v2z_calls):
         fit = solve(small_noisefree_system, 2.0, 3.0)
         assert v2z_calls == []
@@ -145,13 +151,13 @@ class TestCovariances:
         assert eigs.min() >= -1e-8 * np.trace(small_noisy_fit.cov_z)
 
     def test_surface_cov_propagation(self, small_noisy_fit, small_layout):
-        from ctrend.design import build_z2u, build_z2v
+        from ctrend.design import build_v2u, build_z2v
 
         fit = small_noisy_fit
         a_v = build_z2v(small_layout)
         recomputed = a_v @ fit.cov_z @ a_v.T
         assert np.allclose(fit.sigma2_hat * fit.unit_cov_v, recomputed, rtol=1e-10, atol=1e-14)
-        a_u = build_z2u(small_layout)
+        a_u = build_v2u(small_layout) @ a_v
         recomputed_u = a_u @ fit.cov_z @ a_u.T
         cov_u = fit.sigma2_hat * fit.trend_unit_cov(np.eye(small_layout.n_trend))
         assert np.allclose(cov_u, recomputed_u, rtol=1e-10, atol=1e-14)

@@ -6,19 +6,46 @@ the trend field.  A level v(i, j) is its cohort's boundary entry plus the
 trends of the cells the cohort has passed through (`cohort_path`), so a
 measurement at year fraction t in cell (i, j) reads that sum plus
 t * u(i, j).  `build_b0_raw` and `build_b0_aggregated` give one such
-`SparseRow` per measurement or per cell.
+`Row` per measurement or per cell, and `dense` stacks them.  The penalties
+need no rows of their own here: `penalties_z` pulls the fit's
+`second_differences` operators back through `build_z2v`.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from ctrend.design import SparseRow
+from ctrend.design import build_v2u, build_z2v, second_differences
 from ctrend.errors import OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
 from ctrend.ingest import AggregatedCell, Measurement
+
+
+class Row(NamedTuple):
+    """One data row in parameter coordinates: its nonzero coefficients and rhs."""
+
+    coeffs: dict[int, float]
+    rhs: float = 0.0
+
+
+def dense(rows: list[Row], dim: int) -> np.ndarray:
+    """The rows stacked into a dense len(rows) x dim matrix."""
+    b = np.zeros((len(rows), dim))
+    for r, row in enumerate(rows):
+        b[r, list(row.coeffs)] = list(row.coeffs.values())
+    return b
+
+
+def penalties_z(layout: ParameterLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Level and trend second-difference penalties on the parameter vector."""
+    z2v = build_z2v(layout)
+    return (
+        second_differences(*layout.level_shape) @ z2v,
+        second_differences(*layout.trend_shape) @ (build_v2u(layout) @ z2v),
+    )
 
 
 def year_fraction(y: float) -> float:
@@ -40,13 +67,8 @@ def cohort_path(cell: CellIndex) -> tuple[tuple[int, int], list[CellIndex]]:
     return boundary, interior
 
 
-def _row_from_coeffs(coeffs: dict[int, float], rhs: float = 0.0) -> SparseRow:
-    items = sorted((k, v) for k, v in coeffs.items() if v != 0.0)
-    return SparseRow(
-        indices=tuple(k for k, _ in items),
-        values=tuple(v for _, v in items),
-        rhs=rhs,
-    )
+def _row_from_coeffs(coeffs: dict[int, float], rhs: float = 0.0) -> Row:
+    return Row(dict(sorted((k, v) for k, v in coeffs.items() if v != 0.0)), rhs)
 
 
 def _level_coeffs(layout: ParameterLayout, i: int, j: int) -> dict[int, float]:
@@ -76,7 +98,7 @@ def cell_observation_coeffs(
     return coeffs
 
 
-def observation_row(layout: ParameterLayout, frame: Frame, y: float, a: float) -> SparseRow:
+def observation_row(layout: ParameterLayout, frame: Frame, y: float, a: float) -> Row:
     """Design row for a measurement at (y, a); the right-hand side stays 0."""
     cell = frame.locate(y, a)
     return _row_from_coeffs(cell_observation_coeffs(layout, cell, year_fraction(y)))
@@ -84,7 +106,7 @@ def observation_row(layout: ParameterLayout, frame: Frame, y: float, a: float) -
 
 def build_b0_raw(
     layout: ParameterLayout, frame: Frame, measurements: list[Measurement]
-) -> list[SparseRow]:
+) -> list[Row]:
     """One data row per measurement, right-hand side the observed value."""
     rows = []
     for m in measurements:
@@ -96,7 +118,7 @@ def build_b0_raw(
 
 def build_b0_aggregated(
     layout: ParameterLayout, frame: Frame, cells: list[AggregatedCell]
-) -> tuple[list[SparseRow], np.ndarray, float]:
+) -> tuple[list[Row], np.ndarray, float]:
     """Cell-level data rows, their count weights, and the pooled within-cell
     corrected sum of squares.
 
