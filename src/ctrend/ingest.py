@@ -184,61 +184,39 @@ _REASONS = np.array(
 # Stands in for a record the csv reader cannot read: one field, so too
 # short for either schema (unparsable), and not blank (counted).
 _UNREADABLE = ["<unreadable record>"]
-# Physical lines read from the source at a time, and records read between
-# two noted record boundaries.
-_LINE_CHUNK = 1024
 
 
 def _records(source) -> Iterator[list[str]]:
     """The csv records of a text stream, with `_UNREADABLE` for each it cannot read.
 
-    The csv reader drops the rest of the physical line it failed on and
-    resumes at the next one.  If the quote characters from the start of the
-    failing record to that line are odd in number, that line ended inside a
-    quoted field: the lines up to the one that makes the count even are
-    skipped too, so no text inside the quote is read as records.  A record
-    boundary is noted every `_LINE_CHUNK` records and the lines from it on
-    are kept; only after an error does a fresh reader re-read them, to find
-    the line on which the failing record began.
+    The csv reader pulls no line past the record it returns, and after an
+    error it drops the rest of the physical line it failed on and resumes at
+    the next one.  So the lines pulled since the last record returned are
+    exactly the failing record's lines.  If the quote characters on them are
+    odd in number, the failed line ended inside a quoted field: the lines up
+    to the one that makes the count even are skipped too, so no text inside
+    the quote is read as records.
     """
-    chunks: list[list[str]] = []  # the lines read from line `first` on
-    first = 0
+    pulled: list[str] = []  # the lines of the record being read
 
-    def pulled():
-        while new := list(islice(source, _LINE_CHUNK)):
-            chunks.append(new)
-            yield new
+    def kept():
+        for line in source:
+            pulled.append(line)
+            yield line
 
-    lines = chain.from_iterable(pulled())
+    lines = kept()
     reader = csv.reader(lines)
-    skipped = 0  # lines read past the csv reader
     while True:
-        mark = reader.line_num + skipped  # lines read, ending on a record boundary
-        while chunks and first + len(chunks[0]) <= mark:
-            first += len(chunks.pop(0))
+        pulled.clear()
         try:
-            yield from islice(reader, _LINE_CHUNK)
+            yield next(reader)
+        except StopIteration:
+            return
         except csv.Error:
             yield _UNREADABLE
-            failed = list(chain.from_iterable(chunks))[mark - first:reader.line_num + skipped - first]
-            odd = "".join(failed[_whole_records(failed):]).count('"') % 2
+            odd = "".join(pulled).count('"') % 2
             while odd and (line := next(lines, None)) is not None:
-                skipped += 1
                 odd ^= line.count('"') % 2
-        if reader.line_num + skipped == mark:
-            return
-
-
-def _whole_records(lines: list[str]) -> int:
-    """How many of `lines` a fresh csv reader reads as whole records before
-    its first error."""
-    reader, read = csv.reader(lines), 0
-    try:
-        for _ in reader:
-            read = reader.line_num
-    except csv.Error:
-        pass
-    return read
 
 
 def _floats(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:

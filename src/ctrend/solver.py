@@ -22,7 +22,8 @@ selected pairs, cluster means) is W^T W from one forward solve with L
 variance and every covariance of lattice-adjacent levels and trends, comes
 from the Takahashi recurrence (Takahashi, Fagan & Chin 1973) on first
 access only, for standard errors and whole-field statistics (Rue & Martino
-2007); so do the dense `unit_cov_*` matrices.
+2007).  The dense `unit_cov_v` takes dim solves with the factor on first
+access, and `unit_cov_z` is its image in parameter coordinates.
 
 Cohort diagonals of levels whose normal-matrix columns are all exactly zero
 (possible only with lambda1 = 0: the two extreme corners v(I+1,0) and
@@ -231,7 +232,7 @@ class FitResult:
         of G0 * M^-1 over G0's nonzeros, which all lie in the band."""
         d, k = np.nonzero(self.gram_data)
         inverse = self.unit_cov_v_band
-        cov = inverse[inverse.order[k + d], inverse.order[k]]
+        cov = inverse.band[d, k] * inverse.scale[k + d] * inverse.scale[k]
         return float(np.sum(np.where(d > 0, 2.0, 1.0) * self.gram_data[d, k] * cov))
 
     @cached_property

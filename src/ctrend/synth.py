@@ -109,17 +109,13 @@ def generate(model: TrueModel, plan: SamplingPlan, seed: int) -> list[Measuremen
 
     Measurements are placed at integer age j (always inside the slanted
     cell for any fraction) and decimal year floor+fraction.  Noise is
-    N(0, noise_sd) from a Philox stream keyed by `seed`.
+    N(0, noise_sd) from a Philox stream keyed by `seed`.  An entry outside
+    the frame, or one `true_level` rejects, raises PlanOutOfFrame.
     """
     frame = model.frame
-    layout = model.layout
     rng = np.random.Generator(np.random.Philox(seed))
     out = []
     for i, j, t in plan.entries:
-        if not (0 <= i <= layout.i_span and 0 <= j <= layout.j_span):
-            raise PlanOutOfFrame(f"plan cell ({i}, {j}) outside the trend lattice")
-        if not (0.0 <= t < 1.0):
-            raise PlanOutOfFrame(f"plan fraction {t} outside [0, 1)")
         y, a = frame.i_min + i + t, frame.j_min + j
         if not frame.contains(y, a):
             # Top-row cells only admit fractions up to y_max - i_max.

@@ -272,7 +272,7 @@ class TestCsvRecordErrors:
         assert report.details == [(long_at + 2, "unparsable")]
         assert report.as_dict() == ref.as_dict()
 
-    @pytest.mark.parametrize("line_chunk", [1, 2, 1024])
+    @pytest.mark.parametrize("block", [1, 2, 4096])
     @pytest.mark.parametrize(
         "after,accepted,details",
         [
@@ -282,10 +282,10 @@ class TestCsvRecordErrors:
         ids=["accepted", "rejected"],
     )
     def test_oversized_quoted_field_over_lines(
-        self, frame, monkeypatch, line_chunk, after, accepted, details
+        self, frame, monkeypatch, block, after, accepted, details
     ):
         # the quoted note runs on to a line that reads as a good row on its own
-        monkeypatch.setattr(ingest, "_LINE_CHUNK", line_chunk)
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block)
         text = (
             f'x,year,age,note\n21.0,1984.5,40,"{self.LONG}\n'
             f'20.0,1985.5,30,inner line"\n{after}\n'
@@ -296,11 +296,11 @@ class TestCsvRecordErrors:
         assert (report.n_rows, report.details) == (2, details)
         assert report.as_dict() == ref.as_dict()
 
-    @pytest.mark.parametrize("line_chunk", [1, 2, 1024])
-    def test_literal_quote_before_an_oversized_field(self, frame, monkeypatch, line_chunk):
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    def test_literal_quote_before_an_oversized_field(self, frame, monkeypatch, block):
         # csv reads the quote inside the unquoted note as a literal, so the
         # record before the oversized one holds an odd number of quotes
-        monkeypatch.setattr(ingest, "_LINE_CHUNK", line_chunk)
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block)
         text = (
             f'x,year,age,note\n21.0,1984.5,40,5ft 11"\n21.0,1984.5,40,{self.LONG}\n'
             + "22.0,1986.5,35,ok\n" * 5
@@ -330,6 +330,11 @@ def field_strategy(lo, hi):
     )
 
 
+# What follows an oversized field: nothing, a line that reads as a row once
+# the writer quotes the field over two lines, a quote on a line of its own,
+# and a quote inside the field, which the writer doubles.
+OVERSIZED_TAILS = ["", "\n20.0,1985.5,30", '\n"', '5ft 11"']
+
 FIELD_RANGES = {
     "xya": [(-50.0, 80.0), (1979.0, 1995.0), (20.0, 70.0)],
     "derived": [(-10.0, 200.0), (-0.5, 2.5), (1900.0, 1995.0), (1979.0, 1995.0)],
@@ -338,7 +343,11 @@ FIELD_RANGES = {
 
 @st.composite
 def dirty_csv(draw, schema):
-    """CSV text in `schema` with dirty rows, odd headers and quoting."""
+    """CSV text in `schema` with dirty rows, odd headers and quoting.
+
+    An ``oversized`` row holds one field over the csv module's size limit,
+    which the reader cannot read.
+    """
     names = list(ingest._COLUMNS[schema])
     extra = draw(st.booleans())
     header = [draw(st.sampled_from([n, n.upper(), n.title(), f" {n} "])) for n in names]
@@ -349,7 +358,9 @@ def dirty_csv(draw, schema):
 
     @st.composite
     def row(draw):
-        kind = draw(st.sampled_from(["good"] * 6 + ["blank", "spaces", "short", "long"]))
+        kind = draw(
+            st.sampled_from(["good"] * 6 + ["blank", "spaces", "short", "long", "oversized"])
+        )
         if kind == "blank":
             return []
         if kind == "spaces":
@@ -364,6 +375,9 @@ def dirty_csv(draw, schema):
             return out[: draw(st.integers(1, len(out) - 1))]
         if kind == "long":
             return out + ["surplus"]
+        if kind == "oversized":
+            tail = draw(st.sampled_from(OVERSIZED_TAILS))
+            out[draw(st.integers(0, len(out) - 1))] = TestCsvRecordErrors.LONG + tail
         return out
 
     n_rows = draw(st.integers(0, 60))
