@@ -14,11 +14,10 @@ from .design import (
     build_system_aggregated,
     build_system_raw,
     build_u2uc,
-    build_z2v,
 )
 from .errors import CtrendError
 from .grid import CellIndex, Frame, ParameterLayout
-from .inference import ClusterGrid, ComparisonResult, cluster_means, compare_adjacent, f_cdf
+from .inference import ClusterGrid, ComparisonResult, cluster_means, compare_adjacent
 from .ingest import (
     AggregatedCell,
     Measurement,
@@ -54,13 +53,11 @@ __all__ = [
     "build_system_aggregated",
     "build_system_raw",
     "build_u2uc",
-    "build_z2v",
     "check_uniqueness",
     "cluster_means",
     "compare_adjacent",
     "derive_age_year",
     "derive_bmi",
-    "f_cdf",
     "fstat",
     "full_coverage_plan",
     "generate",

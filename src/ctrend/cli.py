@@ -24,6 +24,7 @@ import configparser
 import csv
 import json
 import math
+import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -106,7 +107,9 @@ class RunConfig:
     schema: str = _one_of(SCHEMAS, "xya")
     f_smv: float = _setting(float, "smoothness target of the levels", 0.2)
     f_smu: float = _setting(float, "smoothness target of the trends", 0.2)
-    delta: float = _setting(float, "accepted log distance from the targets (tuned to 1e-8)", 0.05)
+    delta: float = _setting(
+        _at_least(float, 0), "accepted log distance from the targets (tuned to 1e-8)", 0.05
+    )
     fstat: str = _one_of(FSTAT_KINDS, "selected-point")
     point_v: tuple[int, int] | None = _setting(_parse_point, "0-based 'i,j' probe for levels", None)
     point_u: tuple[int, int] | None = _setting(_parse_point, "0-based 'i,j' probe for trends", None)
@@ -345,11 +348,11 @@ def _load_model(path: str, frame: Frame) -> tuple[TrueModel, SamplingPlan]:
         plan_spec = raw.get("plan", {"kind": "full"})
         kind = plan_spec.get("kind", "full")
         fractions = tuple(float(t) for t in plan_spec.get("fractions", (0.25, 0.75)))
-        per_fraction = int(plan_spec.get("per_fraction", 1))
+        per_fraction = operator.index(plan_spec.get("per_fraction", 1))
         if kind == "full":
             plan = full_coverage_plan(frame, fractions, per_fraction)
         elif kind == "survey":
-            waves = tuple(int(w) for w in plan_spec.get("wave_years", ()))
+            waves = tuple(operator.index(w) for w in plan_spec.get("wave_years", ()))
             if not waves:
                 raise SpecMismatch("survey plan needs wave_years")
             plan = survey_plan(frame, waves, fractions, per_fraction)

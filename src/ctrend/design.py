@@ -10,11 +10,6 @@ construction: on v itself, and on the trend surface u = `build_v2u` @ v.
 Penalty operators are stored unscaled; the regularization weights live in
 the solver, so the same system serves every lambda probe, which sums the
 three terms' Grams, built once (`lower_band`).
-
-The parameter vector z of `ParameterLayout` (boundary levels plus the trend
-field) is a linear bijection of v: `build_z2v` maps z to v, `build_v2z`
-maps back.  The fit never works in z; the bijection stays for
-`FitResult.z_hat` and the covariances read through it.
 """
 
 from __future__ import annotations
@@ -47,23 +42,6 @@ def second_differences(nrows: int, ncols: int) -> sparse.csr_matrix:
     year = sparse.kron(stencil(nrows), sparse.identity(ncols)).tocsr()
     column_major = (np.arange(nrows - 2) * ncols + np.arange(ncols)[:, None]).ravel()
     return sparse.vstack([age, year[column_major]], format="csr")
-
-
-def build_z2v(layout: ParameterLayout) -> np.ndarray:
-    """Map from parameters to the flattened level surface (row-major).
-
-    Boundary levels are parameters; every other level follows the dynamic
-    model, row (i+1, j+1) = row (i, j) + the unit row of trend (i, j).
-    """
-    nrows, ncols = layout.level_shape
-    a = np.zeros((nrows, ncols, layout.dim))
-    bi, bj = np.array(layout.boundary_points()).T
-    a[bi, bj, np.arange(layout.n_boundary)] = 1.0
-    trend = np.arange(layout.n_boundary, layout.dim).reshape(layout.trend_shape)
-    for i in range(nrows - 1):
-        a[i + 1, 1:] = a[i, :-1]
-        a[i + 1, np.arange(1, ncols), trend[i]] += 1.0
-    return a.reshape(nrows * ncols, layout.dim)
 
 
 def diagonal_pairs(layout: ParameterLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -118,17 +96,6 @@ def build_v2u(layout: ParameterLayout) -> sparse.csr_matrix:
         (np.repeat([1.0, -1.0], layout.n_trend), (np.tile(rows, 2), np.concatenate([hi, lo]))),
         shape=(layout.n_trend, layout.dim),
     )
-
-
-def build_v2z(layout: ParameterLayout) -> sparse.csr_matrix:
-    """Parameters from the flattened level surface; the inverse of `build_z2v`."""
-    ncols = layout.level_shape[1]
-    boundary = [i * ncols + j for i, j in layout.boundary_points()]
-    select = sparse.csr_matrix(
-        (np.ones(layout.n_boundary), (np.arange(layout.n_boundary), boundary)),
-        shape=(layout.n_boundary, layout.dim),
-    )
-    return sparse.vstack([select, build_v2u(layout)], format="csr")
 
 
 def cluster_bands(extent: int, size: int) -> list[range]:

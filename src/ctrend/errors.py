@@ -100,10 +100,6 @@ class IndexOutOfRange(ConfigError):
     category = "index-out-of-range"
 
 
-class InvalidDof(ConfigError):
-    category = "invalid-dof"
-
-
 class PlanOutOfFrame(DataError):
     category = "plan-out-of-frame"
 

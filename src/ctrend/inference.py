@@ -22,22 +22,13 @@ import numpy as np
 from scipy import special
 
 from .design import build_u2uc, cluster_bands
-from .errors import InsufficientDof, InvalidClusterSize, InvalidDof
+from .errors import InsufficientDof, InvalidClusterSize
 from .solver import FitResult
 
 _DEGENERATE_REL_TOL = 1e-10
 
 AGE_ADJACENT = "age-adjacent"
 YEAR_ADJACENT = "year-adjacent"
-
-
-def f_cdf(x: float, d1: int, d2: int) -> float:
-    """F-distribution CDF (`scipy.special.fdtr`): 0 at x = 0, 1 at x = inf."""
-    if d1 < 1 or d2 < 1:
-        raise InvalidDof(f"degrees of freedom must be positive, got ({d1}, {d2})")
-    if not x >= 0:
-        raise InvalidDof(f"F statistic must be >= 0, got {x}")
-    return float(special.fdtr(d1, d2, x))
 
 
 @dataclass(frozen=True)

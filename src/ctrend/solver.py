@@ -22,8 +22,7 @@ selected pairs, cluster means) is W^T W from one forward solve with L
 variance and every covariance of lattice-adjacent levels and trends, comes
 from the Takahashi recurrence (Takahashi, Fagan & Chin 1973) on first
 access only, for standard errors and whole-field statistics (Rue & Martino
-2007).  The dense `unit_cov_v` takes dim solves with the factor on first
-access, and `unit_cov_z` is its image in parameter coordinates.
+2007).
 
 Cohort diagonals of levels whose normal-matrix columns are all exactly zero
 (possible only with lambda1 = 0: the two extreme corners v(I+1,0) and
@@ -44,7 +43,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import linalg, special
 
-from .design import LinearSystem, band_order, build_v2u, build_v2z, diagonal_pairs
+from .design import LinearSystem, band_order, build_v2u, diagonal_pairs
 from .errors import SingularSystem
 from .grid import ParameterLayout, _absolute_cell
 
@@ -194,11 +193,7 @@ class FitResult:
     `unit_cov_u_band` its image on the trend surface; the standard errors,
     `edf` and the tuner's whole-field statistics read only these.  Silent
     levels read zero in every covariance.  `gram_data` is the system's data
-    Gram band.  `z_hat` is the estimate in parameter coordinates, and
-    `unit_cov_v` and `unit_cov_z` are the dense matrices on the level
-    surface and the parameter vector; all three are computed on first
-    access.  `cov_z` is the sigma2 multiple of `unit_cov_z`, None when the
-    degrees of freedom are not positive.
+    Gram band.
     """
 
     lambda1: float
@@ -234,23 +229,6 @@ class FitResult:
         inverse = self.unit_cov_v_band
         cov = inverse.band[d, k] * inverse.scale[k + d] * inverse.scale[k]
         return float(np.sum(np.where(d > 0, 2.0, 1.0) * self.gram_data[d, k] * cov))
-
-    @cached_property
-    def unit_cov_v(self) -> np.ndarray:
-        return self.unit_cov_v_band.solve(np.eye(self.layout.dim))
-
-    @cached_property
-    def z_hat(self) -> np.ndarray:
-        return build_v2z(self.layout) @ self.v_hat.ravel()
-
-    @cached_property
-    def unit_cov_z(self) -> np.ndarray:
-        v2z = build_v2z(self.layout)
-        return v2z @ (v2z @ self.unit_cov_v).T
-
-    @property
-    def cov_z(self) -> np.ndarray | None:
-        return None if self.sigma2_hat is None else self.sigma2_hat * self.unit_cov_z
 
     def _stderr(
         self, unit_cov: BandedInverse | TrendBand, shape: tuple[int, int]

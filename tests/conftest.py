@@ -37,22 +37,6 @@ def band_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def v2z_calls(monkeypatch):
-    """Records every map back to parameter coordinates (`solver.build_v2z`)."""
-    from ctrend import solver
-
-    calls = []
-    original = solver.build_v2z
-
-    def counted(layout):
-        calls.append(layout)
-        return original(layout)
-
-    monkeypatch.setattr(solver, "build_v2z", counted)
-    return calls
-
-
 @pytest.fixture(scope="session")
 def small_frame():
     """Spans (4, 6): 35 trend cells, 48 level points, 61 parameters."""

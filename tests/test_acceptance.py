@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from ctrend.design import build_system_aggregated, build_system_raw, build_z2v
+from ctrend.design import build_system_aggregated, build_system_raw
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
-from ctrend.inference import YEAR_ADJACENT, cluster_means, compare_adjacent, f_cdf
+from ctrend.inference import YEAR_ADJACENT, ClusterGrid, cluster_means, compare_adjacent
 from ctrend.solver import check_uniqueness, solve
 from ctrend.synth import (
     TrueModel,
@@ -29,6 +29,7 @@ from ctrend.synth import (
     survey_plan,
 )
 from ctrend.tuner import SmoothnessTargets, tune
+from zref import build_z2v, cov_z, z_hat
 
 
 def report(name):
@@ -51,7 +52,7 @@ def test_criterion_1_exact_recovery():
     system = build_system_raw(frame, measurements)
     fit = solve(system, 0.0, 0.0)
     elapsed = time.perf_counter() - start
-    err = np.max(np.abs(fit.z_hat - model.z_true)) / np.max(np.abs(model.z_true))
+    err = np.max(np.abs(z_hat(fit) - model.z_true)) / np.max(np.abs(model.z_true))
     assert err <= 1e-8, f"recovery error {err:.3e}"
     assert elapsed < 5.0, f"solve took {elapsed:.2f}s"
     report(f"criterion 1: exact recovery at zero smoothing (err {err:.1e}, {elapsed:.2f}s)")
@@ -77,9 +78,9 @@ def test_criterion_2_aggregated_equals_raw():
     fit_agg = solve(
         build_system_aggregated(frame, aggregate(measurements, frame)), 1.0, 1.0
     )
-    dz = np.max(np.abs(fit_raw.z_hat - fit_agg.z_hat))
+    dz = np.max(np.abs(z_hat(fit_raw) - z_hat(fit_agg)))
     ds = abs(fit_raw.sigma2_hat - fit_agg.sigma2_hat)
-    dc = np.max(np.abs(fit_raw.cov_z - fit_agg.cov_z))
+    dc = np.max(np.abs(cov_z(fit_raw) - cov_z(fit_agg)))
     assert dz <= 1e-10 and ds <= 1e-10 and dc <= 1e-10, (dz, ds, dc)
     report(f"criterion 2: aggregated == raw when cell years align (max diff {max(dz, ds, dc):.1e})")
 
@@ -186,14 +187,23 @@ def test_criterion_6_inference_oracles(small_noisy_fit):
         assert comp.f_value == pytest.approx(f_ref, rel=1e-12)
         checked += 1
     assert checked >= 10
-    # CDF against numeric integration of the density, 20 points per dof
+    # p-values against numeric integration of the density, 20 points per dof:
+    # two clusters with means sqrt(x) and 0, each of variance 1/2, give F = x
+    def p_value(mean, dof):
+        grid = ClusterGrid(
+            means=np.array([[mean, 0.0]]), cov=0.5 * np.eye(2), dof=dof,
+            year_bands=((0, 0),), age_bands=((0, 0), (1, 1)),
+        )
+        (comp,) = compare_adjacent(grid)
+        return comp.p_value
+
     xs = np.linspace(0.05, 12.0, 20)
     for d2 in (1, 10, 60, 1000):
         for x in xs:
             oracle, _ = integrate.quad(f_density, 0.0, float(x), args=(1, d2), limit=400)
-            assert abs(f_cdf(float(x), 1, d2) - oracle) <= 1e-8
+            assert abs(p_value(math.sqrt(x), d2) - (1.0 - oracle)) <= 1e-8
     # null comparison is exactly one
-    assert 1.0 - f_cdf(0.0, 1, 60) == 1.0
+    assert p_value(0.0, 60) == 1.0
     report("criterion 6: comparison statistics match independent oracles")
 
 

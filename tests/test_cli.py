@@ -99,11 +99,15 @@ class TestSimulate:
             lambda spec: {**spec, "plan": {"per_fraction": -2}},
             lambda spec: {**spec, "plan": {"fractions": []}},
             lambda spec: {**spec, "plan": {"kind": "survey", "wave_years": [0], "fractions": []}},
+            lambda spec: {**spec, "plan": {"per_fraction": 2.9}},
+            lambda spec: {**spec, "plan": {"kind": "survey", "wave_years": [0.7, 3.9]}},
+            lambda spec: {**spec, "plan": {"per_fraction": "2"}},
         ],
         ids=[
             "list", "null-noise", "text-v0", "text-count", "list-plan", "infinite-count",
             "nan-v0", "infinite-u", "nan-noise", "infinite-noise", "zero-count",
-            "negative-count", "no-fractions", "survey-no-fractions",
+            "negative-count", "no-fractions", "survey-no-fractions", "fractional-count",
+            "fractional-wave", "text-number-count",
         ],
     )
     def test_malformed_model_exit_3(self, tmp_path, edit):
@@ -208,19 +212,6 @@ class TestAnalyze:
         assert run["iterations"] > 1
         assert len(band_calls) == 1
         assert 0.0 < run["edf"] < layout.dim
-
-    def test_tuned_run_never_forms_parameters(self, dataset, tmp_path, v2z_calls):
-        from ctrend import cli
-
-        base, _ = dataset
-        code = cli.main([
-            "analyze", *FRAME_FLAGS,
-            "--input", str(base / "dataset.csv"),
-            "--f-smv", "0.5", "--f-smu", "0.5", "--delta", "0.1",
-            "--out", str(tmp_path / "tuned"),
-        ])
-        assert code == 0
-        assert v2z_calls == []
 
     def test_tuned_run_records_convergence(self, dataset, tmp_path):
         base, _ = dataset
@@ -653,7 +644,7 @@ FOREIGN_KEYS = [
 BAD_VALUES = [
     ("analyze", "mode", "bogus"), ("analyze", "schema", "bogus"), ("aggregate", "schema", "Xya"),
     ("analyze", "fstat", "bogus"), ("analyze", "lambda1", "nan"), ("analyze", "lambda1", "-1"),
-    ("analyze", "lambda2", "inf"), ("analyze", "cluster_age", "0"),
+    ("analyze", "lambda2", "inf"), ("analyze", "delta", "inf"), ("analyze", "cluster_age", "0"),
     ("analyze", "cluster_year", "-2"), ("analyze", "min_cell_count", "-1"),
     ("simulate", "seed", "-1"),
 ]

@@ -6,13 +6,19 @@ from ctrend.design import (
     build_system_raw,
     build_u2uc,
     build_v2u,
-    build_z2v,
 )
 from ctrend.errors import InvalidClusterSize, OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
 from ctrend.ingest import AggregatedCell, Measurement, aggregate
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
-from zref import build_b0_aggregated, build_b0_raw, observation_row, penalties_z, year_fraction
+from zref import (
+    build_b0_aggregated,
+    build_b0_raw,
+    build_z2v,
+    observation_row,
+    penalties_z,
+    year_fraction,
+)
 
 
 def level_surface_by_recurrence(layout, z):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from ctrend.errors import InsufficientDof, InvalidClusterSize, InvalidDof
+from ctrend.errors import InsufficientDof, InvalidClusterSize
 from ctrend.inference import (
     AGE_ADJACENT,
     YEAR_ADJACENT,
     ClusterGrid,
     cluster_means,
     compare_adjacent,
-    f_cdf,
 )
 
 
@@ -26,53 +25,6 @@ def f_density(x, d1, d2):
         - special.betaln(d1 / 2, d2 / 2)
     )
     return math.exp(log_pdf)
-
-
-def f_cdf_by_quadrature(x, d1, d2):
-    value, _ = integrate.quad(f_density, 0.0, x, args=(d1, d2), limit=400)
-    return value
-
-
-class TestFCdf:
-    def test_zero(self):
-        for d2 in (1, 10, 60):
-            assert f_cdf(0.0, 1, d2) == 0.0
-
-    def test_median_of_f11(self):
-        # F(1,1) is symmetric about 1 under x -> 1/x
-        assert f_cdf(1.0, 1, 1) == pytest.approx(0.5, abs=1e-12)
-
-    def test_chi_square_limit(self):
-        from scipy.stats import chi2
-
-        q = float(chi2.ppf(0.95, 1))
-        assert f_cdf(q, 1, 10**6) == pytest.approx(0.95, abs=1e-5)
-
-    def test_matches_quadrature(self):
-        for d2 in (1, 10, 60):
-            for x in (0.2, 1.0, 2.5, 7.0):
-                assert f_cdf(x, 1, d2) == pytest.approx(
-                    f_cdf_by_quadrature(x, 1, d2), abs=1e-8
-                )
-
-    def test_invalid_dof(self):
-        with pytest.raises(InvalidDof):
-            f_cdf(1.0, 0, 10)
-        with pytest.raises(InvalidDof):
-            f_cdf(-1.0, 1, 10)
-
-    def test_nan_statistic(self):
-        with pytest.raises(InvalidDof):
-            f_cdf(float("nan"), 1, 10)
-
-    def test_infinite_statistic(self):
-        for d2 in (1, 10, 60):
-            assert f_cdf(float("inf"), 1, d2) == 1.0
-
-    def test_monotone_in_x(self):
-        xs = np.linspace(0.0, 20.0, 50)
-        vals = [f_cdf(float(x), 1, 60) for x in xs]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def make_grid(means, cov, dof=60):
@@ -121,7 +73,7 @@ class TestCompareAdjacent:
         # must agree with it (betainc(dof/2, 1/2, dof/(dof + F)) is 4.5e-11 off)
         grid = make_grid([[0.1, 0.0]], 0.5 * np.eye(2), dof=109508)
         (comp,) = compare_adjacent(grid)
-        want = 1.0 - f_cdf(comp.f_value, 1, 109508)
+        want = 1.0 - special.fdtr(1, 109508, comp.f_value)
         assert comp.p_value == pytest.approx(want, rel=1e-13)
 
     def test_directions_and_report_shape(self):

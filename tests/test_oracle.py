@@ -4,19 +4,28 @@ The oracle builds the z-coordinate normal equations from the observation
 rows of `zref` (`build_b0_*`, stacked by `dense`) and the fit's penalty
 operators pulled back to z (`penalties_z`), and solves them densely;
 `solve` works on the level surface v.  The two are related by
-the bijection `build_z2v`, so every estimate and covariance must agree.
+the bijection `zref.build_z2v`, so every estimate and covariance must agree.
 """
 
 import numpy as np
 import pytest
 from scipy import linalg
 
-from ctrend.design import build_system_aggregated, build_system_raw, build_v2u, build_z2v
+from ctrend.design import build_system_aggregated, build_system_raw, build_v2u
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
 from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
-from zref import build_b0_aggregated, build_b0_raw, dense, penalties_z
+from zref import (
+    build_b0_aggregated,
+    build_b0_raw,
+    build_z2v,
+    dense,
+    penalties_z,
+    unit_cov_v,
+    unit_cov_z,
+    z_hat,
+)
 
 RTOL = 1e-9
 
@@ -74,11 +83,14 @@ def check_against_oracle(frame, layout, measurements, mode, lambdas):
     fit = solve(system, *lambdas)
     assert fit.n_silent == (2 if lambdas[0] == 0.0 else 0)
     want = dense_z_fit(frame, layout, measurements, mode, *lambdas)
+    views = {
+        "z_hat": z_hat,
+        "unit_cov_z": unit_cov_z,
+        "unit_cov_v": unit_cov_v,
+        "unit_cov_u": lambda fit: fit.trend_unit_cov(np.eye(layout.n_trend)),
+    }
     for name, expected in want.items():
-        if name == "unit_cov_u":
-            got = fit.trend_unit_cov(np.eye(layout.n_trend))
-        else:
-            got = getattr(fit, name)
+        got = views[name](fit) if name in views else getattr(fit, name)
         err = np.max(np.abs(got - expected))
         assert err <= RTOL * np.max(np.abs(expected)), (name, err)
 

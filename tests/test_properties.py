@@ -17,8 +17,6 @@ from ctrend.design import (
     build_system_aggregated,
     build_system_raw,
     build_v2u,
-    build_v2z,
-    build_z2v,
     second_differences,
 )
 from ctrend.grid import Frame, ParameterLayout
@@ -43,6 +41,7 @@ from ctrend.synth import (
     survey_plan,
 )
 from solver_reference import normal_equations
+from zref import build_v2z, build_z2v, unit_cov_v
 
 spans = st.integers(min_value=1, max_value=12)
 
@@ -76,7 +75,7 @@ def test_solve_invariant_to_measurement_order(small_frame, small_layout, rnd):
     rnd.shuffle(measurements)
     fit = solve(build_system_raw(small_frame, measurements), 1.0, 1.0)
     assert np.max(np.abs(fit.v_hat - base.v_hat)) <= 1e-10
-    assert np.max(np.abs(fit.unit_cov_v - base.unit_cov_v)) <= 1e-10
+    assert np.max(np.abs(unit_cov_v(fit) - unit_cov_v(base))) <= 1e-10
 
 
 lattice_spans = st.integers(min_value=1, max_value=8)
@@ -144,7 +143,7 @@ def test_band_accessors_match_dense_smoothness(i_span, j_span, lambda1, lambda2)
     _, fit = full_coverage_fit(i_span, j_span, lambda1, lambda2)
     layout = fit.layout
     for band, dense, shape in (
-        (fit.unit_cov_v_band, fit.unit_cov_v, layout.level_shape),
+        (fit.unit_cov_v_band, unit_cov_v(fit), layout.level_shape),
         (fit.unit_cov_u_band, fit.trend_unit_cov(np.eye(layout.n_trend)), layout.trend_shape),
     ):
         got, want = smoothness_field(band, shape), smoothness_field(dense, shape)

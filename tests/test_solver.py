@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ctrend.design import build_system_raw, build_v2z
+from ctrend.design import build_system_raw
 from ctrend.errors import SingularSystem
 from ctrend.grid import Frame
 from ctrend.ingest import Measurement, aggregate
@@ -15,13 +15,14 @@ from ctrend.design import build_system_aggregated
 from ctrend.solver import COLLINEARITY_TOL, _collinear, check_uniqueness, solve
 from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
 from solver_reference import normal_equations, normal_residual
+from zref import build_z2v, cov_z, unit_cov_v, z_hat
 
 
 class TestSolve:
     def test_exact_recovery_no_penalty(self, small_frame, small_model, small_noisefree_system):
         fit = solve(small_noisefree_system, 0.0, 0.0)
         z_true = small_model.z_true
-        err = np.max(np.abs(fit.z_hat - z_true)) / np.max(np.abs(z_true))
+        err = np.max(np.abs(z_hat(fit) - z_true)) / np.max(np.abs(z_true))
         assert err <= 1e-8
         # only the two extreme boundary corners are outside every data row
         assert fit.n_silent == 2
@@ -49,7 +50,7 @@ class TestSolve:
         system = build_system_raw(small_frame, ms)
         fit = solve(system, 1.0, 1.0)
         assert fit.condition < 1e12
-        assert fit.sigma2_hat is None and fit.cov_z is None  # 4 obs < dim
+        assert fit.sigma2_hat is None and cov_z(fit) is None  # 4 obs < dim
 
     def test_singular_without_penalties(self, small_frame):
         ms = [Measurement(20.0, 2000.25, 12.0), Measurement(21.0, 2002.25, 13.0)]
@@ -91,14 +92,6 @@ class TestSolve:
         # a weight times its penalty Gram overflows to inf: no finite band to factor
         with pytest.raises(SingularSystem, match="overflows"):
             solve(small_noisefree_system, *lambdas)
-
-    def test_parameters_formed_once_on_first_read(self, small_noisefree_system, v2z_calls):
-        fit = solve(small_noisefree_system, 2.0, 3.0)
-        assert v2z_calls == []
-        first, second = fit.z_hat, fit.z_hat
-        assert len(v2z_calls) == 1 and second is first
-        want = build_v2z(fit.layout) @ fit.v_hat.ravel()
-        assert np.array_equal(first, want)
 
     def test_normal_equation_residual(self, small_noisefree_system):
         fit = solve(small_noisefree_system, 2.0, 3.0)
@@ -143,33 +136,34 @@ class TestSolve:
 
 class TestCovariances:
     def test_cov_symmetry(self, small_noisy_fit):
-        cov = small_noisy_fit.cov_z
+        cov = cov_z(small_noisy_fit)
         assert np.max(np.abs(cov - cov.T)) <= 1e-12 * np.max(np.abs(cov))
 
     def test_cov_positive_semidefinite(self, small_noisy_fit):
-        eigs = np.linalg.eigvalsh(small_noisy_fit.cov_z)
-        assert eigs.min() >= -1e-8 * np.trace(small_noisy_fit.cov_z)
+        cov = cov_z(small_noisy_fit)
+        eigs = np.linalg.eigvalsh(cov)
+        assert eigs.min() >= -1e-8 * np.trace(cov)
 
     def test_surface_cov_propagation(self, small_noisy_fit, small_layout):
-        from ctrend.design import build_v2u, build_z2v
+        from ctrend.design import build_v2u
 
         fit = small_noisy_fit
         a_v = build_z2v(small_layout)
-        recomputed = a_v @ fit.cov_z @ a_v.T
-        assert np.allclose(fit.sigma2_hat * fit.unit_cov_v, recomputed, rtol=1e-10, atol=1e-14)
+        cov = cov_z(fit)
+        recomputed = a_v @ cov @ a_v.T
+        assert np.allclose(fit.sigma2_hat * unit_cov_v(fit), recomputed, rtol=1e-10, atol=1e-14)
         a_u = build_v2u(small_layout) @ a_v
-        recomputed_u = a_u @ fit.cov_z @ a_u.T
+        recomputed_u = a_u @ cov @ a_u.T
         cov_u = fit.sigma2_hat * fit.trend_unit_cov(np.eye(small_layout.n_trend))
         assert np.allclose(cov_u, recomputed_u, rtol=1e-10, atol=1e-14)
 
     def test_level_variance_rowwise_oracle(self, small_noisy_fit, small_layout):
-        from ctrend.design import build_z2v
-
         fit = small_noisy_fit
         a_v = build_z2v(small_layout)
-        diag = np.diag(fit.sigma2_hat * fit.unit_cov_v)
+        cov = cov_z(fit)
+        diag = np.diag(fit.sigma2_hat * unit_cov_v(fit))
         for k in range(0, a_v.shape[0], 7):
-            quad = a_v[k] @ fit.cov_z @ a_v[k]
+            quad = a_v[k] @ cov @ a_v[k]
             assert diag[k] == pytest.approx(quad, rel=1e-10, abs=1e-15)
 
     def test_stderr_shapes_and_ci(self, small_noisy_fit, small_layout):
@@ -231,9 +225,9 @@ class TestAggregationEquivalence:
         assert sys_raw.n_obs == sys_agg.n_obs
         fr = solve(sys_raw, 1.0, 1.0)
         fa = solve(sys_agg, 1.0, 1.0)
-        assert np.max(np.abs(fr.z_hat - fa.z_hat)) <= 1e-10
+        assert np.max(np.abs(z_hat(fr) - z_hat(fa))) <= 1e-10
         assert abs(fr.sigma2_hat - fa.sigma2_hat) <= 1e-10
-        assert np.max(np.abs(fr.cov_z - fa.cov_z)) <= 1e-10
+        assert np.max(np.abs(cov_z(fr) - cov_z(fa))) <= 1e-10
 
 
 class TestCheckUniqueness:

@@ -25,6 +25,7 @@ from ctrend.tuner import (
     smoothness_field,
     tune,
 )
+from zref import unit_cov_v
 
 
 def pair_cov(matrix):
@@ -64,7 +65,7 @@ class TestSmoothnessField:
 
     def test_indicators_within_unit_interval(self, small_noisy_fit):
         fit = small_noisy_fit
-        vec = smoothness_field(fit.unit_cov_v, fit.layout.level_shape).vector
+        vec = smoothness_field(unit_cov_v(fit), fit.layout.level_shape).vector
         assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
 
 
@@ -147,7 +148,7 @@ class TestTune:
 
         # idempotence: re-solving at the returned lambdas reproduces the stats
         refit = solve(system, report.lambda1, report.lambda2)
-        field_v = smoothness_field(refit.unit_cov_v, refit.layout.level_shape)
+        field_v = smoothness_field(unit_cov_v(refit), refit.layout.level_shape)
         point_v = default_selected_point_v(refit.layout)
         assert fstat(field_v, "selected-point", point_v) == pytest.approx(
             report.stat_v, rel=1e-9
@@ -162,7 +163,7 @@ class TestTune:
         stats = []
         for lam in (1e-2, 1.0, 1e2, 1e4, 1e6):
             fit = solve(small_noisefree_system, lam, 10.0)
-            field = smoothness_field(fit.unit_cov_v, fit.layout.level_shape)
+            field = smoothness_field(unit_cov_v(fit), fit.layout.level_shape)
             stats.append(fstat(field, "selected-point", default_selected_point_v(fit.layout)))
         assert all(a >= b - 1e-9 for a, b in zip(stats, stats[1:]))
 

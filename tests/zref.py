@@ -1,14 +1,22 @@
-"""Observation rows in parameter coordinates, for the dense z oracle of the
-tests to hold the level-surface system of `ctrend.design` against.
+"""The parameter coordinates z of the tests: the bijection with the level
+surface, the fit's estimate and covariances in z, and observation rows in z
+for the dense z oracle to hold the level-surface system of `ctrend.design`
+against.
 
 The parameter vector z of `ParameterLayout` stacks the boundary levels and
-the trend field.  A level v(i, j) is its cohort's boundary entry plus the
-trends of the cells the cohort has passed through (`cohort_path`), so a
-measurement at year fraction t in cell (i, j) reads that sum plus
-t * u(i, j).  `build_b0_raw` and `build_b0_aggregated` give one such
-`Row` per measurement or per cell, and `dense` stacks them.  The penalties
-need no rows of their own here: `penalties_z` pulls the fit's
-`second_differences` operators back through `build_z2v`.
+the trend field; the model file and `TrueModel` speak it.  This module owns
+its bijection with the level surface v: `build_z2v` maps z to v and
+`build_v2z` maps back.  The fit works in v alone, so the views of a fit
+that the tests read, the dense `unit_cov_v` and `z_hat`, `unit_cov_z` and
+`cov_z` in z, are formed here.
+
+A level v(i, j) is its cohort's boundary entry plus the trends of the cells
+the cohort has passed through (`cohort_path`), so a measurement at year
+fraction t in cell (i, j) reads that sum plus t * u(i, j).  `build_b0_raw`
+and `build_b0_aggregated` give one such `Row` per measurement or per cell,
+and `dense` stacks them.  The penalties need no rows of their own here:
+`penalties_z` pulls the fit's `second_differences` operators back through
+`build_z2v`.
 """
 
 from __future__ import annotations
@@ -17,11 +25,13 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
-from ctrend.design import build_v2u, build_z2v, second_differences
+from ctrend.design import build_v2u, second_differences
 from ctrend.errors import OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
 from ctrend.ingest import AggregatedCell, Measurement
+from ctrend.solver import FitResult
 
 
 class Row(NamedTuple):
@@ -37,6 +47,56 @@ def dense(rows: list[Row], dim: int) -> np.ndarray:
     for r, row in enumerate(rows):
         b[r, list(row.coeffs)] = list(row.coeffs.values())
     return b
+
+
+def build_z2v(layout: ParameterLayout) -> np.ndarray:
+    """Map from parameters to the flattened level surface (row-major).
+
+    Boundary levels are parameters; every other level follows the dynamic
+    model, row (i+1, j+1) = row (i, j) + the unit row of trend (i, j).
+    """
+    nrows, ncols = layout.level_shape
+    a = np.zeros((nrows, ncols, layout.dim))
+    bi, bj = np.array(layout.boundary_points()).T
+    a[bi, bj, np.arange(layout.n_boundary)] = 1.0
+    trend = np.arange(layout.n_boundary, layout.dim).reshape(layout.trend_shape)
+    for i in range(nrows - 1):
+        a[i + 1, 1:] = a[i, :-1]
+        a[i + 1, np.arange(1, ncols), trend[i]] += 1.0
+    return a.reshape(nrows * ncols, layout.dim)
+
+
+def build_v2z(layout: ParameterLayout) -> sparse.csr_matrix:
+    """Parameters from the flattened level surface; the inverse of `build_z2v`."""
+    ncols = layout.level_shape[1]
+    boundary = [i * ncols + j for i, j in layout.boundary_points()]
+    select = sparse.csr_matrix(
+        (np.ones(layout.n_boundary), (np.arange(layout.n_boundary), boundary)),
+        shape=(layout.n_boundary, layout.dim),
+    )
+    return sparse.vstack([select, build_v2u(layout)], format="csr")
+
+
+def unit_cov_v(fit: FitResult) -> np.ndarray:
+    """The dense inverse weighted normal matrix on the level surface."""
+    return fit.unit_cov_v_band.solve(np.eye(fit.layout.dim))
+
+
+def z_hat(fit: FitResult) -> np.ndarray:
+    """The estimate in parameter coordinates."""
+    return build_v2z(fit.layout) @ fit.v_hat.ravel()
+
+
+def unit_cov_z(fit: FitResult) -> np.ndarray:
+    """`unit_cov_v` in parameter coordinates."""
+    v2z = build_v2z(fit.layout)
+    return v2z @ (v2z @ unit_cov_v(fit)).T
+
+
+def cov_z(fit: FitResult) -> np.ndarray | None:
+    """The sigma2 multiple of `unit_cov_z`, None when the degrees of freedom
+    are not positive."""
+    return None if fit.sigma2_hat is None else fit.sigma2_hat * unit_cov_z(fit)
 
 
 def penalties_z(layout: ParameterLayout) -> tuple[np.ndarray, np.ndarray]:
