@@ -24,8 +24,6 @@ from .ingest import (
     MeasurementColumns,
     ValidationReport,
     aggregate,
-    derive_age_year,
-    derive_bmi,
     load_measurements,
 )
 from .solver import FitResult, check_uniqueness, solve
@@ -56,8 +54,6 @@ __all__ = [
     "check_uniqueness",
     "cluster_means",
     "compare_adjacent",
-    "derive_age_year",
-    "derive_bmi",
     "fstat",
     "full_coverage_plan",
     "generate",

@@ -24,7 +24,6 @@ import configparser
 import csv
 import json
 import math
-import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -127,6 +126,7 @@ class RunConfig:
     def validate(self) -> None:
         if (self.lambda1 is None) != (self.lambda2 is None):
             raise ConfigError("lambda1 and lambda2 must be overridden together")
+        self.targets()  # the targets are checked whatever the lambdas
 
     def frame(self) -> Frame:
         return Frame.from_bounds(self.y_min, self.y_max, self.a_min, self.a_max)
@@ -330,6 +330,13 @@ def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
     return 0
 
 
+def _number(value, kind=float):
+    """A JSON number as `kind`, int for counts; TypeError for text and booleans."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise TypeError(f"{value!r} is not a JSON {kind.__name__}")
+    return kind(value)
+
+
 def _load_model(path: str, frame: Frame) -> tuple[TrueModel, SamplingPlan]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -341,20 +348,18 @@ def _load_model(path: str, frame: Frame) -> tuple[TrueModel, SamplingPlan]:
     try:
         model = TrueModel(
             frame=frame,
-            v0_true=np.asarray(raw["v0"], dtype=float),
-            u_true=np.asarray(raw["u"], dtype=float),
-            noise_sd=float(raw.get("noise_sd", 0.0)),
+            v0_true=[_number(v) for v in raw["v0"]],
+            u_true=[[_number(v) for v in row] for row in raw["u"]],
+            noise_sd=_number(raw.get("noise_sd", 0.0)),
         )
         plan_spec = raw.get("plan", {"kind": "full"})
         kind = plan_spec.get("kind", "full")
-        fractions = tuple(float(t) for t in plan_spec.get("fractions", (0.25, 0.75)))
-        per_fraction = operator.index(plan_spec.get("per_fraction", 1))
+        fractions = tuple(_number(t) for t in plan_spec.get("fractions", (0.25, 0.75)))
+        per_fraction = _number(plan_spec.get("per_fraction", 1), int)
         if kind == "full":
             plan = full_coverage_plan(frame, fractions, per_fraction)
         elif kind == "survey":
-            waves = tuple(operator.index(w) for w in plan_spec.get("wave_years", ()))
-            if not waves:
-                raise SpecMismatch("survey plan needs wave_years")
+            waves = tuple(_number(w, int) for w in plan_spec.get("wave_years", ()))
             plan = survey_plan(frame, waves, fractions, per_fraction)
         else:
             raise SpecMismatch(f"unknown plan kind {kind!r}")

@@ -38,14 +38,6 @@ class NotOnBoundary(DataError):
     category = "not-on-boundary"
 
 
-class NonPositiveInput(DataError):
-    category = "non-positive-input"
-
-
-class InvalidDates(DataError):
-    category = "invalid-dates"
-
-
 class MalformedFile(DataError):
     category = "malformed-file"
 

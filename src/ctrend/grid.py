@@ -190,16 +190,3 @@ class ParameterLayout:
         if i == 0 and 1 <= j <= self.j_span + 1:
             return self.i_span + 1 + j
         raise NotOnBoundary(f"({i}, {j}) is not on the low-left boundary")
-
-    def trend_index(self, i: int, j: int) -> int:
-        """Flat parameter index of trend cell (i, j)."""
-        if not (0 <= i <= self.i_span and 0 <= j <= self.j_span):
-            raise OutOfFrame(f"trend cell ({i}, {j}) outside lattice")
-        return self.n_boundary + i * (self.j_span + 1) + j
-
-    def boundary_points(self) -> list[tuple[int, int]]:
-        """Boundary points in parameter order."""
-        left = [(i, 0) for i in range(self.i_span + 1, -1, -1)]
-        bottom = [(0, j) for j in range(1, self.j_span + 2)]
-        return left + bottom
-

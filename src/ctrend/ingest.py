@@ -41,7 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidDates, MalformedFile, NonPositiveInput, UnknownSchema
+from .errors import ConfigError, MalformedFile, UnknownSchema
 from .grid import CellIndex, Frame
 
 SCHEMA_XYA = "xya"
@@ -87,10 +87,6 @@ class MeasurementColumns:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def rows(self) -> list[Measurement]:
-        """Row view: one `Measurement` per row, in order."""
-        return list(map(Measurement, self.x.tolist(), self.y.tolist(), self.a.tolist()))
 
 
 def as_columns(
@@ -150,28 +146,6 @@ class ValidationReport:
             "reasons": dict(sorted(self.reasons.items())),
             "first_rejects": [{"row": r, "reason": why} for r, why in self.details],
         }
-
-
-def derive_bmi(weight: float, height: float) -> float:
-    """Body mass index from weight in kg and height in m.
-
-    The height is squared by one correctly rounded product, as in
-    `load_measurements`.  A square that overflows or underflows to zero
-    raises ArithmeticError.
-    """
-    if weight <= 0 or height <= 0:
-        raise NonPositiveInput(f"weight={weight}, height={height}")
-    square = height * height
-    if math.isinf(square):
-        raise OverflowError(f"height={height} squared overflows")
-    return weight / square
-
-
-def derive_age_year(birth_year: int, exam_date: float) -> tuple[int, float]:
-    """Age in full years (examination year minus birth year) and decimal year."""
-    if exam_date <= birth_year:
-        raise InvalidDates(f"exam_date={exam_date} not after birth_year={birth_year}")
-    return math.floor(exam_date) - birth_year, exam_date
 
 
 # Reject reasons by code, codes in the order the masks are tested.
@@ -241,13 +215,11 @@ def _floats(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _derive(fields: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """BMI, decimal year, age, and the mask of rows `derive_bmi` or
-    `derive_age_year` rejects, from the four derived-schema columns.
-
-    The same IEEE operations as the scalar derivations: one product for the
-    square, and the age as floor(exam) - trunc(birth), which rounds the
-    exact integer difference once, as float() of it does.
-    """
+    """BMI, decimal year, age, and the mask of rows with no valid derivation,
+    from the four derived-schema columns, by the IEEE operations of the scalar
+    reference derivations in `tests/ingest_reference.py`: one product for the
+    square, and the age as floor(exam) - trunc(birth), which rounds the exact
+    integer difference once, as float() of it does."""
     weight, height, birth_year, exam_date = fields
     with np.errstate(all="ignore"):
         square = height * height

@@ -2,10 +2,10 @@
 
 A ground-truth model carries boundary levels, the trend field, and a
 homoscedastic Gaussian noise scale.  `true_level` evaluates the noiseless
-state value by walking the cohort path directly (independent of the design
-matrices, so it doubles as an oracle for them).  `generate` draws
-measurements from a sampling plan with a counter-based Philox generator,
-so datasets are reproducible from the seed alone.
+state value along the cohort path, independent of the design matrices, so it
+doubles as their oracle.  `generate` draws measurements from a sampling plan
+with a counter-based Philox generator, reproducibly from the seed alone.
+The smooth models that the tests generate from live in `tests/zref.py`.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class TrueModel:
     @property
     def layout(self) -> ParameterLayout:
         return ParameterLayout.from_frame(self.frame)
-
-    @property
-    def z_true(self) -> np.ndarray:
-        return np.concatenate([self.v0_true, self.u_true.ravel()])
 
 
 def true_level(model: TrueModel, cell: CellIndex, t: float) -> float:
@@ -128,28 +124,3 @@ def generate(model: TrueModel, plan: SamplingPlan, seed: int) -> list[Measuremen
             x += rng.normal(0.0, model.noise_sd)
         out.append(Measurement(x=float(x), y=float(y), a=float(a)))
     return out
-
-
-def smooth_boundary(layout: ParameterLayout, base: float = 24.0, amplitude: float = 1.5) -> np.ndarray:
-    """A smooth, non-trivial boundary profile for test models.
-
-    The two extreme corner points are set to zero: no observation functional
-    ever touches them, so keeping them out of the generating signal makes
-    unpenalized recovery well-posed.
-    """
-    points = layout.boundary_points()
-    vals = np.empty(len(points))
-    for k, (i, j) in enumerate(points):
-        s = (i + j) / (layout.i_span + layout.j_span + 2)
-        vals[k] = base + amplitude * np.sin(2.1 * np.pi * s) + 0.4 * s
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    return vals
-
-
-def smooth_trend(layout: ParameterLayout, scale: float = 0.15) -> np.ndarray:
-    """A smooth trend field varying in both directions."""
-    ni, nj = layout.trend_shape
-    ii = np.arange(ni)[:, None] / max(ni - 1, 1)
-    jj = np.arange(nj)[None, :] / max(nj - 1, 1)
-    return scale * (0.6 + 0.4 * np.cos(1.7 * np.pi * jj) + 0.3 * np.sin(1.3 * np.pi * ii) + 0.2 * ii * jj)

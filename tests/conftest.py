@@ -6,7 +6,8 @@ from hypothesis import settings
 
 from ctrend.design import build_system_raw
 from ctrend.grid import Frame, ParameterLayout
-from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
+from ctrend.synth import TrueModel, full_coverage_plan, generate
+from zref import smooth_boundary, smooth_trend
 
 # `python -m ctrend` subprocesses in the CLI tests import the package from
 # this checkout, as the tests themselves do through pytest's `pythonpath`,

@@ -1,9 +1,11 @@
 """Per-row reference implementations of ingest, for the tests to hold the
 columnar `ctrend.ingest` against.
 
-`load_rows` parses, derives and locates one record at a time with the
-scalar `derive_bmi`, `derive_age_year` and `Frame.locate`; `aggregate_buckets`
-groups measurements in a dict keyed by `Frame.locate`'s cell.
+`derive_bmi` and `derive_age_year` derive one derived-schema record, the
+scalar reference of `ctrend.ingest._derive`.  `load_rows` parses, derives and
+locates one record at a time with them and `Frame.locate`;
+`aggregate_buckets` groups measurements in a dict keyed by `Frame.locate`'s
+cell.  `rows` is the row view of measurement columns, and
 `measurements_to_csv` writes measurements back as ``xya`` CSV text.
 """
 
@@ -16,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ctrend.errors import InvalidDates, MalformedFile, NonPositiveInput, OutOfFrame
+from ctrend.errors import MalformedFile, OutOfFrame
 from ctrend.ingest import (
     REASON_INVALID_DERIVATION,
     REASON_NON_FINITE,
@@ -25,13 +27,42 @@ from ctrend.ingest import (
     SCHEMA_XYA,
     AggregatedCell,
     Measurement,
+    MeasurementColumns,
     ValidationReport,
     _COLUMNS,
-    derive_age_year,
-    derive_bmi,
 )
 
 MAX_REJECT_DETAILS = 20
+
+
+def derive_bmi(weight: float, height: float) -> float:
+    """Body mass index from weight in kg and height in m.
+
+    The height is squared by one correctly rounded product, as in
+    `load_measurements`.  A non-positive weight or height raises ValueError;
+    a square that overflows or underflows to zero raises ArithmeticError.
+    """
+    if weight <= 0 or height <= 0:
+        raise ValueError(f"weight={weight}, height={height}")
+    square = height * height
+    if math.isinf(square):
+        raise OverflowError(f"height={height} squared overflows")
+    return weight / square
+
+
+def derive_age_year(birth_year: int, exam_date: float) -> tuple[int, float]:
+    """Age in full years (examination year minus birth year) and decimal year.
+
+    An examination date not after the birth year raises ValueError.
+    """
+    if exam_date <= birth_year:
+        raise ValueError(f"exam_date={exam_date} not after birth_year={birth_year}")
+    return math.floor(exam_date) - birth_year, exam_date
+
+
+def rows(columns: MeasurementColumns) -> list[Measurement]:
+    """Row view of measurement columns: one `Measurement` per row, in order."""
+    return list(map(Measurement, columns.x.tolist(), columns.y.tolist(), columns.a.tolist()))
 
 
 def _reject(report: ValidationReport, row: int, reason: str) -> None:
@@ -109,7 +140,7 @@ def load_rows(source, schema: str, frame) -> tuple[list[Measurement], Validation
             continue
         try:
             m = _measurement(fields, schema)
-        except (NonPositiveInput, InvalidDates, ArithmeticError):
+        except (ValueError, ArithmeticError):
             _reject(report, row_number, REASON_INVALID_DERIVATION)
             continue
         if not all(math.isfinite(v) for v in m):

@@ -11,8 +11,9 @@ import pytest
 from ctrend import cli, tuner
 from ctrend.errors import TuningFailure
 from ctrend.grid import Frame, ParameterLayout, _absolute_cell
-from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
+from ctrend.synth import TrueModel, generate, survey_plan
 from ingest_reference import measurements_to_csv
+from zref import smooth_boundary, smooth_trend
 
 FRAME_FLAGS = ["--y-min", "2000.0", "--y-max", "2004.9", "--a-min", "10.0", "--a-max", "16.0"]
 
@@ -102,12 +103,22 @@ class TestSimulate:
             lambda spec: {**spec, "plan": {"per_fraction": 2.9}},
             lambda spec: {**spec, "plan": {"kind": "survey", "wave_years": [0.7, 3.9]}},
             lambda spec: {**spec, "plan": {"per_fraction": "2"}},
+            lambda spec: {**spec, "noise_sd": "0.5"},
+            lambda spec: {**spec, "noise_sd": True},
+            lambda spec: {**spec, "plan": {"fractions": ["0.5"]}},
+            lambda spec: {**spec, "plan": {"per_fraction": True}},
+            lambda spec: {**spec, "plan": {"kind": "survey", "wave_years": [False, True]}},
+            lambda spec: {**spec, "v0": [True, *spec["v0"][1:]]},
+            lambda spec: {**spec, "u": [["0.1", *spec["u"][0][1:]], *spec["u"][1:]]},
+            lambda spec: {**spec, "plan": {"kind": "survey"}},
         ],
         ids=[
             "list", "null-noise", "text-v0", "text-count", "list-plan", "infinite-count",
             "nan-v0", "infinite-u", "nan-noise", "infinite-noise", "zero-count",
             "negative-count", "no-fractions", "survey-no-fractions", "fractional-count",
-            "fractional-wave", "text-number-count",
+            "fractional-wave", "text-number-count", "text-number-noise", "boolean-noise",
+            "text-number-fraction", "boolean-count", "boolean-waves", "boolean-v0",
+            "text-number-u", "survey-no-waves",
         ],
     )
     def test_malformed_model_exit_3(self, tmp_path, edit):
@@ -647,7 +658,10 @@ BAD_VALUES = [
     ("analyze", "lambda2", "inf"), ("analyze", "delta", "inf"), ("analyze", "cluster_age", "0"),
     ("analyze", "cluster_year", "-2"), ("analyze", "min_cell_count", "-1"),
     ("simulate", "seed", "-1"),
+    ("analyze", "f_smv", "7"), ("analyze", "delta", "0"),
 ]
+# values their readers accept and the smoothness targets reject, before any file is read
+OUT_OF_RANGE = {("f_smv", "7"), ("delta", "0")}
 
 
 class TestSettings:
@@ -696,8 +710,19 @@ class TestSettings:
         for argv in (["--" + key.replace("_", "-"), text], ["--config", str(cfg)]):
             code = cli.main([command, *FRAME_FLAGS, *argv, "--out", str(tmp_path / "out")])
             error = json.loads(capsys.readouterr().err)
-            assert code == 2 and error["error"] == "config"
+            out_of_range = (key, text) in OUT_OF_RANGE
+            assert code == 2 and error["error"] == ("index-out-of-range" if out_of_range else "config")
             messages.append(error["message"])
         assert messages[0] == messages[1]
-        assert messages[0].startswith(f"bad value for {key}: {text!r}")
+        if not out_of_range:
+            assert messages[0].startswith(f"bad value for {key}: {text!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,text", sorted(OUT_OF_RANGE))
+    def test_targets_checked_at_fixed_lambdas(self, tmp_path, capsys, key, text):
+        missing = tmp_path / "missing.csv"  # reading it would exit 2 as config
+        code = cli.main(["analyze", *FRAME_FLAGS, "--input", str(missing), "--lambda1", "1",
+                         "--lambda2", "1", "--" + key.replace("_", "-"), text,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2 and json.loads(capsys.readouterr().err)["error"] == "index-out-of-range"
         assert not (tmp_path / "out").exists()

@@ -10,13 +10,17 @@ from ctrend.design import (
 from ctrend.errors import InvalidClusterSize, OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
 from ctrend.ingest import AggregatedCell, Measurement, aggregate
-from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
+from ctrend.synth import TrueModel, generate, survey_plan
 from zref import (
+    boundary_points,
     build_b0_aggregated,
     build_b0_raw,
     build_z2v,
     observation_row,
     penalties_z,
+    smooth_boundary,
+    smooth_trend,
+    trend_index,
     year_fraction,
 )
 
@@ -29,7 +33,7 @@ def level_surface_by_recurrence(layout, z):
     """
     ni, nj = layout.level_shape
     v = np.full((ni, nj), np.nan)
-    for (bi, bj) in layout.boundary_points():
+    for (bi, bj) in boundary_points(layout):
         v[bi, bj] = z[layout.boundary_index(bi, bj)]
     u = z[layout.n_boundary:].reshape(layout.trend_shape)
     for i in range(1, ni):
@@ -68,12 +72,12 @@ class TestObservationRow:
         assert frame.locate(1984.3, 30.0) == CellIndex(2, 5)
         expected = {
             layout.boundary_index(0, 3): 1.0,
-            layout.trend_index(1, 4): 1.0,
-            layout.trend_index(0, 3): 1.0,
-            layout.trend_index(2, 5): year_fraction(1984.3),
+            trend_index(layout, 1, 4): 1.0,
+            trend_index(layout, 0, 3): 1.0,
+            trend_index(layout, 2, 5): year_fraction(1984.3),
         }
         assert row.coeffs == expected
-        assert row.coeffs[layout.trend_index(2, 5)] == pytest.approx(0.3, rel=1e-12)
+        assert row.coeffs[trend_index(layout, 2, 5)] == pytest.approx(0.3, rel=1e-12)
 
     def test_origin_cell_zero_fraction(self, frame, layout):
         row = observation_row(layout, frame, 1982.0, 25.0)
@@ -85,7 +89,7 @@ class TestObservationRow:
         assert frame.locate(1982.5, 64.0) == CellIndex(0, 39)
         expected = {
             layout.boundary_index(0, 39): 1.0,
-            layout.trend_index(0, 39): 0.5,
+            trend_index(layout, 0, 39): 0.5,
         }
         assert row.coeffs == pytest.approx(expected)
 
@@ -189,18 +193,18 @@ class TestPenaltyRows:
         expected = {
             layout.boundary_index(1, 0): 1.0,
             layout.boundary_index(0, 0): -2.0,
-            layout.trend_index(0, 0): -2.0,
+            trend_index(layout, 0, 0): -2.0,
             layout.boundary_index(0, 1): 1.0,
-            layout.trend_index(0, 1): 1.0,
+            trend_index(layout, 0, 1): 1.0,
         }
         assert nonzeros(row) == expected
 
     def test_trend_row_stencil(self, layout):
         _, b2 = penalties_z(layout)
         expected = {
-            layout.trend_index(0, 0): 1.0,
-            layout.trend_index(0, 1): -2.0,
-            layout.trend_index(0, 2): 1.0,
+            trend_index(layout, 0, 0): 1.0,
+            trend_index(layout, 0, 1): -2.0,
+            trend_index(layout, 0, 2): 1.0,
         }
         assert nonzeros(b2[0]) == expected
 
@@ -241,7 +245,7 @@ class TestReconstructionMaps:
     def test_z2v_boundary_rows_are_units(self, layout):
         a = build_z2v(layout)
         ncols = layout.level_shape[1]
-        for bi, bj in layout.boundary_points():
+        for bi, bj in boundary_points(layout):
             row = a[bi * ncols + bj]
             assert np.count_nonzero(row) == 1
             assert row[layout.boundary_index(bi, bj)] == 1.0
@@ -273,7 +277,7 @@ class TestReconstructionMaps:
         for i in (0, 2, layout.i_span):
             for j in (0, 3, layout.j_span):
                 flat = i * (layout.j_span + 1) + j
-                assert a[flat, layout.trend_index(i, j)] == 1.0
+                assert a[flat, trend_index(layout, i, j)] == 1.0
 
 
 class TestClusterMap:

@@ -5,7 +5,7 @@ import pytest
 
 from ctrend.errors import FrameTooSmall, NotOnBoundary, OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
-from zref import cohort_path
+from zref import boundary_points, cohort_path, trend_index
 
 
 def cell_contains(i_abs, j_abs, y, a):
@@ -184,21 +184,21 @@ class TestParameterLayout:
 
     def test_trend_index_examples(self):
         layout = ParameterLayout(10, 39)
-        assert layout.trend_index(0, 0) == 52
-        assert layout.trend_index(1, 0) == 92
-        assert layout.trend_index(10, 39) == 491
+        assert trend_index(layout, 0, 0) == 52
+        assert trend_index(layout, 1, 0) == 92
+        assert trend_index(layout, 10, 39) == 491
 
     def test_index_bijectivity(self):
         layout = ParameterLayout(4, 6)
-        seen = [layout.boundary_index(i, j) for i, j in layout.boundary_points()]
+        seen = [layout.boundary_index(i, j) for i, j in boundary_points(layout)]
         for i in range(layout.i_span + 1):
             for j in range(layout.j_span + 1):
-                seen.append(layout.trend_index(i, j))
+                seen.append(trend_index(layout, i, j))
         assert sorted(seen) == list(range(layout.dim))
 
     def test_boundary_points_order(self):
         layout = ParameterLayout(2, 3)
-        assert layout.boundary_points() == [
+        assert boundary_points(layout) == [
             (3, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
         ]
 

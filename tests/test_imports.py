@@ -1,8 +1,13 @@
-"""Every imported name is read in its module.
+"""Every imported name is read in its module, and every definition of
+`ctrend` is read in `ctrend` or exported.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module of
 `src/ctrend` and `tests` is parsed with `ast`, and every name an import
 binds must be loaded somewhere in that module or listed in its `__all__`.
+Likewise every function and class that `src/ctrend` defines, methods
+included and dunders excepted, must be loaded as a name or an attribute
+somewhere in `src/ctrend`, or be listed in `ctrend.__all__`: what only the
+tests read belongs beside them.
 """
 
 import ast
@@ -11,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "ctrend").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src" / "ctrend").glob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -55,3 +61,40 @@ def test_every_imported_name_is_read(path):
 def test_an_unread_import_is_found():
     tree = ast.parse("import os\nfrom a.b import c as d, e\nimport x.y\nprint(e, x)\n")
     assert unread_imports(tree) == {"os": 1, "d": 2}
+
+
+def unread_definitions(trees: list[ast.Module]) -> dict[str, int]:
+    """Each function and class the modules define, dunders excepted, that no
+    module loads as a name or an attribute or lists in its `__all__`, with
+    the line of its first definition."""
+    defined: dict[str, int] = {}
+    read: set[str] = set()
+    for tree in trees:
+        read |= read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, node.lineno)
+    return {name: line for name, line in defined.items() if name not in read}
+
+
+def test_every_definition_is_read_or_exported():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
+    assert unread_definitions(trees) == {}, "defined in src/ctrend, read only outside it"
+
+
+def test_an_unread_definition_is_found():
+    exporting = ast.parse('__all__ = ["exported"]\n')
+    tree = ast.parse(
+        "def exported(): pass\n"
+        "def called(): pass\n"
+        "def unread(): pass\n"
+        "class Model:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+        "    def used(self): pass\n"
+        "called(Model().used)\n"
+    )
+    assert unread_definitions([exporting, tree]) == {"unread": 3, "method": 6}

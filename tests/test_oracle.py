@@ -15,13 +15,15 @@ from ctrend.design import build_system_aggregated, build_system_raw, build_v2u
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
-from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
+from ctrend.synth import TrueModel, generate, survey_plan
 from zref import (
     build_b0_aggregated,
     build_b0_raw,
     build_z2v,
     dense,
     penalties_z,
+    smooth_boundary,
+    smooth_trend,
     unit_cov_v,
     unit_cov_z,
     z_hat,

@@ -12,6 +12,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpocon
 
 from ctrend.design import (
+    _level_system,
     band_order,
     bandwidth,
     build_system_aggregated,
@@ -19,6 +20,7 @@ from ctrend.design import (
     build_v2u,
     second_differences,
 )
+from ctrend.errors import SingularSystem
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.inference import (
     _DEGENERATE_REL_TOL,
@@ -36,12 +38,10 @@ from ctrend.synth import (
     TrueModel,
     full_coverage_plan,
     generate,
-    smooth_boundary,
-    smooth_trend,
     survey_plan,
 )
 from solver_reference import normal_equations
-from zref import build_v2z, build_z2v, unit_cov_v
+from zref import build_v2z, build_z2v, smooth_boundary, smooth_trend, unit_cov_v
 
 spans = st.integers(min_value=1, max_value=12)
 
@@ -580,3 +580,71 @@ def test_compare_adjacent_matches_the_per_pair_formula(grid):
             if p + 1 < nrows:
                 want.append(comparison_reference(grid, (p, q), (p + 1, q), YEAR_ADJACENT))
     assert compare_adjacent(grid) == want
+
+
+def transposed_fits(i_span, j_span, seed, n, lambdas):
+    """Fits of `_level_system` on (i, j, t, x, w) drawn from `seed`, and on the
+    same data with the lattice transposed, (i, j) -> (j, i) at the same t and
+    x; None where `solve` finds the system singular."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, i_span + 1, n), rng.integers(0, j_span + 1, n)
+    t, x, w = rng.random(n), rng.normal(25.0, 3.0, n), rng.integers(1, 50, n).astype(float)
+    css = float(rng.exponential(5.0))
+    fits = []
+    for layout, rows, cols in ((ParameterLayout(i_span, j_span), i, j), (ParameterLayout(j_span, i_span), j, i)):
+        try:
+            fits.append(solve(_level_system(layout, rows, cols, t, x, w, css), *lambdas))
+        except SingularSystem:
+            fits.append(None)
+    return fits
+
+
+transposable = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 40),
+    lambdas=st.tuples(st.floats(-3.0, 5.0), st.floats(-3.0, 5.0)).map(lambda lg: (10.0 ** lg[0], 10.0 ** lg[1])),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(i_span=lattice_spans, j_span=lattice_spans, **transposable)
+def test_transposed_lattice_fits_bit_for_bit(i_span, j_span, seed, n, lambdas):
+    """With I != J, `band_order` walks the shorter axis of either lattice, so
+    both systems factor the same band in the same order."""
+    assume(i_span != j_span)
+    fit, swapped = transposed_fits(i_span, j_span, seed, n, lambdas)
+    assert (fit is None) == (swapped is None)
+    assume(fit is not None)
+    assert np.array_equal(fit.v_hat.T, swapped.v_hat)
+    assert np.array_equal(fit.u_hat.T, swapped.u_hat)
+    for stderr, swapped_stderr in (
+        (fit.level_stderr(), swapped.level_stderr()),
+        (fit.trend_stderr(), swapped.trend_stderr()),
+    ):
+        assert (stderr is None and swapped_stderr is None) or np.array_equal(stderr.T, swapped_stderr)
+    assert (fit.sigma2_hat, fit.edf, fit.condition, fit.s0) == (
+        swapped.sigma2_hat, swapped.edf, swapped.condition, swapped.s0
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(span=lattice_spans, **transposable)
+def test_square_lattice_transposed_within_rounding(span, seed, n, lambdas):
+    """With I = J, `band_order` walks both lattices row by row, which is
+    column by column on the other, so the two systems eliminate the levels in
+    different orders and their bits differ.
+
+    The bound.  Both systems hold the same equilibrated entries, permuted:
+    the Gram diagonals, and so the Jacobi scales, agree level by level.  A
+    banded Cholesky solve of lower bandwidth w is backward stable (Higham
+    2002, Thm 10.3): (M + dM) y = b with |dM| <= gamma_(w+1) |L| |L^T|,
+    gamma_k = k u / (1 - k u) and u = eps / 2 the unit roundoff.  So each
+    solve lies within about (w + 1) u cond max|v| of the exact v, cond being
+    the fit's `condition`, and the two lie within twice that of each other:
+    max|dv| <= (w + 1) eps cond max|v|.  The worst ratio of max|dv| to
+    eps cond max|v| measured over 15 square cases was about 1.
+    """
+    fit, swapped = transposed_fits(span, span, seed, n, lambdas)
+    assume(fit is not None and swapped is not None)
+    bound = (bandwidth(fit.layout) + 1) * np.finfo(float).eps * fit.condition * np.max(np.abs(fit.v_hat))
+    assert np.max(np.abs(fit.v_hat.T - swapped.v_hat)) <= bound

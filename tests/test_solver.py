@@ -13,16 +13,16 @@ from ctrend.grid import Frame
 from ctrend.ingest import Measurement, aggregate
 from ctrend.design import build_system_aggregated
 from ctrend.solver import COLLINEARITY_TOL, _collinear, check_uniqueness, solve
-from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
+from ctrend.synth import TrueModel, full_coverage_plan, generate
 from solver_reference import normal_equations, normal_residual
-from zref import build_z2v, cov_z, unit_cov_v, z_hat
+from zref import build_z2v, cov_z, smooth_boundary, smooth_trend, unit_cov_v, z_hat, z_true
 
 
 class TestSolve:
     def test_exact_recovery_no_penalty(self, small_frame, small_model, small_noisefree_system):
         fit = solve(small_noisefree_system, 0.0, 0.0)
-        z_true = small_model.z_true
-        err = np.max(np.abs(z_hat(fit) - z_true)) / np.max(np.abs(z_true))
+        truth = z_true(small_model)
+        err = np.max(np.abs(z_hat(fit) - truth)) / np.max(np.abs(truth))
         assert err <= 1e-8
         # only the two extreme boundary corners are outside every data row
         assert fit.n_silent == 2

@@ -9,12 +9,10 @@ from ctrend.synth import (
     TrueModel,
     full_coverage_plan,
     generate,
-    smooth_boundary,
-    smooth_trend,
     survey_plan,
     true_level,
 )
-from zref import z_hat
+from zref import smooth_boundary, smooth_trend, z_hat, z_true
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +151,7 @@ class TestGenerate:
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.0)
         ms = generate(model, full_coverage_plan(frame, (0.25, 0.75)), seed=2)
         fit = solve(build_system_raw(frame, ms), 0.0, 0.0)
-        err = np.max(np.abs(z_hat(fit) - model.z_true)) / np.max(np.abs(model.z_true))
+        err = np.max(np.abs(z_hat(fit) - z_true(model))) / np.max(np.abs(z_true(model)))
         assert err <= 1e-8
 
     def test_cell_mean_converges_to_true_level(self, frame, layout):

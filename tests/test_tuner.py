@@ -12,7 +12,7 @@ from ctrend.errors import IndexOutOfRange, NoConvergence, SingularSystem, Target
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
-from ctrend.synth import TrueModel, generate, smooth_boundary, smooth_trend, survey_plan
+from ctrend.synth import TrueModel, generate, survey_plan
 from ctrend.tuner import (
     LOG10_HI,
     LOG10_LO,
@@ -25,7 +25,7 @@ from ctrend.tuner import (
     smoothness_field,
     tune,
 )
-from zref import unit_cov_v
+from zref import smooth_boundary, smooth_trend, unit_cov_v
 
 
 def pair_cov(matrix):
@@ -125,7 +125,7 @@ class TestTargets:
 class TestTune:
     def test_converges_on_small_noisy_data(self, small_frame, small_layout):
         from ctrend.design import build_system_raw
-        from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend
+        from ctrend.synth import TrueModel, full_coverage_plan, generate
 
         model = TrueModel(
             small_frame, smooth_boundary(small_layout), smooth_trend(small_layout), 0.6

@@ -29,8 +29,9 @@ from ctrend.errors import NoConvergence, SingularSystem, TargetUnreachable
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
-from ctrend.synth import TrueModel, full_coverage_plan, generate, smooth_boundary, smooth_trend, survey_plan
+from ctrend.synth import TrueModel, full_coverage_plan, generate, survey_plan
 from ctrend.tuner import FSTAT_KINDS, SmoothnessTargets, tune
+from zref import smooth_boundary, smooth_trend
 
 TARGETS = (0.05, 0.1, 0.2, 0.3, 0.5)
 

@@ -8,7 +8,9 @@ the trend field; the model file and `TrueModel` speak it.  This module owns
 its bijection with the level surface v: `build_z2v` maps z to v and
 `build_v2z` maps back.  The fit works in v alone, so the views of a fit
 that the tests read, the dense `unit_cov_v` and `z_hat`, `unit_cov_z` and
-`cov_z` in z, are formed here.
+`cov_z` in z, are formed here.  So are the z positions of the boundary
+points (`boundary_points`) and trend cells (`trend_index`), a model's z
+(`z_true`), and the smooth test models `smooth_boundary` and `smooth_trend`.
 
 A level v(i, j) is its cohort's boundary entry plus the trends of the cells
 the cohort has passed through (`cohort_path`), so a measurement at year
@@ -32,6 +34,7 @@ from ctrend.errors import OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
 from ctrend.ingest import AggregatedCell, Measurement
 from ctrend.solver import FitResult
+from ctrend.synth import TrueModel
 
 
 class Row(NamedTuple):
@@ -49,6 +52,50 @@ def dense(rows: list[Row], dim: int) -> np.ndarray:
     return b
 
 
+def boundary_points(layout: ParameterLayout) -> list[tuple[int, int]]:
+    """Boundary points in parameter order."""
+    left = [(i, 0) for i in range(layout.i_span + 1, -1, -1)]
+    bottom = [(0, j) for j in range(1, layout.j_span + 2)]
+    return left + bottom
+
+
+def trend_index(layout: ParameterLayout, i: int, j: int) -> int:
+    """Flat parameter index of trend cell (i, j)."""
+    if not (0 <= i <= layout.i_span and 0 <= j <= layout.j_span):
+        raise OutOfFrame(f"trend cell ({i}, {j}) outside lattice")
+    return layout.n_boundary + i * (layout.j_span + 1) + j
+
+
+def z_true(model: TrueModel) -> np.ndarray:
+    """The generating model in parameter coordinates."""
+    return np.concatenate([model.v0_true, model.u_true.ravel()])
+
+
+def smooth_boundary(layout: ParameterLayout, base: float = 24.0, amplitude: float = 1.5) -> np.ndarray:
+    """A smooth, non-trivial boundary profile for test models.
+
+    The two extreme corner points are set to zero: no observation functional
+    ever touches them, so keeping them out of the generating signal makes
+    unpenalized recovery well-posed.
+    """
+    points = boundary_points(layout)
+    vals = np.empty(len(points))
+    for k, (i, j) in enumerate(points):
+        s = (i + j) / (layout.i_span + layout.j_span + 2)
+        vals[k] = base + amplitude * np.sin(2.1 * np.pi * s) + 0.4 * s
+    vals[0] = 0.0
+    vals[-1] = 0.0
+    return vals
+
+
+def smooth_trend(layout: ParameterLayout, scale: float = 0.15) -> np.ndarray:
+    """A smooth trend field varying in both directions."""
+    ni, nj = layout.trend_shape
+    ii = np.arange(ni)[:, None] / max(ni - 1, 1)
+    jj = np.arange(nj)[None, :] / max(nj - 1, 1)
+    return scale * (0.6 + 0.4 * np.cos(1.7 * np.pi * jj) + 0.3 * np.sin(1.3 * np.pi * ii) + 0.2 * ii * jj)
+
+
 def build_z2v(layout: ParameterLayout) -> np.ndarray:
     """Map from parameters to the flattened level surface (row-major).
 
@@ -57,7 +104,7 @@ def build_z2v(layout: ParameterLayout) -> np.ndarray:
     """
     nrows, ncols = layout.level_shape
     a = np.zeros((nrows, ncols, layout.dim))
-    bi, bj = np.array(layout.boundary_points()).T
+    bi, bj = np.array(boundary_points(layout)).T
     a[bi, bj, np.arange(layout.n_boundary)] = 1.0
     trend = np.arange(layout.n_boundary, layout.dim).reshape(layout.trend_shape)
     for i in range(nrows - 1):
@@ -69,7 +116,7 @@ def build_z2v(layout: ParameterLayout) -> np.ndarray:
 def build_v2z(layout: ParameterLayout) -> sparse.csr_matrix:
     """Parameters from the flattened level surface; the inverse of `build_z2v`."""
     ncols = layout.level_shape[1]
-    boundary = [i * ncols + j for i, j in layout.boundary_points()]
+    boundary = [i * ncols + j for i, j in boundary_points(layout)]
     select = sparse.csr_matrix(
         (np.ones(layout.n_boundary), (np.arange(layout.n_boundary), boundary)),
         shape=(layout.n_boundary, layout.dim),
@@ -140,7 +187,7 @@ def _level_coeffs(layout: ParameterLayout, i: int, j: int) -> dict[int, float]:
     boundary, interior = cohort_path(CellIndex(i, j))
     coeffs = {layout.boundary_index(*boundary): 1.0}
     for cell in interior:
-        coeffs[layout.trend_index(*cell)] = coeffs.get(layout.trend_index(*cell), 0.0) + 1.0
+        coeffs[trend_index(layout, *cell)] = coeffs.get(trend_index(layout, *cell), 0.0) + 1.0
     return coeffs
 
 
@@ -150,7 +197,7 @@ def cell_observation_coeffs(
     """Observation functional for a point in `cell` at year fraction `t`."""
     coeffs = _level_coeffs(layout, cell.i, cell.j)
     if t != 0.0:
-        k = layout.trend_index(cell.i, cell.j)
+        k = trend_index(layout, cell.i, cell.j)
         # Cohort-path cells (i-m, j-m) with m >= 1 never include the current
         # cell, so the year-fraction coefficient lands on a fresh index.
         assert k not in coeffs, "year-fraction coefficient collided with path"
