@@ -20,7 +20,6 @@ from .grid import CellIndex, Frame, ParameterLayout
 from .inference import ClusterGrid, ComparisonResult, cluster_means, compare_adjacent
 from .ingest import (
     AggregatedCell,
-    Measurement,
     MeasurementColumns,
     ValidationReport,
     aggregate,
@@ -39,7 +38,6 @@ __all__ = [
     "FitResult",
     "Frame",
     "LinearSystem",
-    "Measurement",
     "MeasurementColumns",
     "ParameterLayout",
     "SamplingPlan",

@@ -226,7 +226,7 @@ def _load(config: RunConfig, frame: Frame):
     measurements, report = load_measurements(config.input, config.schema, frame)
     if not measurements:
         raise NoObservations(f"no usable observations in {config.input}")
-    return measurements, report, aggregate(measurements, frame)
+    return measurements, report, aggregate(measurements)
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def analyze(config: RunConfig, frame: Frame) -> Analysis:
     """Fit (tuned unless both weights are fixed) and adjacent-cluster tests; writes no file."""
     measurements, report, cells = _load(config, frame)
     if config.mode == "raw":
-        system = build_system_raw(frame, measurements)
+        system = build_system_raw(measurements)
     else:
         system = build_system_aggregated(frame, cells)
     if config.lambda1 is not None:
@@ -375,7 +375,8 @@ def _load_model(path: str, frame: Frame) -> tuple[TrueModel, SamplingPlan]:
 def _run_simulate(config: RunConfig, frame: Frame, out_dir: Path) -> int:
     model, plan = _load_model(config.model, frame)
     measurements = generate(model, plan, config.seed)
-    rows = [[_fmt(m.x), _fmt(m.y), _fmt(m.a)] for m in measurements]
+    columns = measurements.x.tolist(), measurements.y.tolist(), measurements.a.tolist()
+    rows = [list(map(_fmt, row)) for row in zip(*columns)]
     _write_csv(out_dir / "dataset.csv", ["x", "year", "age"], rows)
     truth = {
         "frame": {

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .errors import InvalidClusterSize, OutOfFrame
 from .grid import Frame, ParameterLayout
-from .ingest import AggregatedCell, Measurement, MeasurementColumns, as_columns
+from .ingest import AggregatedCell, MeasurementColumns
 
 
 def second_differences(nrows: int, ncols: int) -> sparse.csr_matrix:
@@ -187,17 +186,12 @@ def _level_system(
     )
 
 
-def build_system_raw(
-    frame: Frame, measurements: MeasurementColumns | Sequence[Measurement]
-) -> LinearSystem:
-    """One data row per measurement, at its own year fraction and unit weight.
-
-    Takes the cells of columns located in `frame` as they are.  Raises
-    OutOfFrame for the first measurement outside the frame.
-    """
-    layout = ParameterLayout.from_frame(frame)
-    m = as_columns(measurements, frame)
-    return _level_system(layout, m.i, m.j, m.y - np.floor(m.y), m.x, np.ones(len(m)), 0.0)
+def build_system_raw(columns: MeasurementColumns) -> LinearSystem:
+    """One data row per measurement, in the cell it was located in, at its own
+    year fraction and unit weight."""
+    layout = ParameterLayout.from_frame(columns.frame)
+    t = columns.y - np.floor(columns.y)
+    return _level_system(layout, columns.i, columns.j, t, columns.x, np.ones(len(t)), 0.0)
 
 
 def build_system_aggregated(frame: Frame, cells: list[AggregatedCell]) -> LinearSystem:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FrameTooSmall, NotOnBoundary, OutOfFrame
+from .errors import FrameTooSmall, NotOnBoundary
 
 
 class CellIndex(NamedTuple):
@@ -88,34 +88,14 @@ class Frame:
     def contains(self, y: float, a: float) -> bool:
         return self.y_min <= y <= self.y_max and self.a_min <= a <= self.a_max
 
-    def locate(self, y: float, a: float) -> CellIndex:
-        """Relative cell containing (y, a).
-
-        Integer boundary membership is exact: an age equal to j + t lands in
-        cell j (right boundary included).  Points inside the rectangle whose
-        cell falls outside the lattice (possible only in sliver corners of
-        frames with non-integer age bounds) are rejected as out of frame.
-        """
-        if not self.contains(y, a):
-            raise OutOfFrame(f"point (y={y}, a={a}) outside frame")
-        i_abs, j_abs, _ = _absolute_cell(y, a)
-        i = i_abs - self.i_min
-        j = j_abs - self.j_min
-        if not (0 <= i <= self.i_span and 0 <= j <= self.j_span):
-            raise OutOfFrame(
-                f"point (y={y}, a={a}) falls in cell ({i_abs}, {j_abs}) "
-                f"outside the frame lattice"
-            )
-        return CellIndex(i, j)
-
     def cells(self, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Relative cells (i, j) of the points (y[k], a[k]), and the mask of
-        the points `locate` accepts.
+        the points inside the frame and its lattice: the one locator of
+        measurements, `_absolute_cell` vectorized with the same IEEE operations.
 
-        The arithmetic of `_absolute_cell`, vectorized: the same IEEE
-        operations, so accepted cells equal `locate`'s exactly.  Rejected
-        points (outside the frame or its lattice, or not finite) get cell
-        (0, 0).
+        An age equal to j + t lands in cell j (right boundary included).
+        Points outside the frame, in a sliver corner whose cell falls outside
+        the lattice, or not finite get cell (0, 0).
         """
         with np.errstate(invalid="ignore"):
             i = np.floor(y)
@@ -127,18 +107,6 @@ class Frame:
             & (0 <= i) & (i <= self.i_span) & (0 <= j) & (j <= self.j_span)
         )
         return np.where(inside, i, 0).astype(int), np.where(inside, j, 0).astype(int), inside
-
-    def locate_many(self, y: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Relative cell indices (i, j) of the points (y[k], a[k]), as `locate`.
-
-        Raises OutOfFrame with `locate`'s message for the first point it
-        rejects.
-        """
-        i, j, inside = self.cells(y, a)
-        if not inside.all():
-            k = int(np.argmin(inside))
-            self.locate(float(y[k]), float(a[k]))
-        return i, j
 
 
 @dataclass(frozen=True)

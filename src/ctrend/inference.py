@@ -45,9 +45,6 @@ class ClusterGrid:
     def shape(self) -> tuple[int, int]:
         return self.means.shape
 
-    def flat(self, p: int, q: int) -> int:
-        return p * self.means.shape[1] + q
-
 
 @dataclass(frozen=True)
 class ComparisonResult:

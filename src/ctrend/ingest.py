@@ -27,7 +27,8 @@ Each row is counted under the first reason that applies, in this order:
 
 Rows are numbered by CSV record, the header being row 1.  Blank and
 whitespace-only records are skipped: they keep their number but are not
-counted.
+counted.  The accepted rows come back as `MeasurementColumns`, the one
+measurement form: columns located once, carrying their frame.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Iterator, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -66,17 +67,10 @@ BLOCK_ROWS = 4096
 _CHUNK = 256
 
 
-class Measurement(NamedTuple):
-    """One survey record: state value x at decimal year y and age a."""
-
-    x: float
-    y: float
-    a: float
-
-
 @dataclass(frozen=True)
 class MeasurementColumns:
-    """Measurements as columns, with the cell (i, j) of each row in `frame`."""
+    """Measurements as columns, with the cell (i, j) of each row in `frame`: the
+    one measurement form, located once by what makes the rows."""
 
     frame: Frame
     x: np.ndarray = field(repr=False)
@@ -87,26 +81,6 @@ class MeasurementColumns:
 
     def __len__(self) -> int:
         return len(self.x)
-
-
-def as_columns(
-    measurements: MeasurementColumns | Sequence[Measurement], frame: Frame
-) -> MeasurementColumns:
-    """`measurements` as columns located in `frame`.
-
-    Columns already located in `frame` pass through unchanged; anything else
-    is located here.  Raises OutOfFrame for the first measurement outside the
-    frame.
-    """
-    if isinstance(measurements, MeasurementColumns):
-        if measurements.frame == frame:
-            return measurements
-        x, y, a = measurements.x, measurements.y, measurements.a
-    else:
-        flat = np.fromiter(chain.from_iterable(measurements), float, count=3 * len(measurements))
-        x, y, a = flat.reshape(-1, 3).T
-    i, j = frame.locate_many(y, a)
-    return MeasurementColumns(frame, x, y, a, i, j)
 
 
 @dataclass(frozen=True)
@@ -326,20 +300,18 @@ def load_measurements(
         raise MalformedFile(f"input is not valid UTF-8: {exc}") from exc
 
 
-def aggregate(
-    measurements: MeasurementColumns | Sequence[Measurement], frame: Frame
-) -> list[AggregatedCell]:
-    """Summarize measurements per parallelogram cell, ordered by (i, j).
+def aggregate(columns: MeasurementColumns) -> list[AggregatedCell]:
+    """Summarize measurements per parallelogram cell of their frame, ordered by (i, j).
 
     A stable sort on the cell key keeps each cell's members in input order,
     and the sums use numpy's pairwise accumulation over them, so the result
     is deterministic and permutation-invariant up to that summation (means
     first, then the corrected sum of squares).
     """
-    m = as_columns(measurements, frame)
-    key = m.i * (frame.j_span + 1) + m.j
+    width = columns.frame.j_span + 1
+    key = columns.i * width + columns.j
     order = np.argsort(key, kind="stable")
-    x, y, key = m.x[order], m.y[order], key[order]
+    x, y, key = columns.x[order], columns.y[order], key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
     cells = []
     for lo, hi in zip(starts, starts[1:] + [len(key)]):
@@ -347,7 +319,7 @@ def aggregate(
         x_bar = float(np.mean(xs))
         cells.append(
             AggregatedCell(
-                cell=CellIndex(*divmod(int(key[lo]), frame.j_span + 1)),
+                cell=CellIndex(*divmod(int(key[lo]), width)),
                 x_bar=x_bar,
                 y_bar=float(np.mean(y[lo:hi])),
                 n=hi - lo,

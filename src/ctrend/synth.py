@@ -4,8 +4,8 @@ A ground-truth model carries boundary levels, the trend field, and a
 homoscedastic Gaussian noise scale.  `true_level` evaluates the noiseless
 state value along the cohort path, independent of the design matrices, so it
 doubles as their oracle.  `generate` draws measurements from a sampling plan
-with a counter-based Philox generator, reproducibly from the seed alone.
-The smooth models that the tests generate from live in `tests/zref.py`.
+with a counter-based Philox generator, reproducibly from the seed alone, as
+columns located in the model's frame.  The smooth models that the tests generate from live in `tests/zref.py`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PlanOutOfFrame, SpecMismatch
 from .grid import CellIndex, Frame, ParameterLayout
-from .ingest import Measurement
+from .ingest import MeasurementColumns
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,19 @@ def survey_plan(
     return SamplingPlan(tuple(entries))
 
 
-def generate(model: TrueModel, plan: SamplingPlan, seed: int) -> list[Measurement]:
+def generate(model: TrueModel, plan: SamplingPlan, seed: int) -> MeasurementColumns:
     """Draw one measurement per plan entry; deterministic for a fixed seed.
 
     Measurements are placed at integer age j (always inside the slanted
-    cell for any fraction) and decimal year floor+fraction.  Noise is
-    N(0, noise_sd) from a Philox stream keyed by `seed`.  An entry outside
-    the frame, or one `true_level` rejects, raises PlanOutOfFrame.
+    cell for any fraction) and decimal year floor+fraction, and come back as
+    columns located in `model.frame` by `Frame.cells`, as ingest locates
+    them.  Noise is N(0, noise_sd) from a Philox stream keyed by `seed`.  An
+    entry outside the frame, or one `true_level` rejects, raises
+    PlanOutOfFrame.
     """
     frame = model.frame
     rng = np.random.Generator(np.random.Philox(seed))
-    out = []
+    rows = []
     for i, j, t in plan.entries:
         y, a = frame.i_min + i + t, frame.j_min + j
         if not frame.contains(y, a):
@@ -122,5 +124,7 @@ def generate(model: TrueModel, plan: SamplingPlan, seed: int) -> list[Measuremen
         x = true_level(model, CellIndex(i, j), t)
         if model.noise_sd > 0:
             x += rng.normal(0.0, model.noise_sd)
-        out.append(Measurement(x=float(x), y=float(y), a=float(a)))
-    return out
+        rows.append((x, y, a))
+    x, y, a = np.array(rows, dtype=float).reshape(-1, 3).T
+    i, j, _ = frame.cells(y, a)
+    return MeasurementColumns(frame, x, y, a, i, j)

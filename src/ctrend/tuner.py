@@ -159,10 +159,11 @@ class SmoothnessTargets:
     selected_point_u: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.f_smv < 1.0 and 0.0 < self.f_smu < 1.0):
-            raise IndexOutOfRange("smoothness targets must lie strictly inside (0, 1)")
+        for name, value in (("f_smv", self.f_smv), ("f_smu", self.f_smu)):
+            if not 0.0 < value < 1.0:
+                raise IndexOutOfRange(f"{name} must lie strictly inside (0, 1), got {value!r}")
         if not self.delta > 0:
-            raise IndexOutOfRange("accuracy delta must be positive")
+            raise IndexOutOfRange(f"delta must be positive, got {self.delta!r}")
         if self.fstat_kind not in FSTAT_KINDS:
             raise IndexOutOfRange(f"unknown fstat kind {self.fstat_kind!r}")
 

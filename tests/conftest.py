@@ -73,7 +73,7 @@ def small_model(small_frame, small_layout):
 @pytest.fixture(scope="session")
 def small_noisefree_system(small_frame, small_model):
     meas = generate(small_model, full_coverage_plan(small_frame, (0.25, 0.75)), seed=5)
-    return build_system_raw(small_frame, meas)
+    return build_system_raw(meas)
 
 
 @pytest.fixture(scope="session")
@@ -87,5 +87,5 @@ def small_noisy_fit(small_frame, small_layout):
         noise_sd=0.6,
     )
     meas = generate(model, full_coverage_plan(small_frame, (0.2, 0.5, 0.8), per_fraction=3), seed=9)
-    system = build_system_raw(small_frame, meas)
+    system = build_system_raw(meas)
     return solve(system, 1.0, 1.0)

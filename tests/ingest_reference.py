@@ -1,12 +1,14 @@
 """Per-row reference implementations of ingest, for the tests to hold the
 columnar `ctrend.ingest` against.
 
-`derive_bmi` and `derive_age_year` derive one derived-schema record, the
-scalar reference of `ctrend.ingest._derive`.  `load_rows` parses, derives and
-locates one record at a time with them and `Frame.locate`;
-`aggregate_buckets` groups measurements in a dict keyed by `Frame.locate`'s
-cell.  `rows` is the row view of measurement columns, and
-`measurements_to_csv` writes measurements back as ``xya`` CSV text.
+A `Measurement` is one row (x, y, a).  `locate` is the scalar reference of
+`Frame.cells`, and `derive_bmi` and `derive_age_year` derive one
+derived-schema record, the scalar reference of `ctrend.ingest._derive`.
+`load_rows` parses, derives and locates one record at a time with them;
+`aggregate_buckets` groups measurements in a dict keyed by `locate`'s cell.
+`columns` turns rows written by hand into the one measurement form of
+`ctrend`, `rows` is the row view of such columns, and `measurements_to_csv`
+writes measurements back as ``xya`` CSV text.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ctrend.errors import MalformedFile, OutOfFrame
+from ctrend.grid import CellIndex, Frame, _absolute_cell
 from ctrend.ingest import (
     REASON_INVALID_DERIVATION,
     REASON_NON_FINITE,
@@ -26,13 +29,50 @@ from ctrend.ingest import (
     REASON_UNPARSABLE,
     SCHEMA_XYA,
     AggregatedCell,
-    Measurement,
     MeasurementColumns,
     ValidationReport,
     _COLUMNS,
 )
 
 MAX_REJECT_DETAILS = 20
+
+
+class Measurement(NamedTuple):
+    """One survey record: state value x at decimal year y and age a."""
+
+    x: float
+    y: float
+    a: float
+
+
+def locate(frame: Frame, y: float, a: float) -> CellIndex:
+    """Relative cell of `frame` containing (y, a).
+
+    Integer boundary membership is exact: an age equal to j + t lands in
+    cell j (right boundary included).  Points inside the rectangle whose
+    cell falls outside the lattice (possible only in sliver corners of
+    frames with non-integer age bounds) are rejected as out of frame.
+    """
+    if not frame.contains(y, a):
+        raise OutOfFrame(f"point (y={y}, a={a}) outside frame")
+    i_abs, j_abs, _ = _absolute_cell(y, a)
+    i = i_abs - frame.i_min
+    j = j_abs - frame.j_min
+    if not (0 <= i <= frame.i_span and 0 <= j <= frame.j_span):
+        raise OutOfFrame(
+            f"point (y={y}, a={a}) falls in cell ({i_abs}, {j_abs}) "
+            f"outside the frame lattice"
+        )
+    return CellIndex(i, j)
+
+
+def columns(measurements: Iterable[Measurement], frame: Frame) -> MeasurementColumns:
+    """Measurement rows, every one inside `frame`, as columns located there
+    by `Frame.cells`."""
+    x, y, a = np.array(list(measurements), dtype=float).reshape(-1, 3).T
+    i, j, inside = frame.cells(y, a)
+    assert inside.all(), f"rows {np.flatnonzero(~inside).tolist()} lie outside the frame"
+    return MeasurementColumns(frame, x, y, a, i, j)
 
 
 def derive_bmi(weight: float, height: float) -> float:
@@ -147,7 +187,7 @@ def load_rows(source, schema: str, frame) -> tuple[list[Measurement], Validation
             _reject(report, row_number, REASON_NON_FINITE)
             continue
         try:
-            frame.locate(m.y, m.a)
+            locate(frame, m.y, m.a)
         except OutOfFrame:
             _reject(report, row_number, REASON_OUT_OF_FRAME)
             continue
@@ -160,7 +200,7 @@ def aggregate_buckets(measurements, frame) -> list[AggregatedCell]:
     """Per-cell summaries from dict buckets of members in input order."""
     buckets: dict = {}
     for m in measurements:
-        buckets.setdefault(frame.locate(m.y, m.a), []).append(m)
+        buckets.setdefault(locate(frame, m.y, m.a), []).append(m)
     cells = []
     for cell in sorted(buckets):
         members = buckets[cell]

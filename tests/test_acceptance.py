@@ -27,6 +27,7 @@ from ctrend.synth import (
     survey_plan,
 )
 from ctrend.tuner import SmoothnessTargets, tune
+from ingest_reference import Measurement, columns
 from zref import build_z2v, cov_z, smooth_boundary, smooth_trend, z_hat, z_true
 
 
@@ -47,7 +48,7 @@ def test_criterion_1_exact_recovery():
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd=0.0)
     measurements = generate(model, full_coverage_plan(frame, (0.25, 0.75)), seed=7)
     start = time.perf_counter()
-    system = build_system_raw(frame, measurements)
+    system = build_system_raw(measurements)
     fit = solve(system, 0.0, 0.0)
     elapsed = time.perf_counter() - start
     err = np.max(np.abs(z_hat(fit) - z_true(model))) / np.max(np.abs(z_true(model)))
@@ -57,8 +58,6 @@ def test_criterion_1_exact_recovery():
 
 
 def test_criterion_2_aggregated_equals_raw():
-    from ctrend.ingest import Measurement
-
     frame = Frame.from_bounds(1990.0, 1996.9, 20.0, 30.0)
     rng = np.random.Generator(np.random.Philox(11))
     measurements = []
@@ -72,9 +71,9 @@ def test_criterion_2_aggregated_equals_raw():
                 measurements.append(
                     Measurement(base + 0.25 * k + 0.125 * rng.integers(0, 8), y, a)
                 )
-    fit_raw = solve(build_system_raw(frame, measurements), 1.0, 1.0)
+    fit_raw = solve(build_system_raw(columns(measurements, frame)), 1.0, 1.0)
     fit_agg = solve(
-        build_system_aggregated(frame, aggregate(measurements, frame)), 1.0, 1.0
+        build_system_aggregated(frame, aggregate(columns(measurements, frame))), 1.0, 1.0
     )
     dz = np.max(np.abs(z_hat(fit_raw) - z_hat(fit_agg)))
     ds = abs(fit_raw.sigma2_hat - fit_agg.sigma2_hat)
@@ -86,8 +85,6 @@ def test_criterion_2_aggregated_equals_raw():
 def test_criterion_3_four_point_uniqueness():
     frame = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
     layout = ParameterLayout.from_frame(frame)
-    from ctrend.ingest import Measurement
-
     rng = np.random.default_rng(2024)
     worst = 0.0
     produced = 0
@@ -100,7 +97,7 @@ def test_criterion_3_four_point_uniqueness():
             continue
         produced += 1
         ms = [Measurement(20.0 + k, y, a) for k, (y, a) in enumerate(points)]
-        fit = solve(build_system_raw(frame, ms), 1.0, 1.0)
+        fit = solve(build_system_raw(columns(ms, frame)), 1.0, 1.0)
         worst = max(worst, fit.condition)
         assert fit.condition < 1e12
     # three collinear points among only four: never sufficient
@@ -121,7 +118,7 @@ def test_criterion_4_strong_level_smoothing_limit():
     measurements = generate(
         model, full_coverage_plan(frame, (0.1, 0.3, 0.5, 0.7), per_fraction=16), seed=3
     )
-    fit = solve(build_system_raw(frame, measurements), 1e10, 1.0)
+    fit = solve(build_system_raw(measurements), 1e10, 1.0)
     assert fit.s1 <= 1e-6, f"s1 = {fit.s1:.3e}"
     ni, nj = layout.level_shape
     ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
@@ -141,7 +138,7 @@ def test_criterion_5_tuner_hits_study_targets():
     layout = ParameterLayout.from_frame(frame)
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd=3.5)
     plan = survey_plan(frame, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
-    cells = aggregate(generate(model, plan, seed=42), frame)
+    cells = aggregate(generate(model, plan, seed=42))
     assert len(cells) == 120
     system = build_system_aggregated(frame, cells)
     targets = SmoothnessTargets(f_smv=0.2, f_smu=0.2, delta=0.05)
@@ -179,7 +176,7 @@ def test_criterion_6_inference_oracles(small_noisy_fit):
     for comp in comparisons:
         if not comp.testable:
             continue
-        ka, kb = grid.flat(*comp.cluster_a), grid.flat(*comp.cluster_b)
+        ka, kb = (np.ravel_multi_index(c, grid.shape) for c in (comp.cluster_a, comp.cluster_b))
         diff = grid.means.ravel()[ka] - grid.means.ravel()[kb]
         f_ref = diff**2 / (grid.cov[ka, ka] - 2 * grid.cov[ka, kb] + grid.cov[kb, kb])
         assert comp.f_value == pytest.approx(f_ref, rel=1e-12)
@@ -216,7 +213,7 @@ def test_criterion_7_step_decrease_detected():
 
     def fit_once(u_field, seed):
         model = TrueModel(frame, v0, u_field, noise_sd=1.0)
-        system = build_system_aggregated(frame, aggregate(generate(model, plan, seed), frame))
+        system = build_system_aggregated(frame, aggregate(generate(model, plan, seed)))
         fit = solve(system, lam, lam)
         grid = cluster_means(fit, 5, 5)
         comp = next(
@@ -229,7 +226,7 @@ def test_criterion_7_step_decrease_detected():
     # pilot run without the step fixes the effect scale: three times the
     # summed standard errors of the compared cluster means
     grid, _ = fit_once(u_base, seed=123)
-    ka, kb = grid.flat(0, 1), grid.flat(1, 1)
+    ka, kb = (np.ravel_multi_index(c, grid.shape) for c in ((0, 1), (1, 1)))
     effect = 3.0 * (math.sqrt(grid.cov[ka, ka]) + math.sqrt(grid.cov[kb, kb]))
     u_step = u_base.copy()
     u_step[5:, 5:10] -= effect   # trend drops in later years for middle ages
@@ -245,7 +242,7 @@ def test_criterion_7_step_decrease_detected():
 
 def test_criterion_8_penalty_construction_cross_check():
     # the operators `solve` factors, applied to the level surface of z
-    system = build_system_raw(study_frame(), [])
+    system = build_system_raw(columns([], study_frame()))
     layout = system.layout
     assert (layout.i_span, layout.j_span) == (10, 39)
     a_z2v = build_z2v(layout)

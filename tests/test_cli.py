@@ -12,7 +12,7 @@ from ctrend import cli, tuner
 from ctrend.errors import TuningFailure
 from ctrend.grid import Frame, ParameterLayout, _absolute_cell
 from ctrend.synth import TrueModel, generate, survey_plan
-from ingest_reference import measurements_to_csv
+from ingest_reference import measurements_to_csv, rows as measurement_rows
 from zref import smooth_boundary, smooth_trend
 
 FRAME_FLAGS = ["--y-min", "2000.0", "--y-max", "2004.9", "--a-min", "10.0", "--a-max", "16.0"]
@@ -383,7 +383,9 @@ class TestAnalyze:
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
         data = tmp_path / "data.csv"
         data.write_text(
-            measurements_to_csv(generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1)),
+            measurements_to_csv(
+                measurement_rows(generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1))
+            ),
             encoding="utf-8",
         )
         frame_flags = ["--y-min", "2000.0", "--y-max", "2006.9", "--a-min", "30.0", "--a-max", "40.0"]
@@ -567,7 +569,7 @@ class TestAnalyzeFunction:
 
 def diff_sd(grid, comparison):
     """Standard deviation of a comparison's cluster difference."""
-    ka, kb = grid.flat(*comparison.cluster_a), grid.flat(*comparison.cluster_b)
+    ka, kb = (np.ravel_multi_index(c, grid.shape) for c in (comparison.cluster_a, comparison.cluster_b))
     return np.sqrt(grid.cov[ka, ka] - 2 * grid.cov[ka, kb] + grid.cov[kb, kb])
 
 
@@ -714,7 +716,9 @@ class TestSettings:
             assert code == 2 and error["error"] == ("index-out-of-range" if out_of_range else "config")
             messages.append(error["message"])
         assert messages[0] == messages[1]
-        if not out_of_range:
+        if out_of_range:
+            assert messages[0].startswith(f"{key} must ") and messages[0].endswith(f"got {float(text)!r}")
+        else:
             assert messages[0].startswith(f"bad value for {key}: {text!r}")
         assert not (tmp_path / "out").exists()
 

@@ -3,14 +3,14 @@ import pytest
 
 from ctrend.design import (
     build_system_aggregated,
-    build_system_raw,
     build_u2uc,
     build_v2u,
 )
-from ctrend.errors import InvalidClusterSize, OutOfFrame
+from ctrend.errors import InvalidClusterSize
 from ctrend.grid import CellIndex, Frame, ParameterLayout
-from ctrend.ingest import AggregatedCell, Measurement, aggregate
+from ctrend.ingest import AggregatedCell, aggregate
 from ctrend.synth import TrueModel, generate, survey_plan
+from ingest_reference import Measurement, columns, locate
 from zref import (
     boundary_points,
     build_b0_aggregated,
@@ -69,7 +69,7 @@ class TestObservationRow:
     def test_interior_cell(self, frame, layout):
         # relative cell (2, 5), year fraction 0.3
         row = observation_row(layout, frame, 1984.3, 30.0)
-        assert frame.locate(1984.3, 30.0) == CellIndex(2, 5)
+        assert locate(frame, 1984.3, 30.0) == CellIndex(2, 5)
         expected = {
             layout.boundary_index(0, 3): 1.0,
             trend_index(layout, 1, 4): 1.0,
@@ -86,7 +86,7 @@ class TestObservationRow:
     def test_first_row_top_age(self, frame, layout):
         # relative cell (0, J), fraction 0.5
         row = observation_row(layout, frame, 1982.5, 64.0)
-        assert frame.locate(1982.5, 64.0) == CellIndex(0, 39)
+        assert locate(frame, 1982.5, 64.0) == CellIndex(0, 39)
         expected = {
             layout.boundary_index(0, 39): 1.0,
             trend_index(layout, 0, 39): 0.5,
@@ -98,7 +98,7 @@ class TestObservationRow:
         for _ in range(300):
             y = rng.uniform(frame.y_min, frame.y_max)
             a = rng.uniform(frame.a_min, frame.a_max)
-            cell = frame.locate(y, a)
+            cell = locate(frame, y, a)
             t = year_fraction(y)
             row = observation_row(layout, frame, y, a)
             d = row.coeffs
@@ -137,14 +137,14 @@ class TestDataRows:
         # all member years equal: the cell row equals each raw row
         ms = [Measurement(23.0, 1984.5, 30.0), Measurement(25.0, 1984.5, 30.0)]
         raw = build_b0_raw(layout, frame, ms)
-        rows, weights, _ = build_b0_aggregated(layout, frame, aggregate(ms, frame))
+        rows, weights, _ = build_b0_aggregated(layout, frame, aggregate(columns(ms, frame)))
         assert rows[0].coeffs == raw[0].coeffs == raw[1].coeffs
         assert rows[0].rhs == 24.0 and weights.tolist() == [2.0]
 
     def test_study_shape_aggregated_row_count(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
         ms = generate(model, survey_plan(frame, (0, 5, 10), (0.1, 0.2), 2), seed=3)
-        rows, weights, _ = build_b0_aggregated(layout, frame, aggregate(ms, frame))
+        rows, weights, _ = build_b0_aggregated(layout, frame, aggregate(ms))
         assert len(rows) == 120
         assert weights.sum() == len(ms)
 
@@ -312,15 +312,10 @@ class TestClusterMap:
 
 
 class TestLinearSystem:
-    def test_raw_out_of_frame_rejected(self, frame):
-        ms = [Measurement(24.0, 1983.5, 40.0), Measurement(25.0, 1981.5, 40.0)]
-        with pytest.raises(OutOfFrame, match="outside frame"):
-            build_system_raw(frame, ms)
-
     def test_counts_and_weights(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
         ms = generate(model, survey_plan(frame, (0, 5, 10), (0.1, 0.2), 2), seed=3)
-        system = build_system_aggregated(frame, aggregate(ms, frame))
+        system = build_system_aggregated(frame, aggregate(ms))
         assert system.n_obs == len(ms)
         assert system.data.shape[0] == 120
         assert system.penalty_v.shape[0] == 878

@@ -5,6 +5,7 @@ import pytest
 
 from ctrend.errors import FrameTooSmall, NotOnBoundary, OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
+from ingest_reference import locate
 from zref import boundary_points, cohort_path, trend_index
 
 
@@ -49,21 +50,21 @@ def frame():
 
 class TestLocate:
     def test_interior_point(self, frame):
-        assert frame.locate(1982.25, 40.0) == CellIndex(0, 15)
+        assert locate(frame, 1982.25, 40.0) == CellIndex(0, 15)
 
     def test_right_age_boundary_included(self, frame):
         # a - t lands exactly on an integer: the interval is right-closed
-        assert frame.locate(1983.5, 30.5) == CellIndex(1, 5)
+        assert locate(frame, 1983.5, 30.5) == CellIndex(1, 5)
 
     def test_below_frame_rejected(self, frame):
         with pytest.raises(OutOfFrame):
-            frame.locate(1981.0, 40.0)
+            locate(frame, 1981.0, 40.0)
 
     def test_top_edge_maps_to_last_row(self, frame):
-        assert frame.locate(1992.0, 64.0) == CellIndex(10, 39)
+        assert locate(frame, 1992.0, 64.0) == CellIndex(10, 39)
 
     def test_corner_points(self, frame):
-        assert frame.locate(1982.0, 25.0) == CellIndex(0, 0)
+        assert locate(frame, 1982.0, 25.0) == CellIndex(0, 0)
 
     def test_partition_randomized(self, frame):
         # every interior point belongs to exactly one cell of the lattice
@@ -84,10 +85,10 @@ class TestLocate:
             assert not np.any(inside_i & inside_j)
         # locate agrees on a subsample
         for k in range(0, 100_000, 5000):
-            cell = frame.locate(ys[k], aa[k])
+            cell = locate(frame, ys[k], aa[k])
             assert (cell.i, cell.j) == (i_abs[k] - frame.i_min, j_abs[k] - frame.j_min)
 
-    def test_locate_many_matches_locate(self):
+    def test_cells_match_locate(self):
         # integer years, ages exactly on a right cell boundary j + t, the
         # frame edges, and sliver corners outside the lattice (age bound 25.5)
         frame = Frame.from_bounds(1982.0, 1992.9, 25.5, 64.0)
@@ -97,29 +98,25 @@ class TestLocate:
             for a in (25.5, 25.5 + t, 26.0 + t, 40.0 + t, 63.0 + t, 64.0, 64.0 - 1e-9, 40.0):
                 points.append((y, a))
         points += [(1981.9, 40.0), (1993.0, 40.0), (1985.0, 25.4), (1985.0, 64.1)]
-        accepted, rejected = [], []
+        accepted, cells = [], []
         for y, a in points:
             try:
-                accepted.append((y, a, frame.locate(y, a)))
-            except OutOfFrame as exc:
-                rejected.append((y, a, str(exc)))
-        assert len(accepted) > 30 and len(rejected) == 6
-        y, a, cells = zip(*accepted)
-        i, j = frame.locate_many(np.array(y), np.array(a))
-        assert i.tolist() == [c.i for c in cells]
-        assert j.tolist() == [c.j for c in cells]
-        # the first rejected point raises, with locate's message
-        for y_bad, a_bad, message in rejected:
-            ys = np.array([accepted[0][0], y_bad, rejected[0][0]])
-            aa = np.array([accepted[0][1], a_bad, rejected[0][1]])
-            with pytest.raises(OutOfFrame) as info:
-                frame.locate_many(ys, aa)
-            assert str(info.value) == message
+                cells.append(locate(frame, y, a))
+                accepted.append(True)
+            except OutOfFrame:
+                accepted.append(False)
+        assert len(cells) > 30 and accepted.count(False) == 6
+        y, a = map(np.array, zip(*points))
+        i, j, inside = frame.cells(y, a)
+        assert inside.tolist() == accepted
+        assert i[inside].tolist() == [c.i for c in cells]
+        assert j[inside].tolist() == [c.j for c in cells]
+        assert not i[~inside].any() and not j[~inside].any()
 
-    def test_locate_many_rejects_non_finite(self, frame):
+    def test_cells_reject_non_finite(self, frame):
         for y, a in ((np.nan, 40.0), (np.inf, 40.0), (1983.5, np.inf)):
-            with pytest.raises(OutOfFrame):
-                frame.locate_many(np.array([1983.5, y]), np.array([40.0, a]))
+            _, _, inside = frame.cells(np.array([1983.5, y]), np.array([40.0, a]))
+            assert inside.tolist() == [True, False]
 
     def test_cohort_motion(self, frame):
         # moving along the diagonal stays in the cell or advances one step
@@ -127,9 +124,9 @@ class TestLocate:
         for _ in range(2000):
             y = rng.uniform(frame.y_min, frame.y_max - 1.0)
             a = rng.uniform(frame.a_min + 1.0, frame.a_max - 1.0)
-            cell = frame.locate(y, a)
+            cell = locate(frame, y, a)
             dt = rng.uniform(1e-9, 1.0 - (y - math.floor(y)) - 1e-9)
-            moved = frame.locate(y + dt, a + dt)
+            moved = locate(frame, y + dt, a + dt)
             assert moved in (cell, CellIndex(cell.i + 1, cell.j + 1))
 
     def test_locate_consistent_with_cohort_path(self, frame):
@@ -137,12 +134,12 @@ class TestLocate:
         for _ in range(500):
             y = rng.uniform(frame.y_min, frame.y_max)
             a = rng.uniform(frame.a_min, frame.a_max)
-            cell = frame.locate(y, a)
+            cell = locate(frame, y, a)
             boundary, _ = cohort_path(cell)
             d = min(cell.i, cell.j)
             yb, ab = y - d, a - d
             if frame.contains(yb, ab):
-                assert tuple(frame.locate(yb, ab)) == boundary
+                assert tuple(locate(frame, yb, ab)) == boundary
 
 
 class TestCohortPath:

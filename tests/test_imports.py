@@ -5,9 +5,9 @@ A stdlib-only stand-in for a linter's unused-import rule: each module of
 `src/ctrend` and `tests` is parsed with `ast`, and every name an import
 binds must be loaded somewhere in that module or listed in its `__all__`.
 Likewise every function and class that `src/ctrend` defines, methods
-included and dunders excepted, must be loaded as a name or an attribute
-somewhere in `src/ctrend`, or be listed in `ctrend.__all__`: what only the
-tests read belongs beside them.
+included and dunders excepted, must be read somewhere in `src/ctrend`, a
+method as an attribute and any other definition as a name, or be listed in
+`ctrend.__all__`: what only the tests read belongs beside them.
 """
 
 import ast
@@ -65,19 +65,31 @@ def test_an_unread_import_is_found():
 
 def unread_definitions(trees: list[ast.Module]) -> dict[str, int]:
     """Each function and class the modules define, dunders excepted, that no
-    module loads as a name or an attribute or lists in its `__all__`, with
-    the line of its first definition."""
-    defined: dict[str, int] = {}
-    read: set[str] = set()
+    module reads by its kind, with the line of its first definition.
+
+    A method, a definition in a class body, is read only through an
+    attribute load; any other definition only through a name load or a
+    module's `__all__`.  So a local variable or an attribute that shares a
+    module-level name does not read it, nor does a name that shares a
+    method's.
+    """
+    methods: dict[str, int] = {}
+    others: dict[str, int] = {}
+    names: set[str] = set()
+    attributes: set[str] = set()
     for tree in trees:
-        read |= read_names(tree)
+        names |= read_names(tree)
+        in_class = {id(d) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for d in c.body}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.setdefault(node.name, node.lineno)
-    return {name: line for name, line in defined.items() if name not in read}
+                    kind = methods if id(node) in in_class else others
+                    kind.setdefault(node.name, node.lineno)
+    unread = {name: line for name, line in others.items() if name not in names}
+    unread.update((name, line) for name, line in methods.items() if name not in attributes)
+    return unread
 
 
 def test_every_definition_is_read_or_exported():
@@ -98,3 +110,18 @@ def test_an_unread_definition_is_found():
         "called(Model().used)\n"
     )
     assert unread_definitions([exporting, tree]) == {"unread": 3, "method": 6}
+
+
+def test_a_definition_is_read_only_by_its_kind():
+    tree = ast.parse(
+        "class Grid:\n"
+        "    def flat(self): pass\n"
+        "    def size(self): pass\n"
+        "def helper(): pass\n"
+        "def order(grid):\n"
+        "    flat = grid.size()\n"
+        "    return flat, grid.helper\n"
+        "order(Grid())\n"
+    )
+    # the local `flat` does not read the method, nor `grid.helper` the function
+    assert unread_definitions([tree]) == {"flat": 2, "helper": 4}

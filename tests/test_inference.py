@@ -91,8 +91,8 @@ class TestCompareAdjacent:
         means = rng.normal(size=(2, 3))
         grid = make_grid(means, cov)
         for comp in compare_adjacent(grid):
-            ka = grid.flat(*comp.cluster_a)
-            kb = grid.flat(*comp.cluster_b)
+            ka = np.ravel_multi_index(comp.cluster_a, grid.shape)
+            kb = np.ravel_multi_index(comp.cluster_b, grid.shape)
             # recompute with the pair swapped
             diff = means.ravel()[kb] - means.ravel()[ka]
             var = cov[kb, kb] - 2 * cov[kb, ka] + cov[ka, ka]
@@ -167,17 +167,17 @@ class TestClusterMeans:
     def test_difference_variances_nonnegative(self, small_noisy_fit):
         grid = cluster_means(small_noisy_fit, 2, 2)
         for comp in compare_adjacent(grid):
-            ka, kb = grid.flat(*comp.cluster_a), grid.flat(*comp.cluster_b)
+            ka, kb = (np.ravel_multi_index(c, grid.shape) for c in (comp.cluster_a, comp.cluster_b))
             var = grid.cov[ka, ka] - 2 * grid.cov[ka, kb] + grid.cov[kb, kb]
             assert var >= -1e-10 * (grid.cov[ka, ka] + grid.cov[kb, kb])
 
     def test_requires_variance_estimate(self, small_frame):
         from ctrend.design import build_system_raw
-        from ctrend.ingest import Measurement
         from ctrend.solver import solve
+        from ingest_reference import Measurement, columns
 
         pts = [(2000.2, 11.0), (2003.4, 12.0), (2001.7, 15.0), (2002.9, 10.5)]
         ms = [Measurement(20.0, y, a) for y, a in pts]
-        fit = solve(build_system_raw(small_frame, ms), 1.0, 1.0)
+        fit = solve(build_system_raw(columns(ms, small_frame)), 1.0, 1.0)
         with pytest.raises(InsufficientDof):
             cluster_means(fit, 2, 2)

@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 from ctrend import ingest
 from ctrend.errors import MalformedFile, OutOfFrame, UnknownSchema
 from ctrend.grid import Frame
-from ctrend.ingest import (
-    Measurement,
-    aggregate,
-    as_columns,
-    load_measurements,
-)
+from ctrend.ingest import aggregate, load_measurements
 from ctrend.synth import TrueModel, generate, survey_plan
 from ingest_reference import (
+    Measurement,
     aggregate_buckets,
+    columns,
     derive_age_year,
     derive_bmi,
     load_rows,
+    locate,
     measurements_to_csv,
     rows as measurement_rows,
 )
@@ -179,7 +177,7 @@ class TestLoadMeasurements:
 class TestAggregate:
     def test_two_point_cell(self, frame):
         ms = [Measurement(20.0, 1984.25, 40.0), Measurement(22.0, 1984.25, 40.0)]
-        (cell,) = aggregate(ms, frame)
+        (cell,) = aggregate(columns(ms, frame))
         assert cell.x_bar == 21.0
         assert cell.n == 2
         assert cell.css == 2.0
@@ -187,7 +185,7 @@ class TestAggregate:
 
     def test_singleton_cells(self, frame):
         ms = [Measurement(20.0 + k, 1984.25, 30.0 + k) for k in range(5)]
-        cells = aggregate(ms, frame)
+        cells = aggregate(columns(ms, frame))
         assert len(cells) == 5
         assert all(c.n == 1 and c.css == 0.0 for c in cells)
 
@@ -197,7 +195,7 @@ class TestAggregate:
             paper_frame, smooth_boundary(paper_layout), smooth_trend(paper_layout), 0.5
         )
         ms = generate(model, survey_plan(paper_frame, (0, 5, 10), (0.1, 0.2), 2), seed=3)
-        cells = aggregate(ms, paper_frame)
+        cells = aggregate(ms)
         assert len(cells) == 120
         for wave in (0, 5, 10):
             assert sum(1 for c in cells if c.cell.i == wave) == 40
@@ -208,7 +206,7 @@ class TestAggregate:
             Measurement(rng.normal(24, 3), rng.uniform(1982, 1992), rng.uniform(25, 64))
             for _ in range(500)
         ]
-        cells = aggregate(ms, frame)
+        cells = aggregate(columns(ms, frame))
         assert sum(c.n for c in cells) == 500
         total = sum(m.x for m in ms)
         assert sum(c.n * c.x_bar for c in cells) == pytest.approx(total, rel=1e-10)
@@ -219,7 +217,7 @@ class TestAggregate:
             Measurement(rng.normal(24, 3), rng.uniform(1982, 1992), rng.uniform(25, 64))
             for _ in range(800)
         ]
-        cells = aggregate(ms, frame)
+        cells = aggregate(columns(ms, frame))
         xs = np.array([m.x for m in ms])
         grand = xs.mean()
         total_css = float(np.sum((xs - grand) ** 2))
@@ -233,8 +231,8 @@ class TestAggregate:
             Measurement(rng.normal(24, 3), rng.uniform(1982, 1992), rng.uniform(25, 64))
             for _ in range(300)
         ]
-        cells_a = aggregate(ms, frame)
-        cells_b = aggregate(list(reversed(ms)), frame)
+        cells_a = aggregate(columns(ms, frame))
+        cells_b = aggregate(columns(reversed(ms), frame))
         assert [c.cell for c in cells_a] == [c.cell for c in cells_b]
         assert [c.n for c in cells_a] == [c.n for c in cells_b]
         for ca, cb in zip(cells_a, cells_b):
@@ -247,7 +245,7 @@ class TestAggregate:
             Measurement(20.0, 1983.5, 30.0),
             Measurement(20.0, 1983.5, 60.0),
         ]
-        cells = aggregate(ms, frame)
+        cells = aggregate(columns(ms, frame))
         assert [tuple(c.cell) for c in cells] == sorted(tuple(c.cell) for c in cells)
 
 
@@ -415,7 +413,7 @@ def test_columnar_parser_matches_row_reference(schema, data, block):
     assert bits(ms.x) == bits([m.x for m in rows])
     assert bits(ms.y) == bits([m.y for m in rows])
     assert bits(ms.a) == bits([m.a for m in rows])
-    cells = [tuple(frame.locate(m.y, m.a)) for m in rows]
+    cells = [tuple(locate(frame, m.y, m.a)) for m in rows]
     assert list(zip(ms.i.tolist(), ms.j.tolist())) == cells
 
 
@@ -440,7 +438,7 @@ def test_dirty_strategy_reaches_every_reject_path():
 
 def in_frame(frame, m):
     try:
-        frame.locate(m[1], m[2])
+        locate(frame, m[1], m[2])
     except OutOfFrame:
         return False
     return True
@@ -466,8 +464,7 @@ def test_aggregate_matches_dict_buckets(y0, y_frac, a0, a_frac, spans, seed, n):
     x = rng.normal(24.0, 3.0, n)
     ms = [Measurement(*v) for v in zip(x.tolist(), y.tolist(), a.tolist()) if in_frame(frame, v)]
     want = cell_summary(aggregate_buckets(ms, frame))
-    assert cell_summary(aggregate(ms, frame)) == want
-    assert cell_summary(aggregate(as_columns(ms, frame), frame)) == want
+    assert cell_summary(aggregate(columns(ms, frame))) == want
 
 
 @pytest.mark.parametrize("n_small,n_large", [(50_000, 200_000)])

@@ -16,6 +16,7 @@ from ctrend.grid import Frame, ParameterLayout
 from ctrend.ingest import aggregate
 from ctrend.solver import solve
 from ctrend.synth import TrueModel, generate, survey_plan
+from ingest_reference import rows as measurement_rows
 from zref import (
     build_b0_aggregated,
     build_b0_raw,
@@ -34,10 +35,10 @@ RTOL = 1e-9
 
 def dense_z_fit(frame, layout, measurements, mode, lambda1, lambda2):
     if mode == "raw":
-        rows = build_b0_raw(layout, frame, measurements)
+        rows = build_b0_raw(layout, frame, measurement_rows(measurements))
         w, css = np.ones(len(rows)), 0.0
     else:
-        rows, w, css = build_b0_aggregated(layout, frame, aggregate(measurements, frame))
+        rows, w, css = build_b0_aggregated(layout, frame, aggregate(measurements))
     b0 = dense(rows, layout.dim)
     x = np.array([r.rhs for r in rows])
     b1, b2 = penalties_z(layout)
@@ -79,9 +80,9 @@ LAMBDAS = [(1e-3, 1e-3), (1.0, 1.0), (1e4, 10.0), (0.0, 1.0)]
 
 def check_against_oracle(frame, layout, measurements, mode, lambdas):
     if mode == "raw":
-        system = build_system_raw(frame, measurements)
+        system = build_system_raw(measurements)
     else:
-        system = build_system_aggregated(frame, aggregate(measurements, frame))
+        system = build_system_aggregated(frame, aggregate(measurements))
     fit = solve(system, *lambdas)
     assert fit.n_silent == (2 if lambdas[0] == 0.0 else 0)
     want = dense_z_fit(frame, layout, measurements, mode, *lambdas)

@@ -30,7 +30,7 @@ from ctrend.inference import (
     ComparisonResult,
     compare_adjacent,
 )
-from ctrend.ingest import Measurement, aggregate
+from ctrend.ingest import aggregate
 from ctrend.solver import check_uniqueness, solve
 from ctrend.tuner import SmoothnessTargets, _Evaluator, _read_pairs, fstat, smoothness_field, tune
 from ctrend.synth import (
@@ -40,6 +40,7 @@ from ctrend.synth import (
     generate,
     survey_plan,
 )
+from ingest_reference import Measurement, columns, locate, rows as measurement_rows
 from solver_reference import normal_equations
 from zref import build_v2z, build_z2v, smooth_boundary, smooth_trend, unit_cov_v
 
@@ -70,10 +71,10 @@ def test_second_differences_match_direct_sums(nrows, ncols, seed):
 def test_solve_invariant_to_measurement_order(small_frame, small_layout, rnd):
     model = TrueModel(small_frame, smooth_boundary(small_layout), smooth_trend(small_layout), 0.6)
     plan = full_coverage_plan(small_frame, (0.2, 0.5, 0.8), per_fraction=2)
-    measurements = generate(model, plan, seed=21)
-    base = solve(build_system_raw(small_frame, measurements), 1.0, 1.0)
+    measurements = measurement_rows(generate(model, plan, seed=21))
+    base = solve(build_system_raw(columns(measurements, small_frame)), 1.0, 1.0)
     rnd.shuffle(measurements)
-    fit = solve(build_system_raw(small_frame, measurements), 1.0, 1.0)
+    fit = solve(build_system_raw(columns(measurements, small_frame)), 1.0, 1.0)
     assert np.max(np.abs(fit.v_hat - base.v_hat)) <= 1e-10
     assert np.max(np.abs(unit_cov_v(fit) - unit_cov_v(base))) <= 1e-10
 
@@ -88,7 +89,7 @@ def full_coverage_fit(i_span, j_span, lambda1, lambda2):
     layout = ParameterLayout.from_frame(frame)
     assert (layout.i_span, layout.j_span) == (i_span, j_span)
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
-    system = build_system_raw(frame, generate(model, full_coverage_plan(frame, (0.25, 0.7)), seed=4))
+    system = build_system_raw(generate(model, full_coverage_plan(frame, (0.25, 0.7)), seed=4))
     return system, solve(system, lambda1, lambda2)
 
 
@@ -161,7 +162,7 @@ def test_tuned_lambdas_depend_on_design_only(small_frame, small_layout, seed, no
     def tuned(boundary_base, sd, draw_seed):
         boundary = smooth_boundary(small_layout, base=boundary_base)
         model = TrueModel(small_frame, boundary, smooth_trend(small_layout), sd)
-        system = build_system_raw(small_frame, generate(model, plan, seed=draw_seed))
+        system = build_system_raw(generate(model, plan, seed=draw_seed))
         return tune(system, targets)[1]
 
     base = tuned(24.0, 0.6, 31)
@@ -204,7 +205,7 @@ def test_gram_band_sum_matches_normal_matrix(i_span, j_span, lambda1, lambda2, s
     entries = [(i, j, 0.1 + 0.8 * rng.random()) for i, j in cells for _ in range(rng.integers(1, 5))]
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
     measurements = generate(model, SamplingPlan(tuple(entries) or ((0, 0, 0.5),)), seed=3)
-    system = build_system_aggregated(frame, aggregate(measurements, frame))
+    system = build_system_aggregated(frame, aggregate(measurements))
 
     got = system.gram_data + lambda1 * system.gram_v + lambda2 * system.gram_u
     m, rhs = normal_equations(system, lambda1, lambda2)
@@ -237,10 +238,10 @@ def test_system_operators_match_level_surface_formulas(i_span, j_span, seed):
         Measurement(0.0, float(frame.i_min + ik + tk), float(frame.j_min + jk))
         for ik, jk, tk in zip(i, j, t)
     ]
-    system = build_system_raw(frame, measurements)
+    system = build_system_raw(columns(measurements, frame))
     v = rng.normal(size=layout.level_shape)
 
-    cells = [frame.locate(m.y, m.a) for m in measurements]
+    cells = [locate(frame, m.y, m.a) for m in measurements]
     fraction = np.array([m.y - np.floor(m.y) for m in measurements])
     lo = np.array([v[c.i, c.j] for c in cells])
     hi = np.array([v[c.i + 1, c.j + 1] for c in cells])
@@ -360,7 +361,7 @@ def test_whole_field_jacobian_matches_central_differences_on_a_survey(kind, lg):
     frame = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
     layout = ParameterLayout.from_frame(frame)
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
-    system = build_system_raw(frame, generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1))
+    system = build_system_raw(generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1))
     evaluate = _Evaluator(system, SmoothnessTargets(fstat_kind=kind))
     jacobian, kept, central = jacobian_and_central_differences(evaluate, np.array(lg))
     assert kept
@@ -375,10 +376,10 @@ def test_doubling_every_raw_row_doubles_the_tuned_lambdas():
     layout = ParameterLayout.from_frame(frame)
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd=3.5)
     plan = survey_plan(frame, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
-    measurements = generate(model, plan, seed=42)
+    measurements = measurement_rows(generate(model, plan, seed=42))
     targets = SmoothnessTargets(f_smv=0.2, f_smu=0.2, delta=0.05)
     (once, report), (twice, doubled) = (
-        tune(build_system_raw(frame, measurements * copies), targets) for copies in (1, 2)
+        tune(build_system_raw(columns(measurements * copies, frame)), targets) for copies in (1, 2)
     )
     assert abs(doubled.lambda1 / (2 * report.lambda1) - 1) <= 1e-6
     assert abs(doubled.lambda2 / (2 * report.lambda2) - 1) <= 1e-6
@@ -400,13 +401,15 @@ def test_translating_frame_and_data_changes_no_bit(aggregated):
     shifted_frame = Frame.from_bounds(
         frame.y_min + 3, frame.y_max + 3, frame.a_min + 7, frame.a_max + 7
     )
-    shifted = [Measurement(m.x, m.y + 3, m.a + 7) for m in measurements]
+    shifted = columns(
+        [Measurement(m.x, m.y + 3, m.a + 7) for m in measurement_rows(measurements)], shifted_frame
+    )
     targets = SmoothnessTargets(f_smv=0.2, f_smu=0.2, delta=0.05)
 
-    def tuned(frame, rows):
+    def tuned(frame, data):
         if aggregated:
-            return tune(build_system_aggregated(frame, aggregate(rows, frame)), targets)
-        return tune(build_system_raw(frame, rows), targets)
+            return tune(build_system_aggregated(frame, aggregate(data)), targets)
+        return tune(build_system_raw(data), targets)
 
     (fit, report), (moved, moved_report) = tuned(frame, measurements), tuned(shifted_frame, shifted)
     assert (moved_report.lambda1, moved_report.lambda2) == (report.lambda1, report.lambda2)
@@ -463,8 +466,8 @@ def test_raw_and_aggregated_fits_agree_when_member_years_equal(i_span, j_span, s
             entries += [(i, j, 0.9 * float(rng.random()))] * int(rng.integers(1, 5))
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.8)
     measurements = generate(model, SamplingPlan(tuple(entries)), seed=seed)
-    raw = solve(build_system_raw(frame, measurements), 1.0, 1.0)
-    agg = solve(build_system_aggregated(frame, aggregate(measurements, frame)), 1.0, 1.0)
+    raw = solve(build_system_raw(measurements), 1.0, 1.0)
+    agg = solve(build_system_aggregated(frame, aggregate(measurements)), 1.0, 1.0)
     assert raw.n_obs == agg.n_obs
     assert np.max(np.abs(raw.v_hat - agg.v_hat)) <= 1e-10
     assert abs(raw.sigma2_hat - agg.sigma2_hat) <= 1e-10
@@ -479,10 +482,10 @@ def test_aggregate_invariant_to_row_order(i_span, j_span, rnd):
     layout = ParameterLayout.from_frame(frame)
     plan = full_coverage_plan(frame, (0.1, 0.45, 0.8), per_fraction=3)
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 2.0)
-    measurements = generate(model, plan, seed=rnd.randrange(2**32))
-    base = aggregate(measurements, frame)
+    measurements = measurement_rows(generate(model, plan, seed=rnd.randrange(2**32)))
+    base = aggregate(columns(measurements, frame))
     rnd.shuffle(measurements)
-    cells = aggregate(measurements, frame)
+    cells = aggregate(columns(measurements, frame))
     assert [(c.cell, c.n) for c in cells] == [(c.cell, c.n) for c in base]
     # Only the order of numpy's pairwise sums moves: a few ulps per value.
     scale = max(abs(m.x) for m in measurements)
@@ -526,7 +529,7 @@ def comparison_reference(grid, a, b, direction):
     tail p, or untestable where var_diff <= tol (c_aa + c_bb), the sum
     floored at the least normal float.  diff * diff is the correctly rounded
     square; float ** 2 goes through pow and can be an ulp off."""
-    ka, kb = grid.flat(*a), grid.flat(*b)
+    ka, kb = np.ravel_multi_index(a, grid.shape), np.ravel_multi_index(b, grid.shape)
     diff = float(grid.means[a] - grid.means[b])
     c_aa, c_bb, c_ab = (float(grid.cov[i, j]) for i, j in ((ka, ka), (kb, kb), (ka, kb)))
     var_diff = c_aa - 2.0 * c_ab + c_bb
@@ -648,3 +651,57 @@ def test_square_lattice_transposed_within_rounding(span, seed, n, lambdas):
     assume(fit is not None and swapped is not None)
     bound = (bandwidth(fit.layout) + 1) * np.finfo(float).eps * fit.condition * np.max(np.abs(fit.v_hat))
     assert np.max(np.abs(fit.v_hat.T - swapped.v_hat)) <= bound
+
+
+def turned_fits(i_span, j_span, seed, n, lambdas):
+    """Fits of `_level_system` on (i, j, t, x, w) drawn from `seed`, with t in
+    (0, 1), and on the same data turned by 180 degrees, (i, j, t) ->
+    (I - i, J - j, 1 - t) at the same x and w; None where `solve` finds the
+    system singular."""
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, i_span + 1, n), rng.integers(0, j_span + 1, n)
+    t = rng.integers(1, 2**53, n) / 2.0**53
+    x, w = rng.normal(25.0, 3.0, n), rng.integers(1, 50, n).astype(float)
+    css = float(rng.exponential(5.0))
+    layout = ParameterLayout(i_span, j_span)
+    fits = []
+    for rows, cols, fraction in ((i, j, t), (i_span - i, j_span - j, 1.0 - t)):
+        try:
+            fits.append(solve(_level_system(layout, rows, cols, fraction, x, w, css), *lambdas))
+        except SingularSystem:
+            fits.append(None)
+    return fits
+
+
+@settings(deadline=None, max_examples=40)
+@given(i_span=lattice_spans, j_span=lattice_spans, **transposable)
+def test_turned_lattice_within_rounding(i_span, j_span, seed, n, lambdas):
+    """Turned by 180 degrees, a row at fraction t in cell (i, j) reads
+    t v'(I-i, J-j) + (1-t) v'(I-i+1, J-j+1), so v'(p, q) = v(I+1-p, J+1-q)
+    fits the same data under the same penalties, whose stencils are
+    symmetric: v-hat turns, and u-hat, a difference along the diagonal,
+    turns and changes sign.
+
+    The bound.  In exact arithmetic the turned system is the original one
+    with its levels in reverse order.  Two roundings part them, with u =
+    eps / 2 the unit roundoff and cond the fit's `condition`:
+    - the turn computes 1 - t, and `_level_system` then 1 - (1 - t).  One
+      coefficient of each data row moves, by at most u times the row's
+      other one, so each row's term in the normal matrix and right-hand
+      side moves by at most 2u relative.  To first order that moves the
+      exact solution by at most 2u cond max|v|;
+    - `band_order` eliminates the reversed levels in the reverse order.  As
+      in the I = J transposition above, each banded Cholesky solve of lower
+      bandwidth w is backward stable (Higham 2002, Thm 10.3) and lies within
+      (w + 1) u cond max|v| of its exact solution.
+    So max|dv| <= (w + 2) eps cond max|v|, and each trend, the difference of
+    two levels, is within twice that.  The trends' scale is max|v| too: over
+    600 cases up to span 12 the worst ratio of max|dv| to eps cond max|v|
+    was 1.35, and of max|du| to eps cond max|v| 1.36, but to eps cond max|u|
+    it was 13.7.
+    """
+    fit, turned = turned_fits(i_span, j_span, seed, n, lambdas)
+    assume(fit is not None and turned is not None)
+    bound = (bandwidth(fit.layout) + 2) * np.finfo(float).eps * fit.condition * np.max(np.abs(fit.v_hat))
+    assert np.max(np.abs(turned.v_hat - fit.v_hat[::-1, ::-1])) <= bound
+    assert np.max(np.abs(turned.u_hat + fit.u_hat[::-1, ::-1])) <= 2.0 * bound

@@ -10,10 +10,11 @@ import pytest
 from ctrend.design import build_system_raw
 from ctrend.errors import SingularSystem
 from ctrend.grid import Frame
-from ctrend.ingest import Measurement, aggregate
+from ctrend.ingest import aggregate
 from ctrend.design import build_system_aggregated
 from ctrend.solver import COLLINEARITY_TOL, _collinear, check_uniqueness, solve
 from ctrend.synth import TrueModel, full_coverage_plan, generate
+from ingest_reference import Measurement, columns
 from solver_reference import normal_equations, normal_residual
 from zref import build_z2v, cov_z, smooth_boundary, smooth_trend, unit_cov_v, z_hat, z_true
 
@@ -35,7 +36,7 @@ class TestSolve:
                     ms.append(
                         Measurement(7.5, small_frame.i_min + i + t, small_frame.j_min + j)
                     )
-        system = build_system_raw(small_frame, ms)
+        system = build_system_raw(columns(ms, small_frame))
         fit = solve(system, 1.0, 1.0)
         assert np.allclose(fit.v_hat, 7.5, rtol=0, atol=1e-8)
         assert np.allclose(fit.u_hat, 0.0, rtol=0, atol=1e-8)
@@ -47,14 +48,14 @@ class TestSolve:
         ok, _ = check_uniqueness(pts)
         assert ok
         ms = [Measurement(20.0 + k, y, a) for k, (y, a) in enumerate(pts)]
-        system = build_system_raw(small_frame, ms)
+        system = build_system_raw(columns(ms, small_frame))
         fit = solve(system, 1.0, 1.0)
         assert fit.condition < 1e12
         assert fit.sigma2_hat is None and cov_z(fit) is None  # 4 obs < dim
 
     def test_singular_without_penalties(self, small_frame):
         ms = [Measurement(20.0, 2000.25, 12.0), Measurement(21.0, 2002.25, 13.0)]
-        system = build_system_raw(small_frame, ms)
+        system = build_system_raw(columns(ms, small_frame))
         with pytest.raises(SingularSystem):
             solve(system, 0.0, 0.0)
 
@@ -72,7 +73,7 @@ class TestSolve:
                     for t in (0.25, 0.75):
                         y, a = small_frame.i_min + i + t, small_frame.j_min + j
                         ms.append(Measurement(7.5 + i - j, y, a))
-        system = build_system_raw(small_frame, ms)
+        system = build_system_raw(columns(ms, small_frame))
         if n_silent is None:
             with pytest.raises(SingularSystem):
                 solve(system, 0.0, 0.0)
@@ -114,7 +115,7 @@ class TestSolve:
             small_frame, smooth_boundary(small_layout), smooth_trend(small_layout), 0.5
         )
         ms = generate(model, full_coverage_plan(small_frame, (0.2, 0.5, 0.8), per_fraction=4), seed=2)
-        system = build_system_raw(small_frame, ms)
+        system = build_system_raw(ms)
         fit = solve(system, 1e8, 1.0)
         assert fit.s1 <= 1e-6
         ni, nj = small_layout.level_shape
@@ -187,7 +188,7 @@ class TestCovariances:
                             small_frame.j_min + j,
                         )
                     )
-        fit = solve(build_system_raw(small_frame, ms), 1.0, 1.0)
+        fit = solve(build_system_raw(columns(ms, small_frame)), 1.0, 1.0)
         v = fit.v_hat
         assert np.allclose(v[1:, 1:], v[:-1, :-1], atol=1e-8)
 
@@ -220,8 +221,8 @@ class TestAggregationEquivalence:
                 base = 20.0 + (i % 3) * 0.5 + (j % 4) * 0.25   # dyadic values
                 for k in range(4):
                     ms.append(Measurement(base + 0.25 * k + 0.125 * rng.integers(0, 8), y, a))
-        sys_raw = build_system_raw(frame, ms)
-        sys_agg = build_system_aggregated(frame, aggregate(ms, frame))
+        sys_raw = build_system_raw(columns(ms, frame))
+        sys_agg = build_system_aggregated(frame, aggregate(columns(ms, frame)))
         assert sys_raw.n_obs == sys_agg.n_obs
         fr = solve(sys_raw, 1.0, 1.0)
         fa = solve(sys_agg, 1.0, 1.0)
@@ -322,7 +323,7 @@ class TestCheckUniqueness:
         frame = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
         ms = [Measurement(20.0 + k, y, a) for k, (y, a) in enumerate(pts)]
         with pytest.raises(SingularSystem):
-            solve(build_system_raw(frame, ms), 1.0, 1.0)
+            solve(build_system_raw(columns(ms, frame)), 1.0, 1.0)
 
     def test_integer_shift_keeps_acceptance(self):
         # Whole-year and whole-age shifts leave the null-space rank unchanged;

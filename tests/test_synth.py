@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrend.errors import PlanOutOfFrame, SpecMismatch
 from ctrend.grid import CellIndex, Frame, ParameterLayout
@@ -12,6 +14,7 @@ from ctrend.synth import (
     survey_plan,
     true_level,
 )
+from ingest_reference import aggregate_buckets, locate, rows
 from zref import smooth_boundary, smooth_trend, z_hat, z_true
 
 
@@ -90,7 +93,10 @@ class TestGenerate:
     def test_noise_free_values_exact(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.0)
         plan = SamplingPlan(((1, 2, 0.25), (0, 5, 0.0), (0, 5, 0.5)))
-        ms = generate(model, plan, seed=1)
+        columns = generate(model, plan, seed=1)
+        assert columns.frame == frame
+        assert (columns.i.tolist(), columns.j.tolist()) == ([1, 0, 0], [2, 5, 5])
+        ms = rows(columns)
         assert ms[0].x == true_level(model, CellIndex(1, 2), 0.25)
         assert ms[1].x == true_level(model, CellIndex(0, 5), 0.0)
         assert ms[0].y == frame.i_min + 1 + 0.25
@@ -99,8 +105,8 @@ class TestGenerate:
     def test_same_seed_same_dataset(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 1.0)
         plan = full_coverage_plan(frame, (0.25, 0.75))
-        assert generate(model, plan, seed=9) == generate(model, plan, seed=9)
-        assert generate(model, plan, seed=9) != generate(model, plan, seed=10)
+        assert rows(generate(model, plan, seed=9)) == rows(generate(model, plan, seed=9))
+        assert rows(generate(model, plan, seed=9)) != rows(generate(model, plan, seed=10))
 
     def test_plan_validation(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.0)
@@ -140,7 +146,7 @@ class TestGenerate:
     def test_survey_plan_cell_coverage(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
         ms = generate(model, survey_plan(frame, (0, 2, 4), (0.1, 0.2)), seed=4)
-        cells = aggregate(ms, frame)
+        cells = aggregate(ms)
         assert len(cells) == 3 * (frame.j_span + 1)
         assert all(c.n == 2 for c in cells)
 
@@ -150,7 +156,7 @@ class TestGenerate:
 
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.0)
         ms = generate(model, full_coverage_plan(frame, (0.25, 0.75)), seed=2)
-        fit = solve(build_system_raw(frame, ms), 0.0, 0.0)
+        fit = solve(build_system_raw(ms), 0.0, 0.0)
         err = np.max(np.abs(z_hat(fit) - z_true(model))) / np.max(np.abs(z_true(model)))
         assert err <= 1e-8
 
@@ -159,6 +165,37 @@ class TestGenerate:
         n = 10_000
         plan = SamplingPlan(((2, 3, 0.25),) * n)
         ms = generate(model, plan, seed=6)
-        (cell,) = aggregate(ms, frame)
+        (cell,) = aggregate(ms)
         target = true_level(model, CellIndex(2, 3), 0.25)
         assert abs(cell.x_bar - target) <= 4.0 / np.sqrt(n)
+
+
+@settings(max_examples=60)
+@given(
+    data=st.data(),
+    y_frac=st.sampled_from([0.0, 0.3, 0.9]), a_frac=st.sampled_from([0.0, 0.25, 0.5]),
+    spans=st.tuples(st.integers(1, 5), st.integers(2, 7)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generate_locates_rows_as_the_reference(data, y_frac, a_frac, spans, seed):
+    frame = Frame.from_bounds(1990 + y_frac, 1990 + spans[0] + 0.99, 30 + a_frac, 30 + spans[1] + 0.75)
+    layout = ParameterLayout.from_frame(frame)
+    entry = st.tuples(
+        st.integers(0, layout.i_span), st.integers(0, layout.j_span),
+        st.floats(0.0, 1.0, exclude_max=True),
+    )
+    # fractional bounds leave some lattice entries outside the frame: those are dropped
+    plan = SamplingPlan(tuple(
+        (i, j, t) for i, j, t in data.draw(st.lists(entry, min_size=5, max_size=60))
+        if frame.contains(frame.i_min + i + t, frame.j_min + j)
+    ))
+    model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 1.0)
+    columns = generate(model, plan, seed)
+    assert columns.frame == frame and len(columns) == len(plan.entries)
+    cells = [tuple(locate(frame, m.y, m.a)) for m in rows(columns)]
+    assert list(zip(columns.i.tolist(), columns.j.tolist())) == cells
+    # the plan's cell, unless i_min + i + t rounds up to the next whole year
+    for (i, j, t), cell, y in zip(plan.entries, cells, columns.y.tolist()):
+        if y < frame.i_min + i + 1:
+            assert cell == (i, j)
+    assert aggregate(columns) == aggregate_buckets(rows(columns), frame)

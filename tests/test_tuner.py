@@ -133,7 +133,7 @@ class TestTune:
         meas = generate(
             model, full_coverage_plan(small_frame, (0.2, 0.5, 0.8), per_fraction=2), seed=31
         )
-        system = build_system_raw(small_frame, meas)
+        system = build_system_raw(meas)
         # on this small grid the statistics floor above 0.2 in the strong
         # smoothing limit, so aim mid-range (study-scale grids reach 0.2)
         targets = SmoothnessTargets(f_smv=0.5, f_smu=0.5, delta=0.05)
@@ -200,7 +200,7 @@ def two_wave_system():
     frame = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
     layout = ParameterLayout.from_frame(frame)
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
-    return build_system_raw(frame, generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1))
+    return build_system_raw(generate(model, survey_plan(frame, (0, 6), (0.3,), 1), seed=1))
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,7 @@ def study_system():
     layout = ParameterLayout.from_frame(frame)
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd=3.5)
     plan = survey_plan(frame, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
-    return build_system_aggregated(frame, aggregate(generate(model, plan, seed=42), frame))
+    return build_system_aggregated(frame, aggregate(generate(model, plan, seed=42)))
 
 
 class TestWarmStartedSearch:

@@ -44,14 +44,14 @@ def model(frame, noise_sd):
 def designs():
     two_wave = Frame.from_bounds(2000.0, 2006.9, 30.0, 40.0)
     plan = survey_plan(two_wave, (0, 6), (0.3,), 1)
-    yield "two-wave", build_system_raw(two_wave, generate(model(two_wave, 0.5), plan, seed=1))
+    yield "two-wave", build_system_raw(generate(model(two_wave, 0.5), plan, seed=1))
     study = Frame.from_bounds(1982.0, 1992.99, 25.0, 64.0)
     plan = survey_plan(study, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
-    cells = aggregate(generate(model(study, 3.5), plan, seed=42), study)
+    cells = aggregate(generate(model(study, 3.5), plan, seed=42))
     yield "study", build_system_aggregated(study, cells)
     small = Frame.from_bounds(2000.0, 2004.9, 10.0, 16.0)
     plan = full_coverage_plan(small, (0.25, 0.75))
-    yield "small", build_system_raw(small, generate(model(small, 0.0), plan, seed=5))
+    yield "small", build_system_raw(generate(model(small, 0.0), plan, seed=5))
 
 
 def outcome(system, targets):

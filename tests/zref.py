@@ -32,9 +32,10 @@ from scipy import sparse
 from ctrend.design import build_v2u, second_differences
 from ctrend.errors import OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
-from ctrend.ingest import AggregatedCell, Measurement
+from ctrend.ingest import AggregatedCell
 from ctrend.solver import FitResult
 from ctrend.synth import TrueModel
+from ingest_reference import Measurement, locate
 
 
 class Row(NamedTuple):
@@ -207,7 +208,7 @@ def cell_observation_coeffs(
 
 def observation_row(layout: ParameterLayout, frame: Frame, y: float, a: float) -> Row:
     """Design row for a measurement at (y, a); the right-hand side stays 0."""
-    cell = frame.locate(y, a)
+    cell = locate(frame, y, a)
     return _row_from_coeffs(cell_observation_coeffs(layout, cell, year_fraction(y)))
 
 
@@ -217,7 +218,7 @@ def build_b0_raw(
     """One data row per measurement, right-hand side the observed value."""
     rows = []
     for m in measurements:
-        cell = frame.locate(m.y, m.a)
+        cell = locate(frame, m.y, m.a)
         t = year_fraction(m.y)
         rows.append(_row_from_coeffs(cell_observation_coeffs(layout, cell, t), rhs=m.x))
     return rows
