@@ -6,11 +6,25 @@ Input is CSV with a header row, in one of two schemas:
 * ``derived``: columns ``weight, height, birth_year, exam_date`` from which
   BMI, age, and the decimal examination year are computed.
 
-The file is read in blocks of `BLOCK_ROWS` records.  The needed columns of
-a block are converted by numpy, and validation, derivation and the frame
-test run as array masks over the block.  Accepted rows are appended to
-column arrays grown in place, so memory beyond those columns is O(block),
-not O(rows).
+The header is read by the csv module.  The rest of the file is read in
+blocks of `BLOCK_ROWS` lines, each line one record, by two readers:
+
+* a *plain* line holds only the characters ``0-9 . e E + -`` and commas,
+  as many fields as the header and none of them empty, and no CR or LF
+  but its own terminator.  The csv module would split it at its commas,
+  and numpy's text loader reads each such field with the same
+  ``PyOS_string_to_double`` as `float()`, so one `numpy.loadtxt` call
+  converts a block's plain lines.  If it rejects one (``1e``, ``1.2.3``),
+  the block's plain lines take the record reader too;
+* every other line is read by the record reader: the csv module, then a
+  `float()` of each needed field.
+
+A quoted field can span lines, so from the first block that holds a quote
+character the rest of the file is read by the record reader alone, in
+blocks of `BLOCK_ROWS` records.  Either way validation, derivation and the
+frame test run as array masks over the block.  Accepted rows are appended
+to column arrays grown in place, so memory beyond those columns is
+O(block), not O(rows).
 
 Dirty rows never abort a run; they are counted per reason and reported.
 Each row is counted under the first reason that applies, in this order:
@@ -37,7 +51,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, compress, islice
 from typing import Iterator
 
 import numpy as np
@@ -61,7 +75,7 @@ REASON_INVALID_DERIVATION = "invalid-derivation"
 
 _MAX_REJECT_DETAILS = 20
 
-# CSV records converted and validated together.
+# Lines (records, once a quote has been seen) converted and validated together.
 BLOCK_ROWS = 4096
 # Strings per numpy conversion: a dirty field costs a Python loop over this many.
 _CHUNK = 256
@@ -188,9 +202,9 @@ def _floats(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return values, bad
 
 
-def _derive(fields: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _derive(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BMI, decimal year, age, and the mask of rows with no valid derivation,
-    from the four derived-schema columns, by the IEEE operations of the scalar
+    from the four derived-schema columns (a row each), by the IEEE operations of the scalar
     reference derivations in `tests/ingest_reference.py`: one product for the
     square, and the age as floor(exam) - trunc(birth), which rounds the exact
     integer difference once, as float() of it does."""
@@ -207,28 +221,111 @@ def _derive(fields: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return x, exam_date, a, invalid
 
 
-def _take_block(
-    block: list, first_row: int, positions: list[int], schema: str, frame: Frame,
-    report: ValidationReport,
-) -> tuple[np.ndarray, ...]:
-    """Validate one block of records; the accepted rows' x, y, a, i and j."""
+# Byte classes of the plain-line test, by ASCII code; any other character
+# is encoded as "?", so one byte stands for each character of a line.
+_NUMBER, _COMMA, _NEWLINE, _OTHER = range(4)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789.eE+-", np.uint8)] = _NUMBER
+_BYTE_CLASS[ord(",")] = _COMMA
+_BYTE_CLASS[[ord("\r"), ord("\n")]] = _NEWLINE
+
+
+def _plain(lines: list[str], text: str, n_fields: int) -> np.ndarray:
+    """The mask of the plain lines among `lines`, whose concatenation is `text`.
+
+    A plain line's bytes are number characters and `n_fields` - 1 commas,
+    it starts with a number character and has one after every comma, its
+    only CR and LF bytes are its terminator ("\\n", "\\r\\n", "\\r" or
+    none), and it is no longer than the csv module's field size limit.
+    """
+    codes = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
+    kind = _BYTE_CLASS.take(codes)
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths  # increasing: no line is empty
+
+    def per_line(mask: np.ndarray) -> np.ndarray:
+        # 32-bit sums, which numpy reduces into faster than 64-bit ones
+        return np.add.reduceat(mask, starts, dtype=np.int32)
+
+    comma = kind == _COMMA
+    # a comma not followed by a number character ends an empty field
+    empty = comma & np.append(kind[1:] != _NUMBER, True)
+    bad = (kind >= _NEWLINE) | empty
+    last, before = codes[ends - 1], codes[np.maximum(ends - 2, 0)]
+    terminator = (kind[ends - 1] == _NEWLINE).astype(np.intp)
+    terminator += (last == ord("\n")) & (before == ord("\r")) & (lengths > 1)
+    return (
+        (per_line(bad) == terminator) & (per_line(comma) == n_fields - 1)
+        & (kind[starts] == _NUMBER) & (lengths <= csv.field_size_limit())
+    )
+
+
+def _parse_records(records: list, positions: list[int]) -> tuple[np.ndarray, ...]:
+    """The needed fields of csv records, a row per position (nan where a
+    record cannot be read), and the masks of unparsable and counted records."""
     width = max(positions) + 1
-    short = np.fromiter(map(len, block), int, len(block)) < width
-    padded = block
+    short = np.fromiter(map(len, records), int, len(records)) < width
+    padded = records
     if short.any():
-        padded = [r if len(r) >= width else ["nan"] * width for r in block]
+        padded = [r if len(r) >= width else ["nan"] * width for r in records]
     fields, bad = zip(*(_floats([r[p] for r in padded]) for p in positions))
     unparsable = np.logical_or.reduce(bad) | short
 
     # Blank records fail to parse; skip them uncounted.
-    counted = np.ones(len(block), dtype=bool)
+    counted = np.ones(len(records), dtype=bool)
     for k in np.flatnonzero(unparsable):
-        counted[k] = bool("".join(block[k]).strip())
+        counted[k] = bool("".join(records[k]).strip())
+    return np.array(fields), unparsable, counted
 
-    finite = np.logical_and.reduce([np.isfinite(f) for f in fields])
+
+def _parse_lines(
+    lines: list[str], text: str, n_fields: int, positions: list[int]
+) -> tuple[np.ndarray, ...]:
+    """`_parse_records` of unquoted lines, each one record: plain lines by
+    `numpy.loadtxt`, the others by the record reader."""
+    plain = _plain(lines, text, n_fields)
+    fields = np.empty((len(positions), len(lines)))
+    unparsable = np.zeros(len(lines), dtype=bool)
+    counted = np.ones(len(lines), dtype=bool)
+    if plain.any():
+        try:
+            fields[:, plain] = np.loadtxt(
+                list(compress(lines, plain.tolist())), delimiter=",", comments=None,
+                usecols=positions, ndmin=2,
+            ).T
+        except ValueError:
+            plain[:] = False
+    other = ~plain
+    if other.any():
+        records = list(_records(compress(lines, other.tolist())))
+        fields[:, other], unparsable[other], counted[other] = _parse_records(records, positions)
+    return fields, unparsable, counted
+
+
+def _blocks(lines: Iterator[str], n_fields: int, positions: list[int]) -> Iterator[tuple]:
+    """`_parse_lines` of each block of lines, in file order, up to the first
+    block that holds a quote; from that block on, `_parse_records` of each
+    block of records, since a quoted field can span lines."""
+    while block := list(islice(lines, BLOCK_ROWS)):
+        text = "".join(block)
+        if '"' in text:
+            records = _records(chain(block, lines))
+            while chunk := list(islice(records, BLOCK_ROWS)):
+                yield _parse_records(chunk, positions)
+            return
+        yield _parse_lines(block, text, n_fields, positions)
+
+
+def _take_block(
+    fields: np.ndarray, unparsable: np.ndarray, counted: np.ndarray, first_row: int,
+    schema: str, frame: Frame, report: ValidationReport,
+) -> tuple[np.ndarray, ...]:
+    """Validate one block of parsed rows; the accepted rows' x, y, a, i and j."""
+    finite = np.isfinite(fields).all(axis=0)
     if schema == SCHEMA_XYA:
         x, y, a = fields
-        invalid = np.zeros(len(block), dtype=bool)
+        invalid = np.zeros(len(counted), dtype=bool)
     else:
         x, y, a, invalid = _derive(fields)
     i, j, inside = frame.cells(y, a)
@@ -247,8 +344,8 @@ def _take_block(
 
 
 def _read(source, schema: str, frame: Frame) -> tuple[MeasurementColumns, ValidationReport]:
-    records = _records(source)
-    header = next(records, None)
+    lines = iter(source)
+    header = next(_records(lines), None)
     if header is _UNREADABLE:
         raise MalformedFile("cannot read CSV header")
     report = ValidationReport()
@@ -264,9 +361,9 @@ def _read(source, schema: str, frame: Frame) -> tuple[MeasurementColumns, Valida
     positions = [names.index(c) for c in _COLUMNS[schema]]
 
     first_row = 2
-    while block := list(islice(records, BLOCK_ROWS)):
-        kept = _take_block(block, first_row, positions, schema, frame, report)
-        first_row += len(block)
+    for fields, unparsable, counted in _blocks(lines, len(names), positions):
+        kept = _take_block(fields, unparsable, counted, first_row, schema, frame, report)
+        first_row += len(counted)
         # grown in place (realloc), so no copy of the whole column is made
         n = len(columns[0])
         for column, new in zip(columns, kept):
@@ -280,11 +377,16 @@ def load_measurements(
 ) -> tuple[MeasurementColumns, ValidationReport]:
     """Parse a CSV source, keeping in-frame rows and reporting the rest.
 
-    `source` is a path or an open text stream.  Column lookup is
-    case-insensitive; extra columns are ignored.  The accepted rows come
-    back as columns in file order, each with its cell in `frame`.  A path
-    that cannot be opened or read raises ConfigError; bytes that are not
-    UTF-8 raise MalformedFile.  A path's leading byte-order mark is skipped.
+    `source` is a path or an open text stream; a path is read as a stream
+    opened with ``newline=""``, so CR, LF and CRLF all end a line.  Column
+    lookup is case-insensitive; extra columns are ignored.  Plain lines,
+    which hold only numbers, one per header field, are converted by numpy's
+    text loader and every other record by the csv module and `float()`; the
+    values are the same either way (see the module docstring).  The
+    accepted rows come back as columns in file order, each with its cell in
+    `frame`.  A path that cannot be opened or read raises ConfigError;
+    bytes that are not UTF-8 raise MalformedFile.  A path's leading
+    byte-order mark is skipped.
     """
     if schema not in SCHEMAS:
         raise UnknownSchema(f"schema must be one of {SCHEMAS}, got {schema!r}")

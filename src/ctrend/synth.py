@@ -107,8 +107,8 @@ def generate(model: TrueModel, plan: SamplingPlan, seed: int) -> MeasurementColu
     cell for any fraction) and decimal year floor+fraction, and come back as
     columns located in `model.frame` by `Frame.cells`, as ingest locates
     them.  Noise is N(0, noise_sd) from a Philox stream keyed by `seed`.  An
-    entry outside the frame, or one `true_level` rejects, raises
-    PlanOutOfFrame.
+    entry outside the frame, one whose year i_min + i + t rounds up to the
+    next whole year, or one `true_level` rejects, raises PlanOutOfFrame.
     """
     frame = model.frame
     rng = np.random.Generator(np.random.Philox(seed))
@@ -120,6 +120,11 @@ def generate(model: TrueModel, plan: SamplingPlan, seed: int) -> MeasurementColu
             raise PlanOutOfFrame(
                 f"plan entry ({i}, {j}, {t}) places a measurement at "
                 f"(y={y}, a={a}) outside the frame"
+            )
+        if y >= frame.i_min + i + 1:
+            raise PlanOutOfFrame(
+                f"plan entry ({i}, {j}, {t}) places a measurement at y={y}, "
+                f"which rounds up into the next year's cell"
             )
         x = true_level(model, CellIndex(i, j), t)
         if model.noise_sd > 0:

@@ -132,6 +132,18 @@ class TestSimulate:
         assert json.loads(proc.stderr)["error"] == "spec-mismatch"
         assert not (tmp_path / "out" / "dataset.csv").exists()
 
+    def test_fraction_rounding_into_next_year_exit_3(self, tmp_path):
+        model = tmp_path / "model.json"
+        write_model(model, plan={"kind": "survey", "wave_years": [0], "fractions": [1 - 2**-53]})
+        proc = run_cli(
+            "simulate", *FRAME_FLAGS, "--model", str(model), "--out", str(tmp_path / "out"),
+            expect=3,
+        )
+        error = json.loads(proc.stderr)
+        assert error["error"] == "plan-out-of-frame"
+        assert "(0, 0, 0.9999999999999999)" in error["message"]
+        assert not (tmp_path / "out" / "dataset.csv").exists()
+
     def test_negative_seed_exit_2(self, tmp_path):
         model = tmp_path / "model.json"
         write_model(model)

@@ -1,5 +1,6 @@
-"""Every imported name is read in its module, and every definition of
-`ctrend` is read in `ctrend` or exported.
+"""Every imported name is read in its module, every definition of
+`ctrend` is read in `ctrend` or exported, and `ctrend.cli` loads no package
+beyond what the program needs.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module of
 `src/ctrend` and `tests` is parsed with `ast`, and every name an import
@@ -8,9 +9,17 @@ Likewise every function and class that `src/ctrend` defines, methods
 included and dunders excepted, must be read somewhere in `src/ctrend`, a
 method as an attribute and any other definition as a name, or be listed in
 `ctrend.__all__`: what only the tests read belongs beside them.
+
+Every CLI run pays for the imports of `ctrend.cli`, so a fresh interpreter
+that imports it may load the standard library, numpy and only the parts
+of scipy that the program uses (`linalg`, `special`, `sparse`), with what
+they load in turn: not `scipy.stats`, say.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +134,33 @@ def test_a_definition_is_read_only_by_its_kind():
     )
     # the local `flat` does not read the method, nor `grid.helper` the function
     assert unread_definitions([tree]) == {"flat": 2, "helper": 4}
+
+
+# What a bare interpreter loads with the libraries the program may use.
+ALLOWED_IMPORTS = "import numpy, scipy.linalg, scipy.special, scipy.sparse"
+
+
+def loaded_modules(statement: str) -> set[str]:
+    """The modules in `sys.modules` of a fresh interpreter after `statement`."""
+    probe = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    return set(json.loads(done.stdout))
+
+
+def foreign_modules(statement: str, allowed: set[str]) -> set[str]:
+    """Modules loaded by `statement` outside the standard library, numpy,
+    `ctrend` and `allowed`."""
+    own = set(sys.stdlib_module_names) | {"numpy", "ctrend"}
+    return {
+        m for m in loaded_modules(statement) - allowed if m.partition(".")[0] not in own
+    }
+
+
+def test_cli_imports_no_package_it_does_not_need():
+    allowed = loaded_modules(ALLOWED_IMPORTS)
+    assert "scipy.stats" not in allowed
+    assert foreign_modules("import ctrend.cli", allowed) == set()
+    # the check sees a package the program does not use
+    assert "scipy.stats" in foreign_modules("import ctrend.cli, scipy.stats", allowed)

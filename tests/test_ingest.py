@@ -316,11 +316,90 @@ class TestCsvRecordErrors:
         assert report.as_dict() == ref.as_dict()
 
 
+class TestPlainLines:
+    """Lines that hold only numbers and commas are read by numpy's loader,
+    the others by the csv module and `float()`, with the same result."""
+
+    HEADER = "weight,height,birth_year,exam_date\n"
+
+    @staticmethod
+    def both(text, frame):
+        """Load derived-schema `text` and check it against the row reference."""
+        ms, report = load_measurements(io.StringIO(text, newline=""), "derived", frame)
+        rows, ref = load_rows(io.StringIO(text, newline=""), "derived", frame)
+        assert report.as_dict() == ref.as_dict()
+        assert bits(ms.x) == bits([m.x for m in rows])
+        assert bits(ms.y) == bits([m.y for m in rows]) and bits(ms.a) == bits([m.a for m in rows])
+        return ms, report
+
+    def test_only_lines_that_are_not_plain_reach_the_record_reader(self, frame, monkeypatch):
+        # three blocks and a bit of plain lines under every terminator, and
+        # empty fields that the loader would reject for the whole block
+        rng = np.random.default_rng(5)
+        n = 3 * ingest.BLOCK_ROWS + 17
+        exam = rng.uniform(1982.0, 1992.9, n)
+        height = rng.uniform(1.5, 2.0, n)
+        birth = np.floor(exam) - rng.integers(20, 70, n)  # some ages out of frame
+        lines = [
+            f"{w:.2f},{h:.3f},{b:.0f},{e!r}{end}" for w, h, b, e, end in zip(
+                rng.uniform(-5.0, 100.0, n).tolist(), height.tolist(), birth.tolist(),
+                exam.tolist(), ["\n", "\r\n", "\r"] * n,
+            )
+        ]
+        dirty = {7: ",80,1.8,1950\n", 4100: "80,1.8,1950,\r\n", 9000: "80,,1950,1982.5\r"}
+        for k, line in dirty.items():
+            lines[k] = line
+        lines[-1] = "80,1.8,1950,"  # a last line with no terminator
+        strings, real = [], ingest._floats
+
+        def floats(values):
+            strings.extend(values)
+            return real(values)
+
+        monkeypatch.setattr(ingest, "_floats", floats)
+        ms, report = self.both(self.HEADER + "".join(lines), frame)
+        assert report.n_rows == n and report.reasons["unparsable"] == len(dirty) + 1
+        assert report.reasons["invalid-derivation"] > 0 and report.reasons["out-of-frame"] > 0
+        assert len(strings) == 4 * (len(dirty) + 1)
+
+    def test_block_without_plain_lines_does_not_call_the_loader(self, frame, monkeypatch):
+        # numpy's loader warns on no lines, and warnings are errors here
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 2)
+        text = self.HEADER + "abc,1.8,1950,1982.5\n80,1.8,1950\n80,1.8,1950,1982.5\n1e,1.8,1950,1982.5\n"
+        with patch.object(np, "loadtxt", wraps=np.loadtxt) as loader:
+            self.both(text, frame)
+        assert loader.call_count == 1  # the second block, whose plain line it rejects
+
+    def test_blank_records_keep_their_numbers_uncounted(self, frame):
+        text = self.HEADER + "".join([
+            "80,2.0,1950,1982.25\n", "\n", "   \n", "\r\n", "\t\r", ",,,\n", " , , , \n",
+            "abc,2.0,1950,1982.25\n", "\n", "80,2.0,1950,1999.5\n", "80,2.0,1950,1982.25\n",
+        ])
+        ms, report = self.both(text, frame)
+        assert (len(ms), report.n_rows) == (2, 4)
+        assert report.details == [(9, "unparsable"), (11, "out-of-frame")]
+
+    def test_line_over_the_field_size_limit_is_unparsable(self, frame):
+        limit = csv.field_size_limit(24)
+        try:
+            fits, over = "1982." + "5" * 19, "1982." + "5" * 20
+            text = self.HEADER + f"80,2.0,1950,{fits}\n80,2.0,1950,{over}\n80,2.0,1950,1982.5\n"
+            ms, report = self.both(text, frame)
+        finally:
+            csv.field_size_limit(limit)
+        assert len(ms) == 2 and report.details == [(3, "unparsable")]
+
+
 # Field spellings that exercise every parse and reject path.
 SPECIAL_FIELDS = [
     "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e200", "1e-200", "1e-160", "1e-150",
     "1e308", "-1e308", "0", "-0", "-1", "1_0", "1__0", " 12.5 ", "\t40\t", "", "  ", "abc",
     "0x10", "1,5", "1982", "1992.5", "25.5", "64",  # the property's frame bounds
+    # plain-line characters only: float() rejects these ...
+    "1e", "e5", "1.2.3", "+-1", ".", "-", "1e+",
+    # ... and reads these, the 400-digit ones as inf and as 1990.55...
+    "5.", "+.5", "1E5", "-0.0e-0", "9" * 400, "1990." + "5" * 396,
+    "\u0661\u0662",  # Arabic-Indic digits: float() reads 12.0
 ]
 
 
@@ -347,10 +426,12 @@ FIELD_RANGES = {
 
 @st.composite
 def dirty_csv(draw, schema):
-    """CSV text in `schema` with dirty rows, odd headers and quoting.
+    """CSV text in `schema` with dirty rows, odd headers, quoting and line
+    terminators, to be read as a file is (``newline=""``).
 
     An ``oversized`` row holds one field over the csv module's size limit,
-    which the reader cannot read.
+    which the reader cannot read.  A ``leading`` row starts with an extra
+    empty field, and a ``long`` one may end with one.
     """
     names = list(ingest._COLUMNS[schema])
     extra = draw(st.booleans())
@@ -363,7 +444,9 @@ def dirty_csv(draw, schema):
     @st.composite
     def row(draw):
         kind = draw(
-            st.sampled_from(["good"] * 6 + ["blank", "spaces", "short", "long", "oversized"])
+            st.sampled_from(
+                ["good"] * 6 + ["blank", "spaces", "short", "long", "leading", "oversized"]
+            )
         )
         if kind == "blank":
             return []
@@ -378,7 +461,9 @@ def dirty_csv(draw, schema):
         if kind == "short":
             return out[: draw(st.integers(1, len(out) - 1))]
         if kind == "long":
-            return out + ["surplus"]
+            return out + [draw(st.sampled_from(["surplus", ""]))]
+        if kind == "leading":
+            return ["", *out]
         if kind == "oversized":
             tail = draw(st.sampled_from(OVERSIZED_TAILS))
             out[draw(st.integers(0, len(out) - 1))] = TestCsvRecordErrors.LONG + tail
@@ -387,8 +472,9 @@ def dirty_csv(draw, schema):
     n_rows = draw(st.integers(0, 60))
     rows = draw(st.lists(row(), min_size=n_rows, max_size=n_rows))
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    terminator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     out = io.StringIO()
-    writer = csv.writer(out, quoting=quoting, lineterminator="\n")
+    writer = csv.writer(out, quoting=quoting, lineterminator=terminator)
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
@@ -406,8 +492,8 @@ def test_columnar_parser_matches_row_reference(schema, data, block):
     frame = Frame.from_bounds(1982.0, 1992.5, 25.5, 64.0)
     text = data.draw(dirty_csv(schema))
     with patch.object(ingest, "BLOCK_ROWS", block):
-        ms, report = load_measurements(io.StringIO(text), schema, frame)
-    rows, ref = load_rows(io.StringIO(text), schema, frame)
+        ms, report = load_measurements(io.StringIO(text, newline=""), schema, frame)
+    rows, ref = load_rows(io.StringIO(text, newline=""), schema, frame)
     assert report.as_dict() == ref.as_dict()
     assert report.reasons == ref.reasons
     assert bits(ms.x) == bits([m.x for m in rows])
@@ -427,7 +513,8 @@ def test_dirty_strategy_reaches_every_reject_path():
     def collect(data):
         nonlocal most
         for schema in ("xya", "derived"):
-            _, report = load_measurements(io.StringIO(data.draw(dirty_csv(schema))), schema, frame)
+            text = data.draw(dirty_csv(schema))
+            _, report = load_measurements(io.StringIO(text, newline=""), schema, frame)
             seen.update(report.reasons)
             most = max(most, report.n_rejected)
 

@@ -120,6 +120,17 @@ class TestGenerate:
                 seed=1,
             )
 
+    def test_entry_rounding_into_next_year_rejected(self, paper_frame, paper_layout):
+        # 1982 + (1 - 2**-53) rounds to 1983.0: the row would sit in cell (1, 3)
+        model = TrueModel(
+            paper_frame, smooth_boundary(paper_layout), smooth_trend(paper_layout), 0.0
+        )
+        t = 1 - 2**-53
+        assert paper_frame.i_min + t == paper_frame.i_min + 1
+        with pytest.raises(PlanOutOfFrame, match=r"plan entry \(0, 3, 0\.9999999999999999\)"):
+            generate(model, SamplingPlan(((0, 3, t),)), seed=1)
+        generate(model, SamplingPlan(((0, 3, 0.999999999),)), seed=1)
+
     @pytest.mark.parametrize(
         "bounds,fractions,per_fraction",
         [
@@ -184,18 +195,17 @@ def test_generate_locates_rows_as_the_reference(data, y_frac, a_frac, spans, see
         st.integers(0, layout.i_span), st.integers(0, layout.j_span),
         st.floats(0.0, 1.0, exclude_max=True),
     )
-    # fractional bounds leave some lattice entries outside the frame: those are dropped
+    # fractional bounds leave some lattice entries outside the frame, and a
+    # fraction just below 1 can round the year up: `generate` rejects both
     plan = SamplingPlan(tuple(
         (i, j, t) for i, j, t in data.draw(st.lists(entry, min_size=5, max_size=60))
         if frame.contains(frame.i_min + i + t, frame.j_min + j)
+        and frame.i_min + i + t < frame.i_min + i + 1
     ))
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 1.0)
     columns = generate(model, plan, seed)
     assert columns.frame == frame and len(columns) == len(plan.entries)
     cells = [tuple(locate(frame, m.y, m.a)) for m in rows(columns)]
     assert list(zip(columns.i.tolist(), columns.j.tolist())) == cells
-    # the plan's cell, unless i_min + i + t rounds up to the next whole year
-    for (i, j, t), cell, y in zip(plan.entries, cells, columns.y.tolist()):
-        if y < frame.i_min + i + 1:
-            assert cell == (i, j)
+    assert cells == [(i, j) for i, j, _ in plan.entries]
     assert aggregate(columns) == aggregate_buckets(rows(columns), frame)
