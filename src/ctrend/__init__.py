@@ -17,9 +17,9 @@ from .design import (
 )
 from .errors import CtrendError
 from .grid import CellIndex, Frame, ParameterLayout
-from .inference import ClusterGrid, ComparisonResult, cluster_means, compare_adjacent
+from .inference import ClusterGrid, ComparisonColumns, cluster_means, compare_adjacent
 from .ingest import (
-    AggregatedCell,
+    CellColumns,
     MeasurementColumns,
     ValidationReport,
     aggregate,
@@ -30,10 +30,10 @@ from .synth import SamplingPlan, TrueModel, full_coverage_plan, generate, survey
 from .tuner import SmoothnessReport, SmoothnessTargets, fstat, smoothness_field, tune
 
 __all__ = [
-    "AggregatedCell",
+    "CellColumns",
     "CellIndex",
     "ClusterGrid",
-    "ComparisonResult",
+    "ComparisonColumns",
     "CtrendError",
     "FitResult",
     "Frame",

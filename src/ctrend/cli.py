@@ -1,20 +1,22 @@
 """Command-line pipeline: simulate, aggregate, and analyze.
 
 `analyze` runs ingestion, optional lambda tuning, the penalized fit, and
-cluster inference and returns them without writing a file; the `analyze`
-command then writes five artifacts into the output directory: levels.csv,
-ctrends.csv, clusters.csv, comparisons.csv, and run.json (plus
-observed_means.csv when a display cell-count filter is given).
+cluster inference and returns them, cells and comparisons as columns,
+without writing a file; the `analyze` command then writes five artifacts
+into the output directory: levels.csv, ctrends.csv, clusters.csv,
+comparisons.csv, and run.json (plus observed_means.csv when a display
+cell-count filter is given).  Each CSV is written from its columns.
 Outputs are byte-identical across runs for identical inputs: floats are
 written with 12 significant digits, JSON keys are sorted, and nothing
 time- or environment-dependent is recorded.
 
 Configuration comes from an INI-style flat key=value file (section header
-optional) whose keys are the flag names with `-` turned into `_`; a flag
-overrides the file.  A command accepts only the settings it reads, in the
-file as on the command line.  Exit codes: 0 success, 2 config or usage
-error, 3 data error, 4 numerical error; every failure, usage errors
-included, prints a single JSON object with the error category to stderr.
+optional, no section special, values literal) whose keys are the flag
+names with `-` turned into `_`; a flag overrides the file.  A command
+accepts only the settings it reads, in the file as on the command line.
+Exit codes: 0 success, 2 config or usage error, 3 data error, 4 numerical
+error; every failure, usage errors included, prints a single JSON object
+with the error category to stderr.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ import numpy as np
 from . import __version__
 from .design import build_system_aggregated, build_system_raw
 from .errors import ConfigError, CtrendError, NoObservations, SpecMismatch
-from .grid import Frame
-from .ingest import SCHEMAS, AggregatedCell, ValidationReport, aggregate, load_measurements
-from .inference import ClusterGrid, ComparisonResult, cluster_means, compare_adjacent
+from .grid import Frame, ParameterLayout
+from .ingest import SCHEMAS, CellColumns, ValidationReport, aggregate, load_measurements
+from .inference import ClusterGrid, ComparisonColumns, cluster_means, compare_adjacent
 from .solver import FitResult, solve
 from .synth import SamplingPlan, TrueModel, full_coverage_plan, generate, survey_plan
 from .tuner import FSTAT_KINDS, SmoothnessReport, SmoothnessTargets, tune
@@ -43,18 +45,15 @@ from .tuner import FSTAT_KINDS, SmoothnessReport, SmoothnessTargets, tune
 MODES = ("raw", "aggregated")
 
 
-def _fmt(value) -> str:
-    """Fixed 12-significant-digit rendering; empty for missing values."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return ""
-    return format(v, ".12g")
+def _fields(column) -> list:
+    """The CSV fields of a column: floats to 12 significant digits (NaN
+    empty), flags as true or false, integers and text as they are."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return ["" if math.isnan(v) else format(v, ".12g") for v in column.tolist()]
+    if column.dtype.kind == "b":
+        return ["true" if v else "false" for v in column.tolist()]
+    return column.tolist()
 
 
 def _parse_point(text: str) -> tuple[int, int]:
@@ -147,10 +146,11 @@ _SETTINGS = {f.name: f for f in fields(RunConfig)}
 
 def _read_config_file(path: str, command: str, keys: tuple[str, ...]) -> dict[str, str]:
     """The text of each setting in the config file; `keys` are the command's."""
-    parser = configparser.ConfigParser()
+    # Values are literal, and no section is special: no header names the empty default section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not text.lstrip().startswith("["):
         text = "[run]\n" + text
@@ -187,12 +187,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """A table from its columns, each written by `_fields`."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows(zip(*map(_fields, columns)))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -204,12 +205,10 @@ def _write_surfaces(out_dir: Path, frame: Frame, fit: FitResult) -> None:
         ("ctrends.csv", fit.u_hat, fit.trend_stderr()),
     ):
         half = fit.ci_halfwidth(stderr)
-        rows = [
-            [frame.i_min + i, frame.j_min + j,
-             *map(_fmt, (e, stderr[i, j], e - half[i, j], e + half[i, j]))]
-            for (i, j), e in np.ndenumerate(estimate)
-        ]
-        _write_csv(out_dir / name, ["year", "age", "estimate", "stderr", "ci_lo", "ci_hi"], rows)
+        i, j = np.indices(estimate.shape)
+        columns = (frame.i_min + i, frame.j_min + j, estimate, stderr, estimate - half, estimate + half)
+        _write_csv(out_dir / name, ["year", "age", "estimate", "stderr", "ci_lo", "ci_hi"],
+                   [column.ravel() for column in columns])
 
 
 def _write_json(path: Path, value) -> None:
@@ -233,21 +232,22 @@ def _load(config: RunConfig, frame: Frame):
 class Analysis:
     """One `analyze` run's results; `smoothness` is None at fixed lambdas."""
 
-    cells: list[AggregatedCell]
+    cells: CellColumns
     report: ValidationReport
     fit: FitResult
     smoothness: SmoothnessReport | None
     grid: ClusterGrid
-    comparisons: list[ComparisonResult]
+    comparisons: ComparisonColumns
 
 
 def analyze(config: RunConfig, frame: Frame) -> Analysis:
     """Fit (tuned unless both weights are fixed) and adjacent-cluster tests; writes no file."""
+    config.targets().selected_pairs(ParameterLayout.from_frame(frame))  # before any file is read
     measurements, report, cells = _load(config, frame)
     if config.mode == "raw":
         system = build_system_raw(measurements)
     else:
-        system = build_system_aggregated(frame, cells)
+        system = build_system_aggregated(cells)
     if config.lambda1 is not None:
         fit, smoothness = solve(system, config.lambda1, config.lambda2), None
     else:
@@ -261,38 +261,31 @@ def _run_analyze(config: RunConfig, frame: Frame, out_dir: Path) -> int:
     fit, grid, smoothness = analysis.fit, analysis.grid, analysis.smoothness
     _write_surfaces(out_dir, frame, fit)
 
-    stderr = np.sqrt(np.maximum(np.diag(grid.cov), 0.0)).reshape(grid.shape)
-    cluster_rows = [
-        [frame.i_min + ylo, frame.i_min + yhi, frame.j_min + alo, frame.j_min + ahi,
-         (yhi - ylo + 1) * (ahi - alo + 1), _fmt(grid.means[p, q]), _fmt(stderr[p, q])]
-        for p, (ylo, yhi) in enumerate(grid.year_bands)
-        for q, (alo, ahi) in enumerate(grid.age_bands)
-    ]
+    (ylo, yhi), (alo, ahi) = (np.array(bands).T for bands in (grid.year_bands, grid.age_bands))
+    p, q = np.divmod(np.arange(grid.means.size), grid.shape[1])
     _write_csv(
         out_dir / "clusters.csv",
         ["year_lo", "year_hi", "age_lo", "age_hi", "n_cells", "estimate", "stderr"],
-        cluster_rows,
+        (frame.i_min + ylo[p], frame.i_min + yhi[p], frame.j_min + alo[q], frame.j_min + ahi[q],
+         (yhi - ylo + 1)[p] * (ahi - alo + 1)[q], grid.means.ravel(),
+         np.sqrt(np.maximum(np.diag(grid.cov), 0.0))),
     )
 
-    comparison_rows = [
-        [c.direction, *c.cluster_a, *c.cluster_b,
-         *map(_fmt, (c.diff, c.f_value, c.p_value, c.testable))]
-        for c in analysis.comparisons
-    ]
+    c = analysis.comparisons
     _write_csv(
         out_dir / "comparisons.csv",
         ["direction", "year_band_a", "age_band_a", "year_band_b", "age_band_b",
          "diff", "f_value", "p_value", "testable"],
-        comparison_rows,
+        (c.direction, *np.divmod(c.a, grid.shape[1]), *np.divmod(c.b, grid.shape[1]),
+         c.diff, c.f_value, c.p_value, c.testable),
     )
 
     if config.min_cell_count is not None:
-        observed = [
-            [frame.i_min + c.cell.i, frame.j_min + c.cell.j, _fmt(c.x_bar), c.n]
-            for c in analysis.cells
-            if c.n > config.min_cell_count
-        ]
-        _write_csv(out_dir / "observed_means.csv", ["year", "age", "mean", "n"], observed)
+        cells = analysis.cells
+        shown = cells.n > config.min_cell_count
+        columns = (frame.i_min + cells.i, frame.j_min + cells.j, cells.x_bar, cells.n)
+        _write_csv(out_dir / "observed_means.csv", ["year", "age", "mean", "n"],
+                   [column[shown] for column in columns])
 
     run_info = {
         "version": __version__,
@@ -343,7 +336,7 @@ def _load_model(path: str, frame: Frame) -> tuple[TrueModel, SamplingPlan]:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SpecMismatch(f"model file {path} is not valid JSON: {exc}") from exc
     try:
         model = TrueModel(
@@ -375,9 +368,8 @@ def _load_model(path: str, frame: Frame) -> tuple[TrueModel, SamplingPlan]:
 def _run_simulate(config: RunConfig, frame: Frame, out_dir: Path) -> int:
     model, plan = _load_model(config.model, frame)
     measurements = generate(model, plan, config.seed)
-    columns = measurements.x.tolist(), measurements.y.tolist(), measurements.a.tolist()
-    rows = [list(map(_fmt, row)) for row in zip(*columns)]
-    _write_csv(out_dir / "dataset.csv", ["x", "year", "age"], rows)
+    _write_csv(out_dir / "dataset.csv", ["x", "year", "age"],
+               (measurements.x, measurements.y, measurements.a))
     truth = {
         "frame": {
             "y_min": frame.y_min, "y_max": frame.y_max,
@@ -395,12 +387,8 @@ def _run_simulate(config: RunConfig, frame: Frame, out_dir: Path) -> int:
 
 def _run_aggregate(config: RunConfig, frame: Frame, out_dir: Path) -> int:
     _, report, cells = _load(config, frame)
-    rows = [
-        [frame.i_min + c.cell.i, frame.j_min + c.cell.j,
-         _fmt(c.x_bar), _fmt(c.y_bar), c.n, _fmt(c.css)]
-        for c in cells
-    ]
-    _write_csv(out_dir / "aggregated.csv", ["year", "age", "x_bar", "y_bar", "n", "css"], rows)
+    _write_csv(out_dir / "aggregated.csv", ["year", "age", "x_bar", "y_bar", "n", "css"],
+               (frame.i_min + cells.i, frame.j_min + cells.j, cells.x_bar, cells.y_bar, cells.n, cells.css))
     _write_json(out_dir / "aggregate_report.json", report.as_dict())
     return 0
 

@@ -21,8 +21,8 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InvalidClusterSize, OutOfFrame
-from .grid import Frame, ParameterLayout
-from .ingest import AggregatedCell, MeasurementColumns
+from .grid import ParameterLayout
+from .ingest import CellColumns, MeasurementColumns
 
 
 def second_differences(nrows: int, ncols: int) -> sparse.csr_matrix:
@@ -194,19 +194,19 @@ def build_system_raw(columns: MeasurementColumns) -> LinearSystem:
     return _level_system(layout, columns.i, columns.j, t, columns.x, np.ones(len(t)), 0.0)
 
 
-def build_system_aggregated(frame: Frame, cells: list[AggregatedCell]) -> LinearSystem:
+def build_system_aggregated(cells: CellColumns) -> LinearSystem:
     """Cell-level system at each cell's mean year, weighted by member counts.
 
     Aggregated and raw modes coincide exactly whenever all member years
     within a cell are equal.
     """
-    layout = ParameterLayout.from_frame(frame)
-    i, j, n = np.array([(*c.cell, c.n) for c in cells], dtype=int).reshape(-1, 3).T
-    x_bar, y_bar = np.array([(c.x_bar, c.y_bar) for c in cells], dtype=float).reshape(-1, 2).T
-    i_abs = i + frame.i_min
-    outside = np.flatnonzero((y_bar < i_abs) | (y_bar >= i_abs + 1))
+    frame = cells.frame
+    i_abs = cells.i + frame.i_min
+    outside = np.flatnonzero((cells.y_bar < i_abs) | (cells.y_bar >= i_abs + 1))
     if outside.size:
-        c = cells[outside[0]]
-        raise OutOfFrame(f"cell {c.cell} mean year {c.y_bar} outside its year interval")
-    css_total = sum(c.css for c in cells)
-    return _level_system(layout, i, j, y_bar - i_abs, x_bar, n.astype(float), float(css_total))
+        k = outside[0]
+        raise OutOfFrame(f"cell ({cells.i[k]}, {cells.j[k]}) mean year {cells.y_bar[k]} "
+                         "outside its year interval")
+    css_total = float(sum(cells.css.tolist()))  # left to right, cell by cell
+    return _level_system(ParameterLayout.from_frame(frame), cells.i, cells.j, cells.y_bar - i_abs,
+                         cells.x_bar, cells.n.astype(float), css_total)

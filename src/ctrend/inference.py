@@ -10,8 +10,9 @@ F statistic
 with the upper tail taken directly by one `scipy.special.fdtrc` call per
 grid, not as 1 - F_cdf, which cancels to 0 for large F.
 
-Comparisons whose difference variance degenerates are kept in the output,
-flagged untestable, so the report shape depends only on the grid.
+The comparisons come back as columns, `ComparisonColumns`.  A pair whose
+difference variance degenerates is kept, flagged untestable with F and p
+NaN, so the columns' length depends only on the grid.
 """
 
 from __future__ import annotations
@@ -47,14 +48,20 @@ class ClusterGrid:
 
 
 @dataclass(frozen=True)
-class ComparisonResult:
-    cluster_a: tuple[int, int]
-    cluster_b: tuple[int, int]
-    direction: str
-    diff: float
-    f_value: float | None
-    p_value: float | None
-    testable: bool
+class ComparisonColumns:
+    """Adjacent-pair tests as columns, a row per pair of clusters `a` and `b` (flat
+    row-major indices of the grid); F and p are NaN where a pair is untestable."""
+
+    a: np.ndarray
+    b: np.ndarray
+    direction: np.ndarray
+    diff: np.ndarray
+    f_value: np.ndarray
+    p_value: np.ndarray
+    testable: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.a)
 
 
 def cluster_means(fit: FitResult, delta_a: int, delta_y: int) -> ClusterGrid:
@@ -86,7 +93,7 @@ def cluster_means(fit: FitResult, delta_a: int, delta_y: int) -> ClusterGrid:
     )
 
 
-def compare_adjacent(grid: ClusterGrid) -> list[ComparisonResult]:
+def compare_adjacent(grid: ClusterGrid) -> ComparisonColumns:
     """All age- and year-adjacent cluster comparisons, row-major with each
     cluster's age neighbor first, their upper tails from one `fdtrc` call.
 
@@ -107,12 +114,8 @@ def compare_adjacent(grid: ClusterGrid) -> list[ComparisonResult]:
     c_aa, c_bb = cov[a, a], cov[b, b]
     var_diff = c_aa - 2.0 * cov[a, b] + c_bb
     testable = ~(var_diff <= _DEGENERATE_REL_TOL * np.maximum(c_aa + c_bb, np.finfo(float).tiny))
-    f_value, p_value = np.full((2, len(a)), None, dtype=object)
-    f = np.square(diff[testable]) / var_diff[testable]
-    f_value[testable], p_value[testable] = f, special.fdtrc(1, grid.dof, f)
+    f_value, p_value = np.full((2, len(a)), np.nan)
+    f_value[testable] = np.square(diff[testable]) / var_diff[testable]
+    p_value[testable] = special.fdtrc(1, grid.dof, f_value[testable])
     direction = np.array([AGE_ADJACENT, YEAR_ADJACENT])[side]
-    columns = (a, b, direction, diff, f_value, p_value, testable)
-    return [
-        ComparisonResult(divmod(ka, nq), divmod(kb, nq), *rest)
-        for ka, kb, *rest in zip(*(column.tolist() for column in columns))
-    ]
+    return ComparisonColumns(a, b, direction, diff, f_value, p_value, testable)

@@ -42,7 +42,8 @@ Each row is counted under the first reason that applies, in this order:
 Rows are numbered by CSV record, the header being row 1.  Blank and
 whitespace-only records are skipped: they keep their number but are not
 counted.  The accepted rows come back as `MeasurementColumns`, the one
-measurement form: columns located once, carrying their frame.
+measurement form: columns located once, carrying their frame; `aggregate`
+summarizes them per cell as `CellColumns`, which carry it too.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, MalformedFile, UnknownSchema
-from .grid import CellIndex, Frame
+from .grid import Frame
 
 SCHEMA_XYA = "xya"
 SCHEMA_DERIVED = "derived"
@@ -98,14 +99,20 @@ class MeasurementColumns:
 
 
 @dataclass(frozen=True)
-class AggregatedCell:
-    """Per-cell summary: mean x, mean y, count, corrected sum of squares."""
+class CellColumns:
+    """Per-cell summaries as columns, one row per occupied cell (i, j) of
+    `frame` in (i, j) order: mean x, mean y, count, corrected sum of squares."""
 
-    cell: CellIndex
-    x_bar: float
-    y_bar: float
-    n: int
-    css: float
+    frame: Frame
+    i: np.ndarray = field(repr=False)
+    j: np.ndarray = field(repr=False)
+    x_bar: np.ndarray = field(repr=False)
+    y_bar: np.ndarray = field(repr=False)
+    n: np.ndarray = field(repr=False)
+    css: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.n)
 
 
 @dataclass
@@ -402,7 +409,7 @@ def load_measurements(
         raise MalformedFile(f"input is not valid UTF-8: {exc}") from exc
 
 
-def aggregate(columns: MeasurementColumns) -> list[AggregatedCell]:
+def aggregate(columns: MeasurementColumns) -> CellColumns:
     """Summarize measurements per parallelogram cell of their frame, ordered by (i, j).
 
     A stable sort on the cell key keeps each cell's members in input order,
@@ -414,18 +421,13 @@ def aggregate(columns: MeasurementColumns) -> list[AggregatedCell]:
     key = columns.i * width + columns.j
     order = np.argsort(key, kind="stable")
     x, y, key = columns.x[order], columns.y[order], key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
-    cells = []
-    for lo, hi in zip(starts, starts[1:] + [len(key)]):
+    bounds = np.append(np.flatnonzero(np.diff(key, prepend=-1)), len(key))
+    x_bar, y_bar, css = np.empty((3, len(bounds) - 1))
+    # one cell at a time: np.add.reduceat sums in another order than np.mean
+    for k, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
         xs = x[lo:hi]
-        x_bar = float(np.mean(xs))
-        cells.append(
-            AggregatedCell(
-                cell=CellIndex(*divmod(int(key[lo]), width)),
-                x_bar=x_bar,
-                y_bar=float(np.mean(y[lo:hi])),
-                n=hi - lo,
-                css=float(np.sum((xs - x_bar) ** 2)),
-            )
-        )
-    return cells
+        x_bar[k] = np.mean(xs)
+        y_bar[k] = np.mean(y[lo:hi])
+        css[k] = np.sum((xs - x_bar[k]) ** 2)
+    i, j = np.divmod(key[bounds[:-1]], width)
+    return CellColumns(columns.frame, i, j, x_bar, y_bar, np.diff(bounds), css)

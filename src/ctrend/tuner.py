@@ -167,6 +167,16 @@ class SmoothnessTargets:
         if self.fstat_kind not in FSTAT_KINDS:
             raise IndexOutOfRange(f"unknown fstat kind {self.fstat_kind!r}")
 
+    def selected_pairs(self, layout) -> list[list[int]] | None:
+        """Field-vector positions of the level and trend pairs at the selected points (None
+        unless `selected-point`); IndexOutOfRange when a point lies outside its grid."""
+        if self.fstat_kind != "selected-point":
+            return None
+        points = (self.selected_point_v or default_selected_point_v(layout),
+                  self.selected_point_u or default_selected_point_u(layout))
+        grids = [(rows, cols - 1) for rows, cols in (layout.level_shape, layout.trend_shape)]
+        return [[_age_pair(point, grid)] for point, grid in zip(points, grids)]
+
 
 @dataclass
 class SmoothnessReport:
@@ -233,13 +243,8 @@ class _Evaluator:
         self.targets = targets
         self.log_targets = np.log([targets.f_smv, targets.f_smu])
         layout = system.layout
-        self.read = self.columns = None
-        if targets.fstat_kind == "selected-point":
-            points = (targets.selected_point_v or default_selected_point_v(layout),
-                      targets.selected_point_u or default_selected_point_u(layout))
-            grids = [(rows, cols - 1) for rows, cols in (layout.level_shape, layout.trend_shape)]
-            self.read = [[_age_pair(point, grid)] for point, grid in zip(points, grids)]
-            self.columns = _pair_columns(layout, self.read)
+        self.read = targets.selected_pairs(layout)
+        self.columns = None if self.read is None else _pair_columns(layout, self.read)
         self.probes: list[_Probe] = []
         self.best: _Probe | None = None
 

@@ -5,8 +5,9 @@ A `Measurement` is one row (x, y, a).  `locate` is the scalar reference of
 `Frame.cells`, and `derive_bmi` and `derive_age_year` derive one
 derived-schema record, the scalar reference of `ctrend.ingest._derive`.
 `load_rows` parses, derives and locates one record at a time with them;
-`aggregate_buckets` groups measurements in a dict keyed by `locate`'s cell.
-`columns` turns rows written by hand into the one measurement form of
+`aggregate_buckets` groups measurements in a dict keyed by `locate`'s cell,
+`cell_columns` turns cell rows written by hand into `CellColumns`, and
+`cell_bits` holds cell columns to compare bit for bit.  `columns` turns rows written by hand into the one measurement form of
 `ctrend`, `rows` is the row view of such columns, and `measurements_to_csv`
 writes measurements back as ``xya`` CSV text.
 """
@@ -28,7 +29,7 @@ from ctrend.ingest import (
     REASON_OUT_OF_FRAME,
     REASON_UNPARSABLE,
     SCHEMA_XYA,
-    AggregatedCell,
+    CellColumns,
     MeasurementColumns,
     ValidationReport,
     _COLUMNS,
@@ -196,7 +197,7 @@ def load_rows(source, schema: str, frame) -> tuple[list[Measurement], Validation
     return accepted, report
 
 
-def aggregate_buckets(measurements, frame) -> list[AggregatedCell]:
+def aggregate_buckets(measurements, frame) -> CellColumns:
     """Per-cell summaries from dict buckets of members in input order."""
     buckets: dict = {}
     for m in measurements:
@@ -208,15 +209,24 @@ def aggregate_buckets(measurements, frame) -> list[AggregatedCell]:
         ys = np.array([m.y for m in members], dtype=float)
         x_bar = float(np.mean(xs))
         cells.append(
-            AggregatedCell(
-                cell=cell,
-                x_bar=x_bar,
-                y_bar=float(np.mean(ys)),
-                n=len(members),
-                css=float(np.sum((xs - x_bar) ** 2)),
-            )
+            (*cell, x_bar, float(np.mean(ys)), len(members), float(np.sum((xs - x_bar) ** 2)))
         )
-    return cells
+    return cell_columns(frame, cells)
+
+
+def cell_columns(frame: Frame, cells) -> CellColumns:
+    """Cell rows (i, j, x_bar, y_bar, n, css), written by hand, as columns."""
+    i, j, x_bar, y_bar, n, css = np.array(cells, dtype=float).reshape(-1, 6).T
+    return CellColumns(frame, i.astype(int), j.astype(int), x_bar, y_bar, n.astype(int), css)
+
+
+def cell_bits(cells: CellColumns) -> dict[str, tuple]:
+    """Each column of `cells` as its dtype and bytes, to compare bit for bit."""
+    return {
+        name: (column.dtype.str, column.tobytes())
+        for name in ("i", "j", "x_bar", "y_bar", "n", "css")
+        for column in [getattr(cells, name)]
+    }
 
 
 def measurements_to_csv(measurements: Iterable[Measurement]) -> str:

@@ -545,9 +545,9 @@ class TestAnalyzeFunction:
                 continue
             sd_now, sd_was = np.sqrt(now.fit.sigma2_hat), np.sqrt(was.fit.sigma2_hat)
             assert abs(sd_now - abs(c) * sd_was) <= tol
-            for a, b in zip(now.comparisons, was.comparisons):
-                assert abs(a.diff - c * b.diff) <= tol
-                assert abs(diff_sd(now.grid, a) - abs(c) * diff_sd(was.grid, b)) <= tol
+            assert len(now.comparisons) == len(was.comparisons)
+            assert np.all(np.abs(now.comparisons.diff - c * was.comparisons.diff) <= tol)
+            assert np.all(np.abs(diff_sd(now) - abs(c) * diff_sd(was)) <= tol)
 
     @pytest.mark.parametrize("mode,weights", [("raw", FIXED), ("aggregated", TUNED)])
     def test_row_order_does_not_matter(self, dataset, tmp_path, mode, weights):
@@ -579,10 +579,10 @@ class TestAnalyzeFunction:
                 assert_same_numbers(a, b)
 
 
-def diff_sd(grid, comparison):
-    """Standard deviation of a comparison's cluster difference."""
-    ka, kb = (np.ravel_multi_index(c, grid.shape) for c in (comparison.cluster_a, comparison.cluster_b))
-    return np.sqrt(grid.cov[ka, ka] - 2 * grid.cov[ka, kb] + grid.cov[kb, kb])
+def diff_sd(analysis):
+    """Standard deviation of each comparison's cluster difference."""
+    ka, kb, cov = analysis.comparisons.a, analysis.comparisons.b, analysis.grid.cov
+    return np.sqrt(cov[ka, ka] - 2 * cov[ka, kb] + cov[kb, kb])
 
 
 def assert_same_numbers(was, now):
@@ -742,3 +742,60 @@ class TestSettings:
                          "--out", str(tmp_path / "out")])
         assert code == 2 and json.loads(capsys.readouterr().err)["error"] == "index-out-of-range"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("weights", [FIXED, TUNED], ids=["fixed", "tuned"])
+    @pytest.mark.parametrize("flag", ["--point-v", "--point-u"])
+    def test_points_checked_before_reading_whatever_the_lambdas(self, tmp_path, capsys, weights, flag):
+        missing = tmp_path / "missing.csv"  # reading it would exit 2 as config
+        code = cli.main(["analyze", *FRAME_FLAGS, "--input", str(missing), *weights,
+                         flag, "99,99", "--out", str(tmp_path / "out")])
+        error = json.loads(capsys.readouterr().err)
+        assert code == 2 and error["error"] == "index-out-of-range"
+        assert "(99, 99)" in error["message"]
+
+
+class TestConfigAndModelFiles:
+    def aggregate(self, dataset, tmp_path, text, *flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        base, _ = dataset
+        return cli.main(["aggregate", "--config", str(cfg), "--input", str(base / "dataset.csv"), *flags])
+
+    def test_percent_is_read_literally(self, dataset, tmp_path):
+        out = tmp_path / "o%ut"
+        frame = "".join(f"{k} = {v}\n" for k, v in BASE_SETTINGS.items() if k in KEYS["aggregate"])
+        assert self.aggregate(dataset, tmp_path, f"{frame}out = {out}\n") == 0
+        assert (out / "aggregated.csv").is_file()
+
+    def test_default_section_is_read_as_any_section(self, dataset, tmp_path, capsys):
+        code = self.aggregate(dataset, tmp_path, "[DEFAULT]\nbogus = 1\nschema = nonsense\n",
+                              *FRAME_FLAGS, "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert json.loads(err) == {"error": "config", "message": "unknown config key 'bogus'"}
+        settings = "".join(f"{k} = {v}\n" for k, v in BASE_SETTINGS.items() if k in KEYS["aggregate"])
+        out = tmp_path / "out"
+        assert self.aggregate(dataset, tmp_path, f"[DEFAULT]\n{settings}out = {out}\n") == 0
+        assert (out / "aggregated.csv").is_file()
+
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"y_min = 2000\xff\n")
+        code = cli.main(["aggregate", "--config", str(cfg), "--input", "data.csv"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "config" and error["message"].startswith(f"cannot read config file {cfg}")
+
+    @pytest.mark.parametrize(
+        "content", [b'{"v0": [1\xff]}', b"[" * 100_000 + b"]" * 100_000], ids=["undecodable", "over-nested"]
+    )
+    def test_unreadable_model_exit_3(self, tmp_path, capsys, content):
+        model = tmp_path / "model.json"
+        model.write_bytes(content)
+        code = cli.main(["simulate", *FRAME_FLAGS, "--model", str(model), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "spec-mismatch" and error["message"].startswith(f"model file {model} ")
+        assert not (tmp_path / "out" / "dataset.csv").exists()

@@ -6,11 +6,11 @@ from ctrend.design import (
     build_u2uc,
     build_v2u,
 )
-from ctrend.errors import InvalidClusterSize
+from ctrend.errors import InvalidClusterSize, OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
-from ctrend.ingest import AggregatedCell, aggregate
+from ctrend.ingest import aggregate
 from ctrend.synth import TrueModel, generate, survey_plan
-from ingest_reference import Measurement, columns, locate
+from ingest_reference import Measurement, cell_columns, columns, locate
 from zref import (
     boundary_points,
     build_b0_aggregated,
@@ -119,32 +119,36 @@ class TestDataRows:
         assert build_b0_raw(layout, frame, []) == []
 
     def test_aggregated_single_cell(self, frame, layout):
-        cell = AggregatedCell(CellIndex(2, 5), x_bar=24.0, y_bar=1984.5, n=5, css=3.25)
-        rows, weights, css_total = build_b0_aggregated(layout, frame, [cell])
+        cells = cell_columns(frame, [(2, 5, 24.0, 1984.5, 5, 3.25)])
+        rows, weights, css_total = build_b0_aggregated(layout, cells)
         assert len(rows) == 1 and rows[0].rhs == 24.0
         assert weights.tolist() == [5.0]
         assert css_total == 3.25
 
     def test_aggregated_css_adds(self, frame, layout):
-        cells = [
-            AggregatedCell(CellIndex(2, 5), 24.0, 1984.5, 5, 3.25),
-            AggregatedCell(CellIndex(3, 6), 25.0, 1985.5, 4, 1.5),
-        ]
-        _, _, css_total = build_b0_aggregated(layout, frame, cells)
+        cells = cell_columns(frame, [(2, 5, 24.0, 1984.5, 5, 3.25), (3, 6, 25.0, 1985.5, 4, 1.5)])
+        _, _, css_total = build_b0_aggregated(layout, cells)
         assert css_total == 4.75
+
+    def test_aggregated_mean_year_outside_its_cell_rejected(self, frame, layout):
+        # cell i = 3 spans the years [1985, 1986)
+        cells = cell_columns(frame, [(2, 5, 24.0, 1984.5, 5, 0.0), (3, 6, 25.0, 1986.0, 4, 0.0)])
+        for build in (lambda: build_system_aggregated(cells), lambda: build_b0_aggregated(layout, cells)):
+            with pytest.raises(OutOfFrame, match=r"^cell \(3, 6\) mean year 1986.0 outside"):
+                build()
 
     def test_aggregated_matches_collapsed_raw(self, frame, layout):
         # all member years equal: the cell row equals each raw row
         ms = [Measurement(23.0, 1984.5, 30.0), Measurement(25.0, 1984.5, 30.0)]
         raw = build_b0_raw(layout, frame, ms)
-        rows, weights, _ = build_b0_aggregated(layout, frame, aggregate(columns(ms, frame)))
+        rows, weights, _ = build_b0_aggregated(layout, aggregate(columns(ms, frame)))
         assert rows[0].coeffs == raw[0].coeffs == raw[1].coeffs
         assert rows[0].rhs == 24.0 and weights.tolist() == [2.0]
 
     def test_study_shape_aggregated_row_count(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
         ms = generate(model, survey_plan(frame, (0, 5, 10), (0.1, 0.2), 2), seed=3)
-        rows, weights, _ = build_b0_aggregated(layout, frame, aggregate(ms))
+        rows, weights, _ = build_b0_aggregated(layout, aggregate(ms))
         assert len(rows) == 120
         assert weights.sum() == len(ms)
 
@@ -315,7 +319,7 @@ class TestLinearSystem:
     def test_counts_and_weights(self, frame, layout):
         model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), 0.5)
         ms = generate(model, survey_plan(frame, (0, 5, 10), (0.1, 0.2), 2), seed=3)
-        system = build_system_aggregated(frame, aggregate(ms))
+        system = build_system_aggregated(aggregate(ms))
         assert system.n_obs == len(ms)
         assert system.data.shape[0] == 120
         assert system.penalty_v.shape[0] == 878

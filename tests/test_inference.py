@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +29,13 @@ def f_density(x, d1, d2):
     return math.exp(log_pdf)
 
 
+def only_comparison(grid):
+    """The one comparison of a two-cluster grid, each column's value."""
+    comparisons = compare_adjacent(grid)
+    assert len(comparisons) == 1
+    return SimpleNamespace(**{f.name: getattr(comparisons, f.name).item() for f in fields(comparisons)})
+
+
 def make_grid(means, cov, dof=60):
     means = np.asarray(means, dtype=float)
     return ClusterGrid(
@@ -41,7 +50,7 @@ def make_grid(means, cov, dof=60):
 class TestCompareAdjacent:
     def test_equal_means_null_case(self):
         grid = make_grid([[1.0, 1.0]], 0.5 * np.eye(2))
-        (comp,) = compare_adjacent(grid)
+        comp = only_comparison(grid)
         assert comp.direction == AGE_ADJACENT
         assert comp.f_value == 0.0
         assert comp.p_value == 1.0
@@ -49,20 +58,20 @@ class TestCompareAdjacent:
 
     def test_hand_f_value(self):
         grid = make_grid([[3.0, 1.0]], np.eye(2))
-        (comp,) = compare_adjacent(grid)
+        comp = only_comparison(grid)
         assert comp.diff == 2.0
         assert comp.f_value == pytest.approx(2.0, rel=1e-14)
 
     def test_frozen_p_value(self):
         # independent quadrature oracle gave 0.16246748977119 for F=2, dof=60
         grid = make_grid([[3.0, 1.0]], np.eye(2), dof=60)
-        (comp,) = compare_adjacent(grid)
+        comp = only_comparison(grid)
         assert comp.p_value == pytest.approx(0.16246748977119374, rel=1e-9)
 
     def test_far_tail_p_value_is_not_cancelled(self):
         # F = 100 at dof = 3000: 1 - F_cdf rounds to 0, the upper tail is 3.5e-23
         grid = make_grid([[10.0, 0.0]], 0.5 * np.eye(2), dof=3000)
-        (comp,) = compare_adjacent(grid)
+        comp = only_comparison(grid)
         assert comp.f_value == 100.0
         tail, _ = integrate.quad(f_density, 100.0, math.inf, args=(1, 3000), limit=400)
         assert comp.p_value > 0.0
@@ -72,7 +81,7 @@ class TestCompareAdjacent:
         # near p = 1 the complement of the CDF loses nothing; the upper tail
         # must agree with it (betainc(dof/2, 1/2, dof/(dof + F)) is 4.5e-11 off)
         grid = make_grid([[0.1, 0.0]], 0.5 * np.eye(2), dof=109508)
-        (comp,) = compare_adjacent(grid)
+        comp = only_comparison(grid)
         want = 1.0 - special.fdtr(1, 109508, comp.f_value)
         assert comp.p_value == pytest.approx(want, rel=1e-13)
 
@@ -81,8 +90,8 @@ class TestCompareAdjacent:
         comps = compare_adjacent(grid)
         # 2 age-adjacent per row x 2 rows + 3 year-adjacent
         assert len(comps) == 7
-        assert sum(c.direction == AGE_ADJACENT for c in comps) == 4
-        assert sum(c.direction == YEAR_ADJACENT for c in comps) == 3
+        assert np.count_nonzero(comps.direction == AGE_ADJACENT) == 4
+        assert np.count_nonzero(comps.direction == YEAR_ADJACENT) == 3
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(5)
@@ -90,26 +99,25 @@ class TestCompareAdjacent:
         cov = half @ half.T + 6 * np.eye(6)
         means = rng.normal(size=(2, 3))
         grid = make_grid(means, cov)
-        for comp in compare_adjacent(grid):
-            ka = np.ravel_multi_index(comp.cluster_a, grid.shape)
-            kb = np.ravel_multi_index(comp.cluster_b, grid.shape)
-            # recompute with the pair swapped
-            diff = means.ravel()[kb] - means.ravel()[ka]
-            var = cov[kb, kb] - 2 * cov[kb, ka] + cov[ka, ka]
-            assert comp.f_value == pytest.approx(diff**2 / var, rel=1e-12)
+        comps = compare_adjacent(grid)
+        ka, kb = comps.a, comps.b
+        # recompute with the pair swapped
+        diff = means.ravel()[kb] - means.ravel()[ka]
+        var = cov[kb, kb] - 2 * cov[kb, ka] + cov[ka, ka]
+        assert comps.f_value == pytest.approx(diff**2 / var, rel=1e-12)
 
     def test_degenerate_variance_flagged_not_dropped(self):
         cov = np.ones((2, 2))  # perfectly correlated: zero difference variance
         grid = make_grid([[1.0, 2.0]], cov)
-        (comp,) = compare_adjacent(grid)
+        comp = only_comparison(grid)
         assert not comp.testable
-        assert comp.f_value is None and comp.p_value is None
+        assert math.isnan(comp.f_value) and math.isnan(comp.p_value)
         assert comp.diff == -1.0
 
     def test_nan_variance_stays_testable(self):
         cov = np.eye(2)
         cov[0, 0] = np.nan
-        (comp,) = compare_adjacent(make_grid([[1.0, 0.0]], cov))
+        comp = only_comparison(make_grid([[1.0, 0.0]], cov))
         assert comp.testable
         assert math.isnan(comp.f_value) and math.isnan(comp.p_value)
 
@@ -117,7 +125,7 @@ class TestCompareAdjacent:
         ps = []
         for diff in (0.5, 1.0, 2.0, 4.0):
             grid = make_grid([[diff, 0.0]], np.eye(2))
-            (comp,) = compare_adjacent(grid)
+            comp = only_comparison(grid)
             ps.append(comp.p_value)
         assert all(a > b for a, b in zip(ps, ps[1:]))
 
@@ -166,10 +174,10 @@ class TestClusterMeans:
 
     def test_difference_variances_nonnegative(self, small_noisy_fit):
         grid = cluster_means(small_noisy_fit, 2, 2)
-        for comp in compare_adjacent(grid):
-            ka, kb = (np.ravel_multi_index(c, grid.shape) for c in (comp.cluster_a, comp.cluster_b))
-            var = grid.cov[ka, ka] - 2 * grid.cov[ka, kb] + grid.cov[kb, kb]
-            assert var >= -1e-10 * (grid.cov[ka, ka] + grid.cov[kb, kb])
+        comps = compare_adjacent(grid)
+        ka, kb = comps.a, comps.b
+        var = grid.cov[ka, ka] - 2 * grid.cov[ka, kb] + grid.cov[kb, kb]
+        assert np.all(var >= -1e-10 * (grid.cov[ka, ka] + grid.cov[kb, kb]))
 
     def test_requires_variance_estimate(self, small_frame):
         from ctrend.design import build_system_raw

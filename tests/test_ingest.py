@@ -16,6 +16,7 @@ from ctrend.synth import TrueModel, generate, survey_plan
 from ingest_reference import (
     Measurement,
     aggregate_buckets,
+    cell_bits,
     columns,
     derive_age_year,
     derive_bmi,
@@ -177,17 +178,18 @@ class TestLoadMeasurements:
 class TestAggregate:
     def test_two_point_cell(self, frame):
         ms = [Measurement(20.0, 1984.25, 40.0), Measurement(22.0, 1984.25, 40.0)]
-        (cell,) = aggregate(columns(ms, frame))
-        assert cell.x_bar == 21.0
-        assert cell.n == 2
-        assert cell.css == 2.0
-        assert cell.y_bar == 1984.25
+        cells = aggregate(columns(ms, frame))
+        assert len(cells) == 1
+        assert cells.x_bar.tolist() == [21.0]
+        assert cells.n.tolist() == [2]
+        assert cells.css.tolist() == [2.0]
+        assert cells.y_bar.tolist() == [1984.25]
 
     def test_singleton_cells(self, frame):
         ms = [Measurement(20.0 + k, 1984.25, 30.0 + k) for k in range(5)]
         cells = aggregate(columns(ms, frame))
         assert len(cells) == 5
-        assert all(c.n == 1 and c.css == 0.0 for c in cells)
+        assert np.all(cells.n == 1) and np.all(cells.css == 0.0)
 
     def test_study_shape_cell_count(self, paper_frame, paper_layout):
         # three survey waves over forty ages: 120 aggregated cells, 40 per wave
@@ -198,7 +200,7 @@ class TestAggregate:
         cells = aggregate(ms)
         assert len(cells) == 120
         for wave in (0, 5, 10):
-            assert sum(1 for c in cells if c.cell.i == wave) == 40
+            assert np.count_nonzero(cells.i == wave) == 40
 
     def test_counts_and_mass_conservation(self, frame):
         rng = np.random.default_rng(8)
@@ -207,9 +209,9 @@ class TestAggregate:
             for _ in range(500)
         ]
         cells = aggregate(columns(ms, frame))
-        assert sum(c.n for c in cells) == 500
+        assert cells.n.sum() == 500
         total = sum(m.x for m in ms)
-        assert sum(c.n * c.x_bar for c in cells) == pytest.approx(total, rel=1e-10)
+        assert np.sum(cells.n * cells.x_bar) == pytest.approx(total, rel=1e-10)
 
     def test_anova_identity(self, frame):
         rng = np.random.default_rng(13)
@@ -221,8 +223,8 @@ class TestAggregate:
         xs = np.array([m.x for m in ms])
         grand = xs.mean()
         total_css = float(np.sum((xs - grand) ** 2))
-        within = sum(c.css for c in cells)
-        between = sum(c.n * (c.x_bar - grand) ** 2 for c in cells)
+        within = np.sum(cells.css)
+        between = np.sum(cells.n * (cells.x_bar - grand) ** 2)
         assert within + between == pytest.approx(total_css, rel=1e-9)
 
     def test_permutation_invariance(self, frame):
@@ -233,11 +235,10 @@ class TestAggregate:
         ]
         cells_a = aggregate(columns(ms, frame))
         cells_b = aggregate(columns(reversed(ms), frame))
-        assert [c.cell for c in cells_a] == [c.cell for c in cells_b]
-        assert [c.n for c in cells_a] == [c.n for c in cells_b]
-        for ca, cb in zip(cells_a, cells_b):
-            assert ca.x_bar == pytest.approx(cb.x_bar, rel=1e-12)
-            assert ca.css == pytest.approx(cb.css, rel=1e-9, abs=1e-12)
+        for name in ("i", "j", "n"):
+            assert np.array_equal(getattr(cells_a, name), getattr(cells_b, name))
+        assert cells_a.x_bar == pytest.approx(cells_b.x_bar, rel=1e-12)
+        assert cells_a.css == pytest.approx(cells_b.css, rel=1e-9, abs=1e-12)
 
     def test_cells_sorted(self, frame):
         ms = [
@@ -246,7 +247,8 @@ class TestAggregate:
             Measurement(20.0, 1983.5, 60.0),
         ]
         cells = aggregate(columns(ms, frame))
-        assert [tuple(c.cell) for c in cells] == sorted(tuple(c.cell) for c in cells)
+        cell_list = list(zip(cells.i.tolist(), cells.j.tolist()))
+        assert cell_list == sorted(cell_list)
 
 
 class TestCsvRecordErrors:
@@ -531,10 +533,6 @@ def in_frame(frame, m):
     return True
 
 
-def cell_summary(cells):
-    return [(tuple(c.cell), c.x_bar.hex(), c.y_bar.hex(), c.n, c.css.hex()) for c in cells]
-
-
 @settings(max_examples=100)
 @given(
     y0=st.integers(1970, 2000), y_frac=st.sampled_from([0.0, 0.3, 0.9]),
@@ -550,8 +548,8 @@ def test_aggregate_matches_dict_buckets(y0, y_frac, a0, a_frac, spans, seed, n):
     a = np.round(rng.uniform(frame.a_min, frame.a_max, n), rng.integers(0, 2))
     x = rng.normal(24.0, 3.0, n)
     ms = [Measurement(*v) for v in zip(x.tolist(), y.tolist(), a.tolist()) if in_frame(frame, v)]
-    want = cell_summary(aggregate_buckets(ms, frame))
-    assert cell_summary(aggregate(columns(ms, frame))) == want
+    want = cell_bits(aggregate_buckets(ms, frame))
+    assert cell_bits(aggregate(columns(ms, frame))) == want
 
 
 @pytest.mark.parametrize("n_small,n_large", [(50_000, 200_000)])

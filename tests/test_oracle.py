@@ -38,7 +38,7 @@ def dense_z_fit(frame, layout, measurements, mode, lambda1, lambda2):
         rows = build_b0_raw(layout, frame, measurement_rows(measurements))
         w, css = np.ones(len(rows)), 0.0
     else:
-        rows, w, css = build_b0_aggregated(layout, frame, aggregate(measurements))
+        rows, w, css = build_b0_aggregated(layout, aggregate(measurements))
     b0 = dense(rows, layout.dim)
     x = np.array([r.rhs for r in rows])
     b1, b2 = penalties_z(layout)
@@ -82,7 +82,7 @@ def check_against_oracle(frame, layout, measurements, mode, lambdas):
     if mode == "raw":
         system = build_system_raw(measurements)
     else:
-        system = build_system_aggregated(frame, aggregate(measurements))
+        system = build_system_aggregated(aggregate(measurements))
     fit = solve(system, *lambdas)
     assert fit.n_silent == (2 if lambdas[0] == 0.0 else 0)
     want = dense_z_fit(frame, layout, measurements, mode, *lambdas)

@@ -222,7 +222,7 @@ class TestAggregationEquivalence:
                 for k in range(4):
                     ms.append(Measurement(base + 0.25 * k + 0.125 * rng.integers(0, 8), y, a))
         sys_raw = build_system_raw(columns(ms, frame))
-        sys_agg = build_system_aggregated(frame, aggregate(columns(ms, frame)))
+        sys_agg = build_system_aggregated(aggregate(columns(ms, frame)))
         assert sys_raw.n_obs == sys_agg.n_obs
         fr = solve(sys_raw, 1.0, 1.0)
         fa = solve(sys_agg, 1.0, 1.0)

@@ -210,7 +210,7 @@ def study_system():
     layout = ParameterLayout.from_frame(frame)
     model = TrueModel(frame, smooth_boundary(layout), smooth_trend(layout), noise_sd=3.5)
     plan = survey_plan(frame, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
-    return build_system_aggregated(frame, aggregate(generate(model, plan, seed=42)))
+    return build_system_aggregated(aggregate(generate(model, plan, seed=42)))
 
 
 class TestWarmStartedSearch:

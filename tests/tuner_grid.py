@@ -48,7 +48,7 @@ def designs():
     study = Frame.from_bounds(1982.0, 1992.99, 25.0, 64.0)
     plan = survey_plan(study, (0, 5, 10), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), per_fraction=5)
     cells = aggregate(generate(model(study, 3.5), plan, seed=42))
-    yield "study", build_system_aggregated(study, cells)
+    yield "study", build_system_aggregated(cells)
     small = Frame.from_bounds(2000.0, 2004.9, 10.0, 16.0)
     plan = full_coverage_plan(small, (0.25, 0.75))
     yield "small", build_system_raw(generate(model(small, 0.0), plan, seed=5))

@@ -32,7 +32,7 @@ from scipy import sparse
 from ctrend.design import build_v2u, second_differences
 from ctrend.errors import OutOfFrame
 from ctrend.grid import CellIndex, Frame, ParameterLayout
-from ctrend.ingest import AggregatedCell
+from ctrend.ingest import CellColumns
 from ctrend.solver import FitResult
 from ctrend.synth import TrueModel
 from ingest_reference import Measurement, locate
@@ -224,9 +224,7 @@ def build_b0_raw(
     return rows
 
 
-def build_b0_aggregated(
-    layout: ParameterLayout, frame: Frame, cells: list[AggregatedCell]
-) -> tuple[list[Row], np.ndarray, float]:
+def build_b0_aggregated(layout: ParameterLayout, cells: CellColumns) -> tuple[list[Row], np.ndarray, float]:
     """Cell-level data rows, their count weights, and the pooled within-cell
     corrected sum of squares.
 
@@ -236,14 +234,13 @@ def build_b0_aggregated(
     rows = []
     weights = np.empty(len(cells), dtype=float)
     css_total = 0.0
-    for pos, c in enumerate(cells):
-        i_abs = c.cell.i + frame.i_min
-        if not (i_abs <= c.y_bar < i_abs + 1):
-            raise OutOfFrame(
-                f"cell {c.cell} mean year {c.y_bar} outside its year interval"
-            )
-        t = c.y_bar - i_abs
-        rows.append(_row_from_coeffs(cell_observation_coeffs(layout, c.cell, t), rhs=c.x_bar))
-        weights[pos] = float(c.n)
-        css_total += c.css
+    table = zip(*(c.tolist() for c in (cells.i, cells.j, cells.x_bar, cells.y_bar, cells.n, cells.css)))
+    for pos, (i, j, x_bar, y_bar, n, css) in enumerate(table):
+        i_abs = i + cells.frame.i_min
+        if not (i_abs <= y_bar < i_abs + 1):
+            raise OutOfFrame(f"cell ({i}, {j}) mean year {y_bar} outside its year interval")
+        t = y_bar - i_abs
+        rows.append(_row_from_coeffs(cell_observation_coeffs(layout, CellIndex(i, j), t), rhs=x_bar))
+        weights[pos] = float(n)
+        css_total += css
     return rows, weights, css_total
