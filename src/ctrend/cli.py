@@ -166,6 +166,8 @@ def _read_config_file(path: str, command: str, keys: tuple[str, ...]) -> dict[st
                 raise ConfigError(f"unknown config key {key!r}")
             if key not in keys:
                 raise ConfigError(f"{key} is not a setting of {command}")
+            if key in texts:
+                raise ConfigError(f"config key {key!r} is set in more than one section")
             texts[key] = raw
     return texts
 

@@ -2,16 +2,17 @@
 
 The control quantity per adjacent pair of surface estimates is 1 - r^2,
 with r their correlation: the fraction of variance not explained by the
-neighbor ("new information").  `tune` drives a summary statistic of the level
-indicators (by lambda1) and of the trend indicators (by lambda2) to its target:
-it solves g(lg) = log(statistics / targets) = 0 for lg = log10-lambda in
-[-8, 10]^2 by projected Newton steps.  Every solve gives dg/dlg from the
-pairs its statistics read: exact for `selected-point`, `median` and `min`, and
-for `mean` an estimate from MEAN_PAIRS pairs at evenly spaced ranks.  The
-Newton step is taken on that Jacobian and on its floored diagonal, which
-moves each weight on its own statistic (`tune`).  The iteration runs to a
-root tolerance far inside delta, so the lambdas depend on the design and the
-targets alone.
+neighbor ("new information").  A surface's smoothness field is the vector of
+these indicators over all its age- and year-adjacent pairs
+(`smoothness_field`).  `tune` drives a summary statistic of the level field
+(by lambda1) and of the trend field (by lambda2) to its target: it solves
+g(lg) = log(statistics / targets) = 0 for lg = log10-lambda in [-8, 10]^2 by
+projected Newton steps.  Every solve gives dg/dlg from the pairs its
+statistics read: exact for `selected-point`, `median` and `min`, and for
+`mean` an estimate from MEAN_PAIRS pairs at evenly spaced ranks.  The Newton
+step is taken on that Jacobian and on its floored diagonal, which moves each
+weight on its own statistic (`tune`).  The iteration runs to a root tolerance
+far inside delta, so the lambdas depend on the design and the targets alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import LinearSystem, build_v2u
-from .errors import IndexOutOfRange, NoConvergence, SingularSystem, TargetUnreachable
+from .errors import ConfigError, IndexOutOfRange, NoConvergence, SingularSystem, TargetUnreachable
 from .solver import FitResult, solve
 
 LOG10_LO = -8.0
@@ -35,24 +36,6 @@ ARMIJO = 1e-4  # sufficient decrease of |g|^2 per unit step fraction
 MAX_SOLVES = 200
 WEIGHT_NAMES = ("level", "trend")  # lambda1, lambda2
 FSTAT_KINDS = ("selected-point", "mean", "median", "min")
-
-
-@dataclass(frozen=True)
-class SmoothnessField:
-    """Local 1 - r^2 indicators for one surface.
-
-    `age` holds pairs ((i,j), (i,j+1)) as an nrows x (ncols-1) grid, `year`
-    pairs ((i,j), (i+1,j)) as (nrows-1) x ncols; a pair where a variance
-    vanished reads 1.  `vector` is the age block then the year block, each
-    row-major.
-    """
-
-    age: np.ndarray
-    year: np.ndarray
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.age.ravel(), self.year.ravel()])
 
 
 def _pair_indicator(cov: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,14 +51,17 @@ def _pair_indicator(cov: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> tuple[np
 
 def _field_pairs(shape: tuple[int, int]) -> np.ndarray:
     """The flat surface indices (k1, k2) of every pair, one row per pair in
-    `SmoothnessField.vector` order."""
+    field order (`smoothness_field`)."""
     grid = np.arange(shape[0] * shape[1]).reshape(shape)
     k1 = np.r_[grid[:, :-1].ravel(), grid[:-1].ravel()]
     return np.column_stack([k1, np.r_[grid[:, 1:].ravel(), grid[1:].ravel()]])
 
 
-def smoothness_field(cov: np.ndarray, shape: tuple[int, int]) -> SmoothnessField:
-    """Indicators for all age- and year-adjacent pairs of a flattened surface.
+def smoothness_field(cov: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The field of a flattened surface: the indicator of every age pair
+    ((i,j), (i,j+1)) row-major, then of every year pair ((i,j), (i+1,j))
+    row-major; a pair where a variance vanished reads 1.  Point (i, j) starts
+    the age pair at i * (ncols - 1) + j.
 
     `cov` is a dense covariance or a band accessor of a fit
     (`FitResult.unit_cov_v_band`, `unit_cov_u_band`); only `cov.shape` and
@@ -84,49 +70,30 @@ def smoothness_field(cov: np.ndarray, shape: tuple[int, int]) -> SmoothnessField
     nrows, ncols = shape
     if cov.shape != (nrows * ncols, nrows * ncols):
         raise ValueError(f"covariance shape {cov.shape} does not match surface {shape}")
-    f = _pair_indicator(cov, *_field_pairs(shape).T)[0]
-    n_age = nrows * (ncols - 1)
-    return SmoothnessField(f[:n_age].reshape(nrows, ncols - 1), f[n_age:].reshape(nrows - 1, ncols))
+    return _pair_indicator(cov, *_field_pairs(shape).T)[0]
 
 
-def _read_pairs(vector: np.ndarray, kind: str) -> np.ndarray:
-    """Positions in a field vector of the pairs a whole-field statistic reads:
-    the lowest for `min`, the middle one or two for `median`, and for `mean`
+def _read_pairs(field: np.ndarray, kind: str) -> np.ndarray:
+    """Positions in a field of the pairs a whole-field statistic reads: the
+    lowest for `min`, the middle one or two for `median`, and for `mean`
     MEAN_PAIRS at evenly spaced ranks (the midpoints of equal rank blocks)."""
-    n = len(vector)
+    n = len(field)
     ranks = {
         "min": [0],
         "median": np.unique([(n - 1) // 2, n // 2]),
         "mean": ((np.arange(MEAN_PAIRS) + 0.5) * n / MEAN_PAIRS).astype(int),
     }[kind]
-    return np.argsort(vector, kind="stable")[ranks]
+    return np.argsort(field, kind="stable")[ranks]
 
 
-def fstat(field: SmoothnessField, kind: str, selected: tuple[int, int] | None = None) -> float:
-    """Summary statistic of a smoothness field.
-
-    `median` and `min` are the mean of the pairs they read (`_read_pairs`).
-    For ``selected-point`` the 0-based (i, j) coordinates index the
-    age-block pair grid.
-    """
-    if kind not in FSTAT_KINDS:
-        raise IndexOutOfRange(f"fstat kind must be one of {FSTAT_KINDS}, got {kind!r}")
+def fstat(field: np.ndarray, kind: str) -> float:
+    """Summary statistic of a whole smoothness field: its `mean`, or for
+    `median` and `min` the mean of the pairs they read (`_read_pairs`)."""
     if kind == "mean":
-        return float(np.mean(field.vector))
-    if kind != "selected-point":
-        return float(np.mean(field.vector[_read_pairs(field.vector, kind)]))
-    if selected is None:
-        raise IndexOutOfRange("selected-point fstat needs a grid point")
-    return float(field.vector[_age_pair(selected, field.age.shape)])
-
-
-def _age_pair(point: tuple[int, int], pairs: tuple[int, int]) -> int:
-    """The field-vector position of `point` on the `pairs`-shaped age-pair
-    grid; IndexOutOfRange when it lies outside."""
-    (i, j), (nrows, ncols) = point, pairs
-    if not (0 <= i < nrows and 0 <= j < ncols):
-        raise IndexOutOfRange(f"selected point ({i}, {j}) outside age-block grid {pairs}")
-    return i * ncols + j
+        return float(np.mean(field))
+    if kind in ("median", "min"):
+        return float(np.mean(field[_read_pairs(field, kind)]))
+    raise IndexOutOfRange(f"fstat kind must be 'mean', 'median' or 'min', got {kind!r}")
 
 
 def default_selected_point_v(layout) -> tuple[int, int]:
@@ -147,8 +114,8 @@ class SmoothnessTargets:
 
     `delta` bounds the absolute log-distance of both statistics from their
     targets that a tune accepts: the iteration runs on to ROOT_TOL, and
-    delta decides whether its best probe counts as converged.  `math.inf`
-    accepts the first solve, at lambda1 = lambda2 = 10, without tuning.
+    delta decides whether its best probe counts as converged.  The selected
+    points are read by `selected-point` alone.
     """
 
     f_smv: float = 0.2
@@ -162,20 +129,29 @@ class SmoothnessTargets:
         for name, value in (("f_smv", self.f_smv), ("f_smu", self.f_smu)):
             if not 0.0 < value < 1.0:
                 raise IndexOutOfRange(f"{name} must lie strictly inside (0, 1), got {value!r}")
-        if not self.delta > 0:
-            raise IndexOutOfRange(f"delta must be positive, got {self.delta!r}")
+        if not 0 < self.delta < math.inf:
+            raise IndexOutOfRange(f"delta must be positive and finite, got {self.delta!r}")
         if self.fstat_kind not in FSTAT_KINDS:
             raise IndexOutOfRange(f"unknown fstat kind {self.fstat_kind!r}")
+        for name in ("selected_point_v", "selected_point_u"):
+            if getattr(self, name) is not None and self.fstat_kind != "selected-point":
+                raise ConfigError(f"{name} is read by fstat 'selected-point' only, not {self.fstat_kind!r}")
 
     def selected_pairs(self, layout) -> list[list[int]] | None:
-        """Field-vector positions of the level and trend pairs at the selected points (None
-        unless `selected-point`); IndexOutOfRange when a point lies outside its grid."""
+        """Field positions of the level and trend age pairs that start at the selected
+        points (None unless `selected-point`); IndexOutOfRange when a point lies outside
+        its age-pair grid."""
         if self.fstat_kind != "selected-point":
             return None
         points = (self.selected_point_v or default_selected_point_v(layout),
                   self.selected_point_u or default_selected_point_u(layout))
         grids = [(rows, cols - 1) for rows, cols in (layout.level_shape, layout.trend_shape)]
-        return [[_age_pair(point, grid)] for point, grid in zip(points, grids)]
+        read = []
+        for (i, j), (nrows, ncols) in zip(points, grids):
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise IndexOutOfRange(f"selected point ({i}, {j}) outside age-block grid {(nrows, ncols)}")
+            read.append([i * ncols + j])
+        return read
 
 
 @dataclass
@@ -263,7 +239,7 @@ class _Evaluator:
             fields = [smoothness_field(fit.unit_cov_v_band, layout.level_shape),
                       smoothness_field(fit.unit_cov_u_band, layout.trend_shape)]
             stats = [fstat(field, kind) for field in fields]
-            read = [_read_pairs(field.vector, kind) for field in fields]
+            read = [_read_pairs(field, kind) for field in fields]
             columns = _pair_columns(layout, read)
         x = fit.unit_cov_v_band.solve(columns)
         weights = ((fit.lambda1, self.system.penalty_v), (fit.lambda2, self.system.penalty_u))
@@ -366,8 +342,6 @@ def tune(system: LinearSystem, targets: SmoothnessTargets) -> tuple[FitResult, S
     probe = evaluate((1.0, 1.0))
     if probe.jacobian is None:
         raise SingularSystem("system is singular at the starting lambdas")
-    if math.isinf(targets.delta):
-        return probe.fit, evaluate.report(probe, converged=True)
     box = np.array([[LOG10_LO, LOG10_HI]] * 2)  # the range of each weight's lg
     probed_ends: set[tuple[int, float]] = set()
     held: list[int] = []

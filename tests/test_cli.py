@@ -753,6 +753,21 @@ class TestSettings:
         assert code == 2 and error["error"] == "index-out-of-range"
         assert "(99, 99)" in error["message"]
 
+    @pytest.mark.parametrize("weights", [FIXED, TUNED], ids=["fixed", "tuned"])
+    @pytest.mark.parametrize("kind", ["mean", "median", "min"])
+    @pytest.mark.parametrize("flag", ["--point-v", "--point-u"])
+    def test_points_rejected_with_a_whole_field_statistic(self, tmp_path, capsys, weights, kind, flag):
+        missing = tmp_path / "missing.csv"  # reading it would exit 2 as config too
+        code = cli.main(["analyze", *FRAME_FLAGS, "--input", str(missing), *weights, "--fstat", kind,
+                         flag, "99,99", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        error = json.loads(err)
+        name = flag[2:].replace("-", "_")
+        assert error == {"error": "config",
+                         "message": f"selected_{name} is read by fstat 'selected-point' only, not {kind!r}"}
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigAndModelFiles:
     def aggregate(self, dataset, tmp_path, text, *flags):
@@ -777,6 +792,22 @@ class TestConfigAndModelFiles:
         out = tmp_path / "out"
         assert self.aggregate(dataset, tmp_path, f"[DEFAULT]\n{settings}out = {out}\n") == 0
         assert (out / "aggregated.csv").is_file()
+
+    def test_key_set_in_two_sections_exit_2(self, dataset, tmp_path, capsys):
+        base, _ = dataset
+        frame = "".join(f"{k} = {v}\n" for k, v in BASE_SETTINGS.items())
+        cfg = tmp_path / "run.cfg"
+        argv = ["analyze", "--config", str(cfg), "--input", str(base / "dataset.csv")]
+        cfg.write_text(f"[a]\nmode = raw\n[b]\n{frame}mode = aggregated\n", encoding="utf-8")
+        code = cli.main([*argv, "--out", str(tmp_path / "twice")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert json.loads(err) == {"error": "config", "message": "config key 'mode' is set in more than one section"}
+        assert not (tmp_path / "twice").exists()
+        # keys spread over sections, each set once, are read from all of them
+        cfg.write_text(f"[a]\nmode = raw\n[b]\n{frame}", encoding="utf-8")
+        assert cli.main([*argv, "--out", str(tmp_path / "once")]) == 0
+        assert json.loads((tmp_path / "once" / "run.json").read_text())["mode"] == "raw"
 
     def test_undecodable_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

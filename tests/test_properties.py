@@ -20,7 +20,7 @@ from ctrend.design import (
     build_v2u,
     second_differences,
 )
-from ctrend.errors import SingularSystem
+from ctrend.errors import NoConvergence, SingularSystem, TargetUnreachable
 from ctrend.grid import Frame, ParameterLayout
 from ctrend.inference import (
     _DEGENERATE_REL_TOL,
@@ -31,7 +31,7 @@ from ctrend.inference import (
 )
 from ctrend.ingest import aggregate
 from ctrend.solver import check_uniqueness, solve
-from ctrend.tuner import SmoothnessTargets, _Evaluator, _read_pairs, fstat, smoothness_field, tune
+from ctrend.tuner import SmoothnessTargets, _Evaluator, _read_pairs, smoothness_field, tune
 from ctrend.synth import (
     SamplingPlan,
     TrueModel,
@@ -147,7 +147,7 @@ def test_band_accessors_match_dense_smoothness(i_span, j_span, lambda1, lambda2)
         (fit.unit_cov_u_band, fit.trend_unit_cov(np.eye(layout.n_trend)), layout.trend_shape),
     ):
         got, want = smoothness_field(band, shape), smoothness_field(dense, shape)
-        np.testing.assert_allclose(got.vector, want.vector, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=8)
@@ -286,11 +286,13 @@ def test_whitened_selected_point_matches_band_route(
     targets = SmoothnessTargets(selected_point_v=point_v, selected_point_u=point_u)
     probe = _Evaluator(system, targets)((np.log10(lambda1) if lambda1 else -np.inf, np.log10(lambda2)))
     fit = probe.fit
-    want_v = fstat(
-        smoothness_field(fit.unit_cov_v_band, layout.level_shape), "selected-point", point_v
-    )
-    want_u = fstat(
-        smoothness_field(fit.unit_cov_u_band, layout.trend_shape), "selected-point", point_u
+    # point (i, j) starts the age pair at field position i * (ncols - 1) + j
+    want_v, want_u = (
+        smoothness_field(band, shape)[i * (shape[1] - 1) + j]
+        for band, shape, (i, j) in (
+            (fit.unit_cov_v_band, layout.level_shape, point_v),
+            (fit.unit_cov_u_band, layout.trend_shape, point_u),
+        )
     )
     assert abs(probe.stat_v - want_v) <= 1e-12 * want_v
     assert abs(probe.stat_u - want_u) <= 1e-12 * want_u
@@ -300,7 +302,7 @@ def read_pairs(probe, kind):
     """The field-vector positions of the pairs each statistic of `probe` reads."""
     fit, layout = probe.fit, probe.fit.layout
     bands = ((fit.unit_cov_v_band, layout.level_shape), (fit.unit_cov_u_band, layout.trend_shape))
-    return [set(_read_pairs(smoothness_field(band, shape).vector, kind)) for band, shape in bands]
+    return [set(_read_pairs(smoothness_field(band, shape), kind)) for band, shape in bands]
 
 
 def jacobian_and_central_differences(evaluate, lg, h=1e-4):
@@ -337,12 +339,14 @@ def test_selected_point_jacobian_matches_central_differences(
     i_span, j_span, lambda1, lambda2, fvi, fvj, fui, fuj, kind
 ):
     # `median` and `min` differentiate the pairs they read, so they match
-    # wherever the steps leave those pairs in place
+    # wherever the steps leave those pairs in place; they read no point
     system, _ = full_coverage_fit(i_span, j_span, lambda1, lambda2)
     layout = system.layout
-    point_v = grid_point(fvi, fvj, *layout.level_shape)
-    point_u = grid_point(fui, fuj, *layout.trend_shape)
-    targets = SmoothnessTargets(fstat_kind=kind, selected_point_v=point_v, selected_point_u=point_u)
+    points = {}
+    if kind == "selected-point":
+        points = dict(selected_point_v=grid_point(fvi, fvj, *layout.level_shape),
+                      selected_point_u=grid_point(fui, fuj, *layout.trend_shape))
+    targets = SmoothnessTargets(fstat_kind=kind, **points)
     lg = np.array([np.log10(lambda1) if lambda1 else -np.inf, np.log10(lambda2)])
     jacobian, kept, central = jacobian_and_central_differences(_Evaluator(system, targets), lg)
     assume(kept)
@@ -593,18 +597,25 @@ def test_compare_adjacent_matches_the_per_pair_formula(grid):
         assert np.array_equal(getattr(got, name), np.array(column), equal_nan=nan), name
 
 
-def transposed_fits(i_span, j_span, seed, n, lambdas):
-    """Fits of `_level_system` on (i, j, t, x, w) drawn from `seed`, and on the
-    same data with the lattice transposed, (i, j) -> (j, i) at the same t and
-    x; None where `solve` finds the system singular."""
+def transposed_systems(i_span, j_span, seed, n):
+    """`_level_system` on (i, j, t, x, w) drawn from `seed`, and on the same
+    data with the lattice transposed, (i, j) -> (j, i) at the same t and x."""
     rng = np.random.default_rng(seed)
     i, j = rng.integers(0, i_span + 1, n), rng.integers(0, j_span + 1, n)
     t, x, w = rng.random(n), rng.normal(25.0, 3.0, n), rng.integers(1, 50, n).astype(float)
     css = float(rng.exponential(5.0))
+    return [
+        _level_system(layout, rows, cols, t, x, w, css)
+        for layout, rows, cols in ((ParameterLayout(i_span, j_span), i, j), (ParameterLayout(j_span, i_span), j, i))
+    ]
+
+
+def transposed_fits(i_span, j_span, seed, n, lambdas):
+    """Fits of both `transposed_systems`; None where `solve` finds the system singular."""
     fits = []
-    for layout, rows, cols in ((ParameterLayout(i_span, j_span), i, j), (ParameterLayout(j_span, i_span), j, i)):
+    for system in transposed_systems(i_span, j_span, seed, n):
         try:
-            fits.append(solve(_level_system(layout, rows, cols, t, x, w, css), *lambdas))
+            fits.append(solve(system, *lambdas))
         except SingularSystem:
             fits.append(None)
     return fits
@@ -636,6 +647,39 @@ def test_transposed_lattice_fits_bit_for_bit(i_span, j_span, seed, n, lambdas):
     assert (fit.sigma2_hat, fit.edf, fit.condition, fit.s0) == (
         swapped.sigma2_hat, swapped.edf, swapped.condition, swapped.s0
     )
+
+
+def tune_end(system, targets):
+    """How a tune ends: the outcome's name and its report (None when singular
+    at the start)."""
+    try:
+        return "converged", tune(system, targets)[1]
+    except (TargetUnreachable, NoConvergence) as exc:
+        return type(exc).__name__, exc.report
+    except SingularSystem:
+        return "SingularSystem", None
+
+
+@settings(deadline=None, max_examples=15)
+@given(i_span=st.integers(2, 8), j_span=st.integers(2, 8), seed=transposable["seed"])
+def test_transposed_lattice_tunes_alike(i_span, j_span, seed):
+    """Transposing the lattice swaps the age and year pairs of each field, so
+    every whole-field statistic reads the same indicators, in another order.
+    With I != J the fits agree bit for bit (above), but `mean` sums the field
+    in another order and `median` and `min` may break ties between equal
+    indicators differently, so the lambdas agree within rounding and each tune
+    ends the same way in the same number of solves."""
+    assume(i_span != j_span)
+    systems = transposed_systems(i_span, j_span, seed, 300)
+    for kind in ("mean", "median", "min"):
+        targets = SmoothnessTargets(0.3, 0.3, 0.05, kind)
+        (end, report), (swapped_end, swapped) = (tune_end(system, targets) for system in systems)
+        assert end == swapped_end, kind
+        if report is None:
+            continue
+        assert report.iterations == swapped.iterations, kind
+        for name in ("lambda1", "lambda2"):
+            assert abs(getattr(swapped, name) / getattr(report, name) - 1) <= 1e-10, (kind, name)
 
 
 @settings(deadline=None, max_examples=40)

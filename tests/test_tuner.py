@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -33,40 +34,49 @@ def pair_cov(matrix):
     return np.asarray(matrix, dtype=float)
 
 
+def at_point(field, shape, point):
+    """The indicator of the age pair that starts at `point` on a surface of `shape`."""
+    (i, j), ncols = point, shape[1]
+    return field[i * (ncols - 1) + j]
+
+
+def indicator(cov, k1, k2):
+    return 1.0 - cov[k1, k2] ** 2 / (cov[k1, k1] * cov[k2, k2])
+
+
 class TestSmoothnessField:
     def test_half_correlated_pair(self):
         field = smoothness_field(pair_cov([[2.0, 1.0], [1.0, 2.0]]), (1, 2))
-        assert field.age.shape == (1, 1)
-        assert field.age[0, 0] == pytest.approx(0.75, rel=1e-12)
-        assert field.year.size == 0
+        assert field.shape == (1,)  # one age pair, no year pair
+        assert field[0] == pytest.approx(0.75, rel=1e-12)
 
     def test_perfect_correlation_gives_zero(self):
         field = smoothness_field(pair_cov([[1.0, -1.0], [-1.0, 1.0]]), (1, 2))
-        assert field.age[0, 0] == 0.0
+        assert field[0] == 0.0
 
     def test_independent_gives_one(self):
         field = smoothness_field(pair_cov([[1.0, 0.0], [0.0, 1.0]]), (1, 2))
-        assert field.age[0, 0] == 1.0
+        assert field[0] == 1.0
 
     def test_zero_variance_flagged_as_one(self):
         field = smoothness_field(pair_cov([[0.0, 0.0], [0.0, 1.0]]), (1, 2))
-        assert field.age[0, 0] == 1.0
+        assert field[0] == 1.0
 
     def test_block_shapes_and_vector_order(self):
         rng = np.random.default_rng(0)
         half = rng.normal(size=(12, 12))
         cov = half @ half.T + 12 * np.eye(12)
         field = smoothness_field(cov, (3, 4))
-        assert field.age.shape == (3, 3)
-        assert field.year.shape == (2, 4)
-        vec = field.vector
-        assert vec.shape == (9 + 8,)
-        assert np.array_equal(vec, np.concatenate([field.age.ravel(), field.year.ravel()]))
+        assert field.shape == (3 * 3 + 2 * 4,)
+        # the age pairs row by row, then the year pairs row by row
+        age = [indicator(cov, 4 * i + j, 4 * i + j + 1) for i in range(3) for j in range(3)]
+        year = [indicator(cov, 4 * i + j, 4 * (i + 1) + j) for i in range(2) for j in range(4)]
+        np.testing.assert_allclose(field, age + year, rtol=1e-12)
 
     def test_indicators_within_unit_interval(self, small_noisy_fit):
         fit = small_noisy_fit
-        vec = smoothness_field(unit_cov_v(fit), fit.layout.level_shape).vector
-        assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
+        field = smoothness_field(unit_cov_v(fit), fit.layout.level_shape)
+        assert np.all(field >= 0.0) and np.all(field <= 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -79,23 +89,32 @@ def field():
 class TestFstat:
 
     def test_order_statistics(self, field):
-        values = field.vector
-        assert fstat(field, "min") == values.min()
-        assert fstat(field, "mean") == pytest.approx(values.mean())
-        assert fstat(field, "median") == pytest.approx(np.median(values))
+        assert fstat(field, "min") == field.min()
+        assert fstat(field, "mean") == pytest.approx(field.mean())
+        assert fstat(field, "median") == pytest.approx(np.median(field))
 
-    def test_selected_point_indexes_age_block(self, field):
-        assert fstat(field, "selected-point", (0, 1)) == field.age[0, 1]
+    def test_selected_point_indexes_age_block(self):
+        # on a 2 x 3 surface point (0, 1) starts the age pair ((0, 1), (0, 2))
+        cov = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        cov[1, 2] = cov[2, 1] = 0.5
+        assert smoothness_field(cov, (2, 3))[1] == indicator(cov, 1, 2) < 1.0
+        layout = ParameterLayout(3, 4)  # level surface 5 x 6, trend surface 4 x 5
+        targets = SmoothnessTargets(selected_point_v=(2, 3), selected_point_u=(1, 0))
+        assert targets.selected_pairs(layout) == [[2 * 5 + 3], [1 * 4 + 0]]
+        assert SmoothnessTargets(fstat_kind="median").selected_pairs(layout) is None
 
-    def test_selected_point_out_of_range(self, field):
-        with pytest.raises(IndexOutOfRange):
-            fstat(field, "selected-point", (0, 2))
-        with pytest.raises(IndexOutOfRange):
-            fstat(field, "selected-point", None)
+    def test_selected_point_out_of_range(self):
+        layout = ParameterLayout(3, 4)
+        for point_v, point_u, where in (((0, 5), None, "(0, 5) outside age-block grid (5, 5)"),
+                                        (None, (4, 0), "(4, 0) outside age-block grid (4, 4)")):
+            targets = SmoothnessTargets(selected_point_v=point_v, selected_point_u=point_u)
+            with pytest.raises(IndexOutOfRange, match=f"^selected point {re.escape(where)}$"):
+                targets.selected_pairs(layout)
 
     def test_unknown_kind(self, field):
-        with pytest.raises(IndexOutOfRange):
-            fstat(field, "max")
+        for kind in ("max", "selected-point"):  # a selected point is no whole-field statistic
+            with pytest.raises(IndexOutOfRange):
+                fstat(field, kind)
 
     def test_default_points_study_scale(self):
         layout = ParameterLayout(10, 39)
@@ -116,8 +135,9 @@ class TestTargets:
             SmoothnessTargets(f_smv=0.0)
         with pytest.raises(IndexOutOfRange):
             SmoothnessTargets(f_smu=1.0)
-        with pytest.raises(IndexOutOfRange):
-            SmoothnessTargets(delta=0.0)
+        for delta in (0.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(IndexOutOfRange, match="^delta must be positive and finite"):
+                SmoothnessTargets(delta=delta)
         with pytest.raises(IndexOutOfRange):
             SmoothnessTargets(fstat_kind="maximum")
 
@@ -148,31 +168,22 @@ class TestTune:
 
         # idempotence: re-solving at the returned lambdas reproduces the stats
         refit = solve(system, report.lambda1, report.lambda2)
-        field_v = smoothness_field(unit_cov_v(refit), refit.layout.level_shape)
-        point_v = default_selected_point_v(refit.layout)
-        assert fstat(field_v, "selected-point", point_v) == pytest.approx(
-            report.stat_v, rel=1e-9
-        )
-        field_u = smoothness_field(refit.unit_cov_u_band, refit.layout.trend_shape)
-        point_u = default_selected_point_u(refit.layout)
-        assert fstat(field_u, "selected-point", point_u) == pytest.approx(
-            report.stat_u, rel=1e-9
-        )
+        layout = refit.layout
+        field_v = smoothness_field(unit_cov_v(refit), layout.level_shape)
+        point_v = default_selected_point_v(layout)
+        assert at_point(field_v, layout.level_shape, point_v) == pytest.approx(report.stat_v, rel=1e-9)
+        field_u = smoothness_field(refit.unit_cov_u_band, layout.trend_shape)
+        point_u = default_selected_point_u(layout)
+        assert at_point(field_u, layout.trend_shape, point_u) == pytest.approx(report.stat_u, rel=1e-9)
 
     def test_monotone_response(self, small_noisefree_system):
         stats = []
         for lam in (1e-2, 1.0, 1e2, 1e4, 1e6):
             fit = solve(small_noisefree_system, lam, 10.0)
-            field = smoothness_field(unit_cov_v(fit), fit.layout.level_shape)
-            stats.append(fstat(field, "selected-point", default_selected_point_v(fit.layout)))
+            shape = fit.layout.level_shape
+            field = smoothness_field(unit_cov_v(fit), shape)
+            stats.append(at_point(field, shape, default_selected_point_v(fit.layout)))
         assert all(a >= b - 1e-9 for a, b in zip(stats, stats[1:]))
-
-    def test_infinite_delta_returns_midpoint_solve(self, small_noisefree_system):
-        targets = SmoothnessTargets(delta=math.inf)
-        fit, report = tune(small_noisefree_system, targets)
-        assert fit.lambda1 == fit.lambda2 == 10.0
-        assert report.iterations == 1
-        assert report.converged
 
     def test_target_unreachable_reported(self, small_noisefree_system):
         # indicators never reach 0.999 even with vanishing smoothing
@@ -251,7 +262,7 @@ class TestWarmStartedSearch:
 
         def error(fit):
             stats = (
-                fstat(smoothness_field(cov, shape), "selected-point", point)
+                at_point(smoothness_field(cov, shape), shape, point)
                 for cov, shape, point in zip(
                     (fit.unit_cov_v_band, fit.unit_cov_u_band),
                     (layout.level_shape, layout.trend_shape),
@@ -466,3 +477,16 @@ class TestProbeCost:
         with pytest.raises(IndexOutOfRange, match="outside age-block grid"):
             tune(small_noisefree_system, SmoothnessTargets(**points))
         assert solves == []
+
+
+def test_tuner_grid_script_tunes_its_first_design():
+    # tests/tuner_grid.py is not collected; this keeps it importable and running
+    import tuner_grid
+
+    name, system = next(tuner_grid.designs())
+    assert name == "two-wave"
+    for kind in tuner.FSTAT_KINDS:
+        code, solves, singular, report = tuner_grid.outcome(system, SmoothnessTargets(0.2, 0.2, 0.05, kind))
+        assert code in ("C", "U", "N") and solves >= 1, kind
+        assert 0 <= singular <= solves == report.iterations, kind
+    assert tuner.solve is solve
